@@ -18,7 +18,6 @@ from .laws import (
 from .montecarlo import SimConfig, compare_empirical
 from .ness import (
     NessCurve,
-    continuous_ness_1d,
     laplace_curve,
     lattice_ness,
     ness_scale,

@@ -282,9 +282,7 @@ def _cmd_ness(args) -> int:
         curve = ness.laplace_curve(args.scale, y=y)
         params["msd"] = args.scale
     elif args.kind == "stable-mixture":
-        curve = ness.stable_mixture_curve(
-            args.alpha, args.theta, y=y, method=args.mixture_method
-        )
+        curve = ness.stable_mixture_curve(args.alpha, args.theta, y=y)
         params.update({"alpha": args.alpha, "theta": args.theta})
     else:
         raise ParameterError(f"unknown ness kind {args.kind!r}")
@@ -511,8 +509,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="mean displacement (one-sided-exp) or msd (laplace)")
     p_ness.add_argument("--alpha", type=float, default=2.0)
     p_ness.add_argument("--theta", type=float, default=0.0)
-    p_ness.add_argument("--mixture-method", choices=["adaptive", "laguerre"],
-                        default="adaptive")
     p_ness.add_argument("--y-min", type=float, default=None)
     p_ness.add_argument("--y-max", type=float, default=None)
     p_ness.add_argument("--points", type=int, default=201)

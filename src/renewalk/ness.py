@@ -2,28 +2,44 @@
 continuous-space limits.
 
 On the lattice the stationary law is a Fourier integral over the torus,
-here computed by tensor-product trapezoid quadrature (spectrally accurate
-for these periodic integrands) with a refinement check.  In the scaling
-limit of a rarely stopped walk the rescaled endpoint density becomes an
-exponential mixture of alpha-stable densities; the stable densities
-themselves are evaluated by direct oscillatory Fourier inversion with the
-exact exponential envelope as cutoff.
+computed by the trapezoid rule (spectrally accurate for these periodic
+integrands): one inverse FFT gives the sum at every site of the box, and
+a second one at half the panels checks the refinement.
+
+In the scaling limit of a rarely stopped walk the rescaled endpoint density
+is an exponential mixture of alpha-stable laws.  The symmetric mixture is
+the Linnik law, characteristic function 1/(1+|k|^alpha); the one-sided
+mixture is the Mittag-Leffler law, Laplace transform 1/(1+s^alpha) (Pillai,
+Ann. Inst. Stat. Math. 1990; Kotz, Kozubowski & Podgorski, The Laplace
+Distribution and Generalizations, 2001).  Both densities are one integral
+that does not oscillate,
+
+    f(y) = (sin(pi a)/pi) int_0^inf r^alpha e^(-r|y|)
+           / ((1 - r^alpha)^2 + 2 r^alpha (1 + cos(pi a))) dr,
+
+with a = alpha/2 (Linnik) or a = alpha (Mittag-Leffler).  The stable
+densities themselves (``stable_density``) are still evaluated by direct
+oscillatory Fourier inversion with the exact exponential envelope as cutoff.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import gammaln, roots_genlaguerre, roots_laguerre
 
 from .errors import ParameterError, QuadratureError
 from .laws import WaitingLaw
 from .walks import PropagatorGrid, StepLaw
 
 _FULL_MASS_TOL = 1e-12
+# relative tolerance of one mixture density value
+_MIX_RTOL = 1e-11
+# breakpoints where r y = e^k: e^(-ry) is flat below the first, negligible above the last
+_TURNS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
 
 
 def ness_scale(inner: WaitingLaw, q: float) -> float:
@@ -37,28 +53,25 @@ def ness_scale(inner: WaitingLaw, q: float) -> float:
 
 
 def _torus_grid(step: StepLaw, psibar: float, panels: int, half_width: int):
-    """Inverse Fourier transform of (1-g)/(1 - W(theta) g) on the box."""
+    """Trapezoid-rule inverse Fourier transform of (1-g)/(1 - W(theta) g) on the box.
+
+    With nodes theta_j = -pi + 2 pi j/n the sum n^-d sum_j f(theta_j) e^(i x.theta_j)
+    is (-1)^(x_1+...+x_d) times the inverse FFT of f at x mod n.
+    """
+    if step.dim not in (1, 2):
+        raise ParameterError("lattice stationary law supports d <= 2 only")
     n = panels
     theta = -math.pi + 2.0 * math.pi * np.arange(n) / n
+    w = np.zeros((n,) * step.dim, dtype=complex)
+    for vec, p in zip(step.displacements, step.probs):
+        phases = [np.exp(-1j * theta * v) for v in vec]
+        w += reduce(np.multiply.outer, phases[1:], p * phases[0])
+    w *= -psibar
+    w += 1.0
+    vals = np.fft.ifftn(np.divide(1.0 - psibar, w, out=w))
     x = np.arange(-half_width, half_width + 1)
-    if step.dim == 1:
-        w = np.zeros(n, dtype=complex)
-        for vec, p in zip(step.displacements, step.probs):
-            w += p * np.exp(-1j * theta * vec[0])
-        f = (1.0 - psibar) / (1.0 - w * psibar)
-        phase = np.exp(1j * np.outer(x, theta))
-        vals = phase @ f / n
-    elif step.dim == 2:
-        w = np.zeros((n, n), dtype=complex)
-        for vec, p in zip(step.displacements, step.probs):
-            w += p * np.outer(
-                np.exp(-1j * theta * vec[0]), np.exp(-1j * theta * vec[1])
-            )
-        f = (1.0 - psibar) / (1.0 - w * psibar)
-        phase = np.exp(1j * np.outer(x, theta))
-        vals = phase @ f @ phase.T / n**2
-    else:
-        raise ParameterError("lattice stationary law supports d <= 2 only")
+    sign = reduce(np.multiply.outer, [1.0 - 2.0 * (x % 2)] * step.dim)
+    vals = vals[np.ix_(*[x % n] * step.dim)] * sign
     if np.max(np.abs(vals.imag)) > 1e-9:
         raise QuadratureError("inverse Fourier transform is not numerically real")
     return vals.real
@@ -145,36 +158,6 @@ def stable_density(y, alpha: float, theta: float = 0.0) -> np.ndarray:
     return out if np.ndim(y) else float(out[0])
 
 
-def _one_sided_series(z: float, alpha: float) -> float:
-    """Convergent large-argument series of the one-sided stable density.
-
-    For alpha in (0, 1) the expansion (1/pi) sum_j (-1)^(j+1)
-    G(j alpha + 1)/j! sin(pi j alpha) z^(-j alpha - 1) converges for every
-    z > 0 and needs only a handful of terms once z is moderately large.
-    """
-    total = 0.0
-    sign = 1.0
-    small_streak = 0
-    for j in range(1, 400):
-        term = (
-            sign
-            * math.exp(gammaln(j * alpha + 1.0) - gammaln(j + 1.0))
-            * math.sin(math.pi * j * alpha)
-            * z ** (-j * alpha - 1.0)
-        )
-        total += term
-        # individual terms can vanish (sin hits a lattice point), so stop
-        # only after two successive negligible terms
-        if abs(term) <= 1e-17 * max(abs(total), 1e-300):
-            small_streak += 1
-            if small_streak >= 2:
-                break
-        else:
-            small_streak = 0
-        sign = -sign
-    return total / math.pi
-
-
 @dataclass(frozen=True)
 class NessCurve:
     """Sampled continuous stationary density over a stored support."""
@@ -228,101 +211,108 @@ def laplace_curve(msd: float, y=None) -> NessCurve:
     return NessCurve(y, laplace_density(y, msd), "laplace")
 
 
-def stable_mixture_density(
-    y, alpha: float, theta: float = 0.0, method: str = "adaptive", tau_nodes: int = 64
-):
-    """Exponential mixture integral_0^inf e^-tau tau^(-1/alpha)
-    L_alpha(y tau^(-1/alpha)) dtau over the numeric stable density.
+def _mixture_point(y: float, alpha: float, theta: float) -> float:
+    """Linnik (theta = 0) or Mittag-Leffler (theta = 1) density at y >= 0.
 
-    The default outer quadrature is adaptive Gauss-Kronrod on [0, 45]
-    (the e^-tau envelope is below 1e-19 beyond that), reaching well below
-    1e-6 absolute error.  ``method='laguerre'`` uses a fixed Gauss-Laguerre
-    rule with ``tau_nodes`` points instead (generalized weight absorbing
-    the tau^(-1/alpha) singularity when alpha > 1); it is much faster but
-    plateaus around 1e-4 because the integrand is not polynomial-like near
-    tau = 0.  alpha = 1 with theta = 1 mixes point masses and collapses
-    analytically to the unit one-sided exponential.
+    The substitution r^alpha = sin(u)/sin(pi a - u) turns the module's
+    integral into (1/(alpha pi)) int_0^(pi a) r e^(-ry) du: the factor that
+    peaks at r = 1 with width ~pi(1-a)/alpha (sharp as a -> 1) becomes du/pi.
+    The u-range is split at r = 1 and each half is integrated in the distance
+    w from its own end, where sin(w) keeps every digit.  Breakpoints sit
+    where e^(-ry) turns over (ry = e^k) and, for a > 1/2, at
+    r^(+-alpha) = 1 - 2^-j, grading the end layers of width ~sin(pi a).
     """
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    if alpha == 1.0 and theta == 1.0:
-        out = np.where(y_arr >= 0.0, np.exp(-np.clip(y_arr, 0.0, None)), 0.0)
-        return out if np.ndim(y) else float(out[0])
-    if method == "laguerre":
-        if alpha > 1.0:
-            nodes, weights = roots_genlaguerre(tau_nodes, -1.0 / alpha)
-            prefactor = np.ones_like(nodes)
-        else:
-            nodes, weights = roots_laguerre(tau_nodes)
-            prefactor = nodes ** (-1.0 / alpha)
-        stretch = nodes ** (-1.0 / alpha)
-        out = np.zeros_like(y_arr)
-        for weight, pref, st in zip(weights, prefactor, stretch):
-            out += weight * pref * stable_density(y_arr * st, alpha, theta)
-        return out if np.ndim(y) else float(out[0])
-    if method != "adaptive":
-        raise ParameterError(f"unknown mixture method {method!r}")
-    inv = 1.0 / alpha
-
-    # The adaptive outer rule probes tiny tau, where the stable argument
-    # explodes; route those evaluations through cheap exact limits (the
-    # one-sided convergent tail series, the vanishing Gaussian tail) so the
-    # oscillatory inner quadrature only runs at moderate arguments.
-    def point_density(z: float) -> float:
+    if y == 0.0:
         if theta == 1.0:
-            if z <= 0.0:
-                return 0.0
-            if z > 10.0:
-                return _one_sided_series(z, alpha)
-        elif alpha == 2.0 and abs(z) > 60.0:
             return 0.0
-        return float(stable_density(z, alpha, theta))
+        # (1/pi) int_0^inf dk / (1 + k^alpha), infinite for alpha <= 1
+        return 1.0 / (alpha * math.sin(math.pi / alpha)) if alpha > 1.0 else math.inf
+    a = alpha / 2.0 if theta == 0.0 else alpha
+    top = math.pi * a
+    if a > 0.5:
+        # sin(pi a - w) from the exact complement 1 - a, not from pi a rounded near pi
+        shift = math.pi * (1.0 - a)
+        s_top, c_top = math.sin(shift), -math.cos(shift)
+        far = lambda w: math.sin(w + shift)
+        layers = [1.0 - 0.5**j for j in range(1, 60) if 0.5**j > s_top]
+    else:
+        s_top, c_top = math.sin(top), math.cos(top)
+        far = lambda w: math.sin(top - w)
+        layers = []
+    turns = [(math.exp(k) / y) ** alpha for k in _TURNS]
+    total = err = 0.0
+    # side +1 is r < 1, side -1 is r > 1; the half where e^(-ry) turns over
+    # goes first, so the other one gets an absolute target
+    for side in (1.0, -1.0) if y >= 1.0 else (-1.0, 1.0):
+        ratios = [t**side for t in turns if t**side < 1.0] + layers
+        pts = {math.atan2(p * s_top, 1.0 + p * c_top) for p in ratios}
 
-    out = np.empty_like(y_arr)
-    for i, yi in enumerate(y_arr):
-        if theta == 1.0 and yi <= 0.0:
-            out[i] = 0.0
-            continue
+        def integrand(w, side=side):
+            log_r = side * math.log(math.sin(w) / far(w)) / alpha
+            return math.exp(log_r - y * math.exp(log_r)) if log_r < 700.0 else 0.0
 
-        def integrand(tau, yi=yi):
-            return math.exp(-tau) * tau**-inv * point_density(yi * tau**-inv)
+        val, est = quad(
+            integrand, 0.0, top / 2.0,
+            points=sorted(p for p in pts if 0.0 < p < top / 2.0) or None,
+            epsabs=0.5 * _MIX_RTOL * total, epsrel=0.5 * _MIX_RTOL, limit=400,
+        )
+        total += val
+        err += est
+    if err > _MIX_RTOL * total:
+        raise QuadratureError(
+            f"stable mixture alpha={alpha}, theta={theta}, y={y}: quadrature error "
+            f"estimate {err:.3g} exceeds {_MIX_RTOL:g} of {total:.6g}"
+        )
+    return total / (alpha * math.pi)
 
-        out[i], _ = quad(integrand, 0.0, 45.0, epsabs=1e-10, epsrel=1e-10, limit=200)
+
+def stable_mixture_density(y, alpha: float, theta: float = 0.0):
+    """Exponential mixture int_0^inf e^-tau tau^(-1/alpha) L_alpha(y tau^(-1/alpha)) dtau
+    of the stable densities of ``stable_density``.
+
+    theta = 0, alpha in (0, 2]: the Linnik law, characteristic function
+    1/(1+|k|^alpha); alpha = 2 is the Laplace law exp(-|y|)/2, and at y = 0
+    the density is 1/(alpha sin(pi/alpha)), infinite for alpha <= 1.
+    theta = 1, alpha in (0, 1]: the Mittag-Leffler law, Laplace transform
+    1/(1+s^alpha), zero for y <= 0; alpha = 1 is the unit exponential.
+    Other points come from one quadrature each (``_mixture_point``) whose
+    error estimate must stay below 1e-11 relative, else QuadratureError.
+    """
+    if theta == 0.0:
+        if not 0.0 < alpha <= 2.0:
+            raise ParameterError(f"symmetric mixture index alpha={alpha} must be in (0, 2]")
+    elif theta == 1.0:
+        if not 0.0 < alpha <= 1.0:
+            raise ParameterError(f"one-sided mixture index alpha={alpha} must be in (0, 1]")
+    else:
+        raise ParameterError(f"unsupported stable asymmetry parameter theta={theta}")
+    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+    if theta == 0.0 and alpha == 2.0:
+        out = laplace_density(y_arr, 2.0)
+    elif theta == 1.0 and alpha == 1.0:
+        out = one_sided_exp_density(y_arr, 1.0)
+    else:
+        # one quadrature per distinct |y|; y <= 0 maps to 0 when one-sided
+        mags = np.abs(y_arr) if theta == 0.0 else np.clip(y_arr, 0.0, None)
+        uniq, inverse = np.unique(mags, return_inverse=True)
+        vals = np.array([_mixture_point(float(m), alpha, theta) for m in uniq])
+        out = vals[inverse].reshape(y_arr.shape)
     return out if np.ndim(y) else float(out[0])
 
 
-def stable_mixture_curve(
-    alpha: float,
-    theta: float = 0.0,
-    y=None,
-    method: str = "adaptive",
-    tau_nodes: int = 64,
-) -> NessCurve:
+def stable_mixture_curve(alpha: float, theta: float = 0.0, y=None) -> NessCurve:
+    """Mixture density on ``y``; by default 701 points on [0, 25] for the
+    exponential case, 126 on [0, 25] for other one-sided laws, and 145 on
+    [-18, 18] for symmetric ones, without y = 0 where the density is
+    infinite (alpha <= 1)."""
     if y is None:
         if alpha == 1.0 and theta == 1.0:
-            # analytic case, so a grid fine enough for trapezoid mass is free
             y = np.linspace(0.0, 25.0, 701)
         elif theta == 1.0:
             y = np.linspace(0.0, 25.0, 126)
         else:
             y = np.linspace(-18.0, 18.0, 145)
+            if alpha <= 1.0:
+                y = y[y != 0.0]
     y = np.asarray(y, dtype=float)
-    return NessCurve(
-        y,
-        stable_mixture_density(y, alpha, theta, method=method, tau_nodes=tau_nodes),
-        "stable_mixture",
-    )
-
-
-def continuous_ness_1d(kind: str, y=None, **params) -> NessCurve:
-    """Dispatcher over the three continuous stationary-density families."""
-    if kind == "one_sided_exp":
-        return one_sided_exp_curve(params.pop("mean_displacement"), y=y)
-    if kind == "laplace":
-        return laplace_curve(params.pop("msd"), y=y)
-    if kind == "stable_mixture":
-        return stable_mixture_curve(
-            params.pop("alpha"), params.pop("theta", 0.0), y=y,
-            method=params.pop("method", "adaptive"),
-            tau_nodes=int(params.pop("tau_nodes", 64)),
-        )
-    raise ParameterError(f"unknown stationary-density kind {kind!r}")
+    return NessCurve(y, stable_mixture_density(y, alpha, theta), "stable_mixture")

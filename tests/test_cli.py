@@ -161,6 +161,24 @@ def test_ness_curve_and_lattice(tmp_path):
     assert payload["mass_in_box"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_ness_curve_kinds(tmp_path):
+    kinds = {
+        "laplace": ["--scale", "1.0"],
+        "one-sided-exp": ["--scale", "2.0"],
+        "stable-mixture": ["--alpha", "1.0", "--theta", "1", "--y-min", "0",
+                           "--y-max", "20", "--points", "30"],
+    }
+    for kind, extra in kinds.items():
+        out = tmp_path / kind
+        assert run(["ness", "--kind", kind, *extra, "--out", str(out)]) == 0
+        payload = json.loads((out / "ness_summary.json").read_text())
+        assert payload["kind"] == kind
+        lines = (out / "ness_curve.csv").read_text().splitlines()
+        assert lines[0] == "y,density" and len(lines) > 1
+    assert len(lines) == 31
+    assert run(["ness", "--kind", "nope", "--out", str(tmp_path)]) == 2
+
+
 def test_config_file_round_trip(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln
 
 from renewalk import ness, walks
 from renewalk.errors import ParameterError, QuadratureError
@@ -99,12 +102,6 @@ def test_mixture_delta_case_is_one_sided_exponential():
     np.testing.assert_allclose(
         stable_mixture_density(y, 1.0, 1.0), one_sided_exp_density(y, 1.0), atol=1e-12
     )
-
-
-def test_mixture_laguerre_option_is_coarse_but_close():
-    y = np.linspace(-6.0, 6.0, 13)
-    coarse = stable_mixture_density(y, 2.0, method="laguerre", tau_nodes=64)
-    np.testing.assert_allclose(coarse, laplace_density(y, 2.0), atol=5e-3)
 
 
 def test_one_sided_exp_values():
@@ -235,19 +232,6 @@ def test_heavy_tailed_steps_share_the_biased_limit():
     assert distances[-1] < 0.025
 
 
-def test_continuous_ness_dispatcher():
-    curve = ness.continuous_ness_1d("laplace", msd=1.0)
-    assert curve.kind == "laplace"
-    curve = ness.continuous_ness_1d("one_sided_exp", mean_displacement=2.0)
-    assert curve.kind == "one_sided_exp"
-    curve = ness.continuous_ness_1d(
-        "stable_mixture", alpha=1.0, theta=1.0, y=np.linspace(0, 20, 30)
-    )
-    assert curve.kind == "stable_mixture"
-    with pytest.raises(ParameterError):
-        ness.continuous_ness_1d("nope")
-
-
 def test_curve_csv(tmp_path):
     curve = laplace_curve(1.0, y=np.linspace(-2, 2, 5))
     path = tmp_path / "curve.csv"
@@ -255,3 +239,160 @@ def test_curve_csv(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "y,density"
     assert len(lines) == 6
+
+
+# --- independent oracles -------------------------------------------------
+
+
+def _one_sided_series(z, alpha):
+    """Convergent large-argument series of the one-sided stable density,
+    (1/pi) sum_j (-1)^(j+1) G(j alpha + 1)/j! sin(pi j alpha) z^(-j alpha - 1)."""
+    total, sign, small_streak = 0.0, 1.0, 0
+    for j in range(1, 400):
+        term = (
+            sign
+            * math.exp(gammaln(j * alpha + 1.0) - gammaln(j + 1.0))
+            * math.sin(math.pi * j * alpha)
+            * z ** (-j * alpha - 1.0)
+        )
+        total += term
+        # terms vanish where sin hits a lattice point; stop after two in a row
+        small_streak = small_streak + 1 if abs(term) <= 1e-17 * abs(total) else 0
+        if small_streak >= 2:
+            break
+        sign = -sign
+    return total / math.pi
+
+
+def nested_mixture(y, alpha, theta):
+    """The mixture int_0^45 e^-tau tau^(-1/alpha) L_alpha(y tau^(-1/alpha)) dtau
+    by adaptive quadrature over the Fourier-inverted stable density, with the
+    one-sided tail series at large arguments."""
+    inv = 1.0 / alpha
+
+    def point(z):
+        if theta == 1.0 and z > 10.0:
+            return _one_sided_series(z, alpha)
+        return stable_density(z, alpha, theta)
+
+    value, _ = quad(
+        lambda tau: math.exp(-tau) * tau**-inv * point(y * tau**-inv),
+        0.0, 45.0, epsabs=1e-10, epsrel=1e-10, limit=200,
+    )
+    return value
+
+
+def dense_torus_grid(step, psibar, panels, half_width):
+    """Trapezoid sum over the torus by explicit phase matrices."""
+    n = panels
+    theta = -math.pi + 2.0 * math.pi * np.arange(n) / n
+    phase = np.exp(1j * np.outer(np.arange(-half_width, half_width + 1), theta))
+    w = 0.0
+    for vec, p in zip(step.displacements, step.probs):
+        factors = [np.exp(-1j * theta * v) for v in vec]
+        w = w + p * (factors[0] if step.dim == 1 else np.outer(*factors))
+    f = (1.0 - psibar) / (1.0 - w * psibar)
+    vals = phase @ f / n if step.dim == 1 else phase @ f @ phase.T / n**2
+    return vals.real
+
+
+@pytest.mark.parametrize(
+    "alpha,theta",
+    [(0.7, 0.0), (1.0, 0.0), (1.5, 0.0), (1.9, 0.0), (0.3, 1.0), (0.5, 1.0), (0.8, 1.0)],
+)
+def test_mixture_matches_nested_quadrature(alpha, theta):
+    for y in (0.5, 2.0):
+        want = nested_mixture(y, alpha, theta)
+        assert stable_mixture_density(y, alpha, theta) == pytest.approx(want, rel=1e-9)
+        if theta == 0.0:
+            assert stable_mixture_density(-y, alpha, theta) == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "step",
+    [walks.line_walk(0.5), walks.line_walk(0.8), walks.hypercubic_walk(2),
+     walks.triangular_walk(True)],
+    ids=["line", "line_biased", "square", "triangular_biased"],
+)
+def test_torus_fft_matches_dense_sum(step):
+    psibar = Geometric(0.7).gf(0.9)
+    for panels in (64, 16):  # 16 panels alias the 33-site box, identically
+        got = ness._torus_grid(step, psibar, panels, 16)
+        np.testing.assert_allclose(
+            got, dense_torus_grid(step, psibar, panels, 16), rtol=0, atol=1e-13
+        )
+
+
+def test_mixture_closed_forms_are_exact():
+    y = np.linspace(-10.0, 10.0, 41)
+    np.testing.assert_array_equal(stable_mixture_density(y, 2.0), np.exp(-np.abs(y)) / 2)
+    np.testing.assert_array_equal(
+        stable_mixture_density(y, 1.0, 1.0), one_sided_exp_density(y, 1.0)
+    )
+
+
+def test_mixture_at_origin():
+    # infinite for alpha <= 1, 1/(alpha sin(pi/alpha)) above
+    for alpha in (0.05, 0.7, 1.0):
+        assert stable_mixture_density(0.0, alpha) == math.inf
+    for alpha in (1.2, 2.0):
+        assert stable_mixture_density(0.0, alpha) == pytest.approx(
+            1.0 / (alpha * math.sin(math.pi / alpha)), rel=1e-15
+        )
+    assert stable_mixture_density(0.0, 1.5) == pytest.approx(
+        nested_mixture(0.0, 1.5, 0.0), rel=1e-9
+    )
+    assert stable_mixture_density(0.0, 0.5, 1.0) == 0.0
+
+
+def test_default_symmetric_grid_skips_the_singular_origin(tmp_path):
+    for alpha in (0.7, 1.0):
+        curve = stable_mixture_curve(alpha, y=None)
+        assert 0.0 not in curve.y and curve.y.size == 144
+        assert np.isfinite(curve.density).all()
+        assert math.isfinite(curve.trapezoid_mass())
+    assert 0.0 in stable_mixture_curve(1.5).y
+
+
+def test_mixture_edges_approach_their_closed_forms():
+    y = np.linspace(-3.0, 3.0, 25)
+    np.testing.assert_allclose(
+        stable_mixture_density(y, 1.9999), np.exp(-np.abs(y)) / 2, rtol=1e-3
+    )
+    ypos = np.linspace(0.125, 3.0, 24)
+    np.testing.assert_allclose(
+        stable_mixture_density(ypos, 0.9999, 1.0), np.exp(-ypos), rtol=1e-3
+    )
+
+
+def test_mixture_quadrature_error_is_reported(monkeypatch):
+    # an error estimate above the tolerance must not pass silently
+    monkeypatch.setattr(ness, "quad", lambda *args, **kwargs: (1.0, 1e-6))
+    with pytest.raises(QuadratureError, match="alpha=1.5, theta=0.0, y=2.0"):
+        stable_mixture_density(2.0, 1.5)
+
+
+def test_mixture_rejects_bad_parameters():
+    for alpha, theta in ((2.5, 0.0), (0.0, 0.0), (1.5, 1.0), (0.5, 0.5)):
+        with pytest.raises(ParameterError):
+            stable_mixture_density(1.0, alpha, theta)
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@settings(max_examples=60, deadline=None)
+@given(
+    one_sided=st.booleans(),
+    share=st.floats(0.0, 1.0),
+    y=st.floats(1e-3, 50.0),
+)
+def test_mixture_density_property(one_sided, share, y):
+    theta = 1.0 if one_sided else 0.0
+    top = 1.0 if one_sided else 2.0
+    alpha = 1e-3 * (top / 1e-3) ** share  # log-uniform over [1e-3, top]
+    value = stable_mixture_density(y, alpha, theta)
+    assert math.isfinite(value) and value > 0.0
+    mirrored = stable_mixture_density(-y, alpha, theta)
+    if one_sided:
+        assert mirrored == 0.0
+    else:
+        assert mirrored == value
