@@ -15,7 +15,7 @@ from .laws import (
     dcm_verify,
     parse_law,
 )
-from .montecarlo import SimConfig, compare_empirical
+from .montecarlo import SimConfig
 from .ness import (
     NessCurve,
     laplace_curve,

@@ -282,6 +282,12 @@ def _cmd_ness(args) -> int:
         curve = ness.laplace_curve(args.scale, y=y)
         params["msd"] = args.scale
     elif args.kind == "stable-mixture":
+        infinite_at_zero = args.theta == 0.0 and 0.0 < args.alpha <= 1.0
+        if infinite_at_zero and y is not None and (y == 0.0).any():
+            raise ParameterError(
+                f"--y-min/--y-max grid contains y = 0, where the symmetric mixture "
+                f"density is infinite for alpha={args.alpha} <= 1"
+            )
         curve = ness.stable_mixture_curve(args.alpha, args.theta, y=y)
         params.update({"alpha": args.alpha, "theta": args.theta})
     else:
@@ -433,7 +439,7 @@ def _cmd_figures(args) -> int:
             raise ParameterError(f"unknown figure key {key!r}")
     _emit_summary(
         args,
-        {"command": "figures", "keys": keys, "seed": args.seed},
+        {"command": "figures", "keys": keys},
         "figures_summary",
         echo=args.summary,
     )
@@ -467,9 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, laws_needed=False):
         p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-        p.add_argument("--seed", type=int, default=12345)
-        p.add_argument("--replicas", type=int, default=100_000)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", default=".")
         p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--summary", action="store_true", help="echo the JSON summary")
@@ -516,6 +519,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mc = sub.add_parser("mc", help="Monte Carlo histograms and statistics")
     common(p_mc, laws_needed=True)
+    p_mc.add_argument("--seed", type=int, default=12345)
+    p_mc.add_argument("--replicas", type=int, default=100_000)
+    p_mc.add_argument("--workers", type=int, default=1)
     p_mc.add_argument("--t-obs", default="inf", help="observation time or 'inf'")
     p_mc.set_defaults(func=_cmd_mc)
 

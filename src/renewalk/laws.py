@@ -4,7 +4,9 @@ A law carries a total mass ``defect_mass`` in (0, 1]; the deficit
 ``1 - defect_mass`` is probability sitting at infinity, so a draw may
 return the ``INFINITY`` sentinel.  Each family exposes its pmf, a
 closed-form generating-function evaluation where one exists, a
-closed-form survival, and an exact-inversion sampler.
+closed-form survival, and an exact sampler: CDF inversion, except for
+Sibuya draws, which are geometric with a Beta-distributed success
+probability.
 """
 
 from __future__ import annotations
@@ -203,26 +205,17 @@ class Sibuya(WaitingLaw):
         return INFINITY
 
     def _sample_finite(self, rng, n):
-        # Exact CDF inversion: smallest t with survival(t) <= U.  The survival
-        # is evaluated in closed form through log-gamma, so the search is a
-        # plain bisection even for the huge values the fat tail produces.
-        u = rng.random(n)
-        logu = np.log(u)
-        lo = np.zeros(n)
-        hi = np.ones(n)
-        need = _sibuya_log_survival(hi, self.mu) > logu
-        while need.any():
-            hi[need] *= 2.0
-            need = _sibuya_log_survival(hi, self.mu) > logu
-        while True:
-            gap = hi - lo
-            if not (gap > 1.0).any():
-                break
-            mid = np.floor((lo + hi) / 2.0)
-            above = _sibuya_log_survival(mid, self.mu) > logu
-            lo = np.where(above, mid, lo)
-            hi = np.where(above, hi, mid)
-        return hi
+        # Geometric with a Beta(mu, 1-mu) success probability U, since
+        # E (1-U)^t = G(t+1-mu)/(G(1-mu) G(t+1)) is the Sibuya survival
+        # (Devroye 1993).  The geometric draw is floor(log(1-V)/log(1-U)) + 1.
+        # U is kept above 0, where the ratio would be 0/0; U = 1 gives 1.
+        # Draws beyond the float range are clamped, never made infinite:
+        # infinity means "never arrives" and this law has no defect.
+        u = np.maximum(rng.beta(self.mu, 1.0 - self.mu, n), np.finfo(float).tiny)
+        v = rng.random(n)
+        with np.errstate(divide="ignore", over="ignore"):
+            t = np.floor(np.log1p(-v) / np.log1p(-u)) + 1.0
+        return np.minimum(t, np.finfo(float).max)
 
 
 @dataclass(frozen=True)

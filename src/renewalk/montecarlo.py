@@ -272,17 +272,6 @@ def compare_continuous(samples, cdf) -> EmpiricalComparison:
     return EmpiricalComparison(ks=ks)
 
 
-def compare_empirical(
-    samples, support=None, probs=None, cdf=None
-) -> EmpiricalComparison:
-    """Dispatch to the discrete (TV, chi-square) or continuous (KS) comparison."""
-    if cdf is not None:
-        return compare_continuous(samples, cdf)
-    if support is not None and probs is not None:
-        return compare_discrete(samples, support, probs)
-    raise ParameterError("provide either (support, probs) or cdf")
-
-
 def ks_two_sample(a, b) -> float:
     """Two-sample Kolmogorov-Smirnov distance."""
     return float(sps.ks_2samp(np.asarray(a).ravel(), np.asarray(b).ravel()).statistic)

@@ -109,33 +109,20 @@ def state_table(law: WaitingLaw, horizon: int) -> StateTable:
     return StateTable(probs)
 
 
-def count_moments(law: WaitingLaw, horizon: int, validate: bool = False):
-    """Series of E N(t) and E N^2(t) on [0, horizon], by expanding their
-    rational generating functions pmf_gf / ((1-u)(1-pmf_gf)) and
-    pmf_gf (1+pmf_gf) / ((1-u)(1-pmf_gf)^2).
+def count_moments(law: WaitingLaw, horizon: int):
+    """Series of E N(t) and E N^2(t) on [0, horizon] from the renewal density.
 
-    With ``validate=True`` the result is cross-checked against the state
-    table summation; a discrepancy above 1e-8 raises.
+    The renewal density h(t) = P[an event at t] has generating function
+    pmf_gf / (1 - pmf_gf), so h = reciprocal(delta - pmf) - delta.  Then
+    E N(t) = sum_{s<=t} h(s), and since N^2 = N + 2 #{event pairs s < s'}
+    with E #pairs up to t = sum_{s'<=t} (h*h)(s'),
+    E N^2(t) = sum_{s<=t} (h + 2 h*h)(s).
     """
     pmf = law.pmf_vector(max(horizon, 1))[: horizon + 1]
     delta = series.delta_series(horizon)
-    u1 = series.one_minus_u(horizon)
-    mean = series.divide(pmf, series.convolve(u1, delta - pmf))
-    second = series.divide(
-        series.convolve(pmf, delta + pmf),
-        series.convolve(u1, series.conv_power(delta - pmf, 2)),
-    )
-    if validate:
-        table = state_table(law, horizon)
-        err = max(
-            np.max(np.abs(table.moment(1) - mean)),
-            np.max(np.abs(table.moment(2) - second)),
-        )
-        if err > 1e-8:
-            raise RuntimeError(
-                f"moment cross-check failed: GF vs table differ by {err:.3e}"
-            )
-    return mean, second
+    density = series.reciprocal(delta - pmf) - delta
+    pairs = series.convolve(density, density)
+    return np.cumsum(density), np.cumsum(density + 2.0 * pairs)
 
 
 def exceedance_prob(law: WaitingLaw, n0: int, t) -> float:
@@ -175,11 +162,6 @@ def limit_state_law(law: WaitingLaw, n_max: int = 64):
     n = np.arange(n_max + 1, dtype=float)
     masses = (1.0 - q) * q**n
     return masses, classify(law)
-
-
-def never_stop_prob_renewal(law: WaitingLaw) -> float:
-    """Probability the renewal process produces infinitely many events."""
-    return 1.0 if law.defect_mass >= 1.0 - _TYPE_II_TOL else 0.0
 
 
 def brute_force_state_table(law: WaitingLaw, horizon: int) -> StateTable:

@@ -45,21 +45,6 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.convolve(a, b)[: len(a)]
 
 
-def conv_power(a: np.ndarray, n: int) -> np.ndarray:
-    """n-fold convolution power of ``a`` by repeated squaring; n=0 gives delta."""
-    if n < 0:
-        raise ValueError("convolution power needs n >= 0")
-    result = delta_series(len(a) - 1)
-    base = a
-    while n:
-        if n & 1:
-            result = convolve(result, base)
-        n >>= 1
-        if n:
-            base = convolve(base, base)
-    return result
-
-
 def reciprocal(a: np.ndarray) -> np.ndarray:
     """Series ``b`` with (a*b) = delta, by the standard division recursion."""
     if a[0] == 0.0:
@@ -71,11 +56,6 @@ def reciprocal(a: np.ndarray) -> np.ndarray:
     return b
 
 
-def divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Coefficients of num(u)/den(u); den must have nonzero constant term."""
-    return convolve(num, reciprocal(den))
-
-
 def binomial_series(alpha: float, horizon: int) -> np.ndarray:
     """Coefficients of (1-u)^alpha via the stable ratio recursion.
 
@@ -85,15 +65,6 @@ def binomial_series(alpha: float, horizon: int) -> np.ndarray:
     c[0] = 1.0
     for t in range(1, horizon + 1):
         c[t] = c[t - 1] * (t - 1 - alpha) / t
-    return c
-
-
-def one_minus_u(horizon: int) -> np.ndarray:
-    """The series 1 - u."""
-    c = np.zeros(horizon + 1)
-    c[0] = 1.0
-    if horizon >= 1:
-        c[1] = -1.0
     return c
 
 

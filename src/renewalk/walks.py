@@ -70,12 +70,6 @@ class StepLaw:
         return self.probs @ self.cartesian_steps**2
 
     @property
-    def second_matrix(self) -> np.ndarray:
-        """Full matrix E xi_j xi_k."""
-        steps = self.cartesian_steps
-        return (steps * self.probs[:, None]).T @ steps
-
-    @property
     def var_step(self) -> np.ndarray:
         return self.second_moment - self.mean_step**2
 

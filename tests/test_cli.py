@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -88,9 +89,18 @@ def test_figures_fig6_dataset(tmp_path):
 
 def test_figures_regeneration_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1", tmp_path / "r2"
-    assert run(["figures", "fig6", "--out", str(out1), "--seed", "5"]) == 0
-    assert run(["figures", "fig6", "--out", str(out2), "--seed", "5"]) == 0
+    assert run(["figures", "fig6", "--out", str(out1)]) == 0
+    assert run(["figures", "fig6", "--out", str(out2)]) == 0
     assert (out1 / "fig6.csv").read_bytes() == (out2 / "fig6.csv").read_bytes()
+    summary = json.loads((out1 / "figures_summary.json").read_text())
+    assert "seed" not in summary
+
+
+def test_monte_carlo_flags_belong_to_mc_only(tmp_path):
+    law = ["--law", "geometric:p=0.7", "--horizon", "8", "--out", str(tmp_path)]
+    for flag in ("--seed", "--replicas", "--workers"):
+        assert run(["renewal", *law, flag, "1"]) == 2
+    assert run(["figures", "fig9", "--out", str(tmp_path), "--seed", "1"]) == 2
 
 
 def test_renewal_pmf_export(tmp_path):
@@ -177,6 +187,18 @@ def test_ness_curve_kinds(tmp_path):
         assert lines[0] == "y,density" and len(lines) > 1
     assert len(lines) == 31
     assert run(["ness", "--kind", "nope", "--out", str(tmp_path)]) == 2
+
+
+def test_ness_rejects_user_grid_through_infinite_origin(tmp_path, capsys):
+    argv = ["ness", "--kind", "stable-mixture", "--alpha", "0.7", "--y-min", "-1",
+            "--y-max", "1", "--points", "5", "--out", str(tmp_path)]
+    assert run(argv) == 1
+    assert "--y-min/--y-max" in capsys.readouterr().err
+    assert not (tmp_path / "ness_summary.json").exists()
+    # alpha > 1 has a finite density at the origin
+    assert run([*argv[:4], "1.5", *argv[5:]]) == 0
+    payload = json.loads((tmp_path / "ness_summary.json").read_text())
+    assert math.isfinite(payload["trapezoid_mass"])
 
 
 def test_config_file_round_trip(tmp_path):

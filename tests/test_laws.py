@@ -1,7 +1,11 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import gamma, poch
 
 from renewalk import laws
 from renewalk.errors import ParameterError
@@ -183,6 +187,45 @@ def test_sibuya_sampler_tail_matches_survival():
         )
         emp = (draws > level).mean()
         assert emp == pytest.approx(exact, abs=4 * math.sqrt(exact / 200_000) + 1e-4)
+
+
+def _sibuya_survival(t, mu):
+    """P[T > t] = G(t+1-mu) / (G(1-mu) G(t+1)), accurate for large t."""
+    return float(poch(t + 1.0, -mu) / gamma(1.0 - mu))
+
+
+def test_sibuya_small_index_sampler_is_fast_and_exact():
+    # below mu = 0.5 the draws reach 1e15 and beyond, where a log-gamma
+    # survival rounds to a constant
+    rng = np.random.default_rng(41)
+    start = time.perf_counter()
+    draws = np.asarray(Sibuya(0.2).sample(rng, size=10**5))
+    assert time.perf_counter() - start < 1.0
+    for level in (1, 10, 1e3, 1e6):
+        exact = _sibuya_survival(level, 0.2)
+        se = math.sqrt(exact * (1 - exact) / draws.size)
+        assert abs((draws > level).mean() - exact) < 5 * se
+
+
+@pytest.mark.parametrize("mu", [1e-3, 0.999])
+def test_sibuya_draws_at_index_edges_are_finite_integers(mu):
+    draws = np.asarray(Sibuya(mu).sample(np.random.default_rng(43), size=10**5))
+    assert np.isfinite(draws).all()
+    assert (draws >= 1).all()
+    assert np.array_equal(draws, np.floor(draws))
+
+
+@settings(max_examples=40, deadline=None)
+@given(mu=st.floats(1e-3, 0.999), seed=st.integers(0, 2**32 - 1))
+def test_sibuya_sampler_survival_property(mu, seed):
+    # 5 standard errors, plus 5/n so that levels with a handful of expected
+    # exceedances are judged on their Poisson tail
+    n = 20_000
+    draws = np.asarray(Sibuya(mu).sample(np.random.default_rng(seed), size=n))
+    for level in (1, 10, 1e3, 1e6):
+        exact = _sibuya_survival(level, mu)
+        se = math.sqrt(exact * (1 - exact) / n)
+        assert abs((draws > level).mean() - exact) < 5 * se + 5 / n
 
 
 def test_dcm_verify_cases():

@@ -164,13 +164,13 @@ def test_compare_continuous_and_two_sample():
     assert mc.ks_two_sample(z, other) < 0.02
 
 
-def test_compare_empirical_dispatch():
+def test_compare_continuous_uniform_and_empty_samples():
     rng = np.random.default_rng(61)
     z = rng.random(5000)
-    comp = mc.compare_empirical(z, cdf=lambda x: np.clip(x, 0, 1))
-    assert comp.ks is not None
+    comp = mc.compare_continuous(z, lambda x: np.clip(x, 0, 1))
+    assert comp.ks is not None and comp.tv is None
     with pytest.raises(ParameterError):
-        mc.compare_empirical(z)
+        mc.compare_continuous(np.array([]), lambda x: np.clip(x, 0, 1))
     with pytest.raises(ParameterError):
         mc.compare_discrete(np.array([]), np.arange(3), np.ones(3) / 3)
 

@@ -83,20 +83,36 @@ def test_brute_force_oracle(law):
 
 
 def test_count_moments_bernoulli():
-    mean, second = renewal.count_moments(Geometric(0.7), 16, validate=True)
+    mean, second = renewal.count_moments(Geometric(0.7), 16)
     t = np.arange(17, dtype=float)
     np.testing.assert_allclose(mean, 0.7 * t, atol=1e-10)
     np.testing.assert_allclose(second, (0.7 * t) ** 2 + 0.7 * 0.3 * t, atol=1e-10)
+    table = renewal.state_table(Geometric(0.7), 16)
+    np.testing.assert_allclose(mean, table.moment(1), atol=1e-10)
+    np.testing.assert_allclose(second, table.moment(2), atol=1e-10)
+
+
+@pytest.mark.parametrize("p", [0.3, 0.69, 0.7])
+def test_count_moments_binomial_long_horizon(p):
+    # N(8192) is binomial(8192, p): both moments to 1e-12 relative
+    mean, second = renewal.count_moments(Geometric(p), 8192)
+    t = np.arange(8193, dtype=float)
+    np.testing.assert_allclose(mean, p * t, rtol=1e-12, atol=0)
+    expected = (p * t) ** 2 + p * (1 - p) * t
+    np.testing.assert_allclose(second, expected, rtol=1e-12, atol=0)
 
 
 def test_count_moments_defective_geometric_closed_form():
     defect, p = 0.5, 0.7
     law = DefectiveGeometric(defect, p)
-    mean, _ = renewal.count_moments(law, 512, validate=False)
+    mean, second = renewal.count_moments(law, 512)
     t = np.arange(513, dtype=float)
     expected = (defect / (1 - defect)) * (1.0 - (1.0 - p * (1 - defect)) ** t)
     np.testing.assert_allclose(mean, expected, atol=1e-10)
     assert mean[1] == pytest.approx(0.35, abs=1e-12)
+    table = renewal.state_table(law, 64)
+    np.testing.assert_allclose(mean[:65], table.moment(1), atol=1e-10)
+    np.testing.assert_allclose(second[:65], table.moment(2), atol=1e-10)
 
 
 def test_count_moments_cross_check_against_table():
@@ -125,7 +141,7 @@ def test_discrete_mittag_leffler_series_asymptotics():
     ratio = defect / (1 - defect)
     num = series.binomial_series(mu - 1.0, horizon)
     den = series.delta_series(horizon) + ratio * series.binomial_series(mu, horizon)
-    ml = series.divide(num, den)
+    ml = series.convolve(num, series.reciprocal(den))
     t = 512
     assert ml[t] * math.gamma(1 - mu) * t**mu == pytest.approx(1.0, rel=0.10)
     # identity: count mean equals Q/P - (Q/P^2) ml(t)

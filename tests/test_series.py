@@ -42,24 +42,6 @@ def test_horizon_mismatch_rejected():
         series.convolve(np.ones(4), np.ones(5))
 
 
-def test_conv_power_small_cases():
-    a = np.array([0.0, 1.0, 0.5, 0.0, 0.0])
-    assert np.array_equal(series.conv_power(a, 0), series.delta_series(4))
-    np.testing.assert_allclose(series.conv_power(a, 1), a, atol=0)
-    shift = np.zeros(6)
-    shift[1] = 1.0
-    np.testing.assert_allclose(series.conv_power(shift, 4), np.eye(6)[4], atol=0)
-
-
-def test_conv_power_matches_sequential():
-    rng = np.random.default_rng(7)
-    a = rng.random(33)
-    seq = series.delta_series(32)
-    for n in range(1, 6):
-        seq = series.convolve(seq, a)
-        np.testing.assert_allclose(series.conv_power(a, n), seq, atol=1e-10)
-
-
 def test_reciprocal_geometric():
     np.testing.assert_allclose(
         series.reciprocal(series.as_series([1, -1], horizon=6)), np.ones(7), atol=0
@@ -69,7 +51,7 @@ def test_reciprocal_geometric():
 
 
 def test_reciprocal_of_one_minus_u_squared():
-    sq = series.conv_power(series.one_minus_u(10), 2)
+    sq = series.as_series([1, -2, 1], horizon=10)
     rec = series.reciprocal(sq)
     # verified by the convolution identity, then against the known t+1 form
     np.testing.assert_allclose(series.convolve(sq, rec), series.delta_series(10), atol=1e-12)
@@ -147,7 +129,7 @@ def test_divide_roundtrip():
     num = rng.random(40)
     den = rng.random(40) * 0.2
     den[0] = 1.0
-    ratio = series.divide(num, den)
+    ratio = series.convolve(num, series.reciprocal(den))
     np.testing.assert_allclose(series.convolve(ratio, den), num, atol=1e-10)
 
 
