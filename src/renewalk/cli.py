@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -49,19 +50,29 @@ _COMPUTE_ERRORS = (
 )
 
 
-def _write_csv(path: str, header, rows) -> None:
+#: rows are formatted in blocks of about this many cells, so a block's
+#: Python numbers stay small whatever the column count
+_CSV_BLOCK_CELLS = 1 << 13
+
+
+def _write_csv(path: str, header, columns) -> None:
+    """Write equal-length columns under ``header``, one format string per row.
+
+    Integer columns are written as ``%d``, every other column as ``%.12g``.
+    """
+    columns = [np.asarray(c) for c in columns]
+    rows = len(columns[0])
+    if any(len(c) != rows for c in columns):
+        raise ValueError(f"CSV columns for {path} differ in length")
+    fmt = ",".join(
+        "%d" if np.issubdtype(c.dtype, np.integer) else "%.12g" for c in columns
+    ) + "\n"
+    block = max(1, _CSV_BLOCK_CELLS // len(columns))
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_format_cell(v) for v in row) + "\n")
-
-
-def _format_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return f"{float(v):.12g}"
+        for start in range(0, rows, block):
+            cells = zip(*(c[start : start + block].tolist() for c in columns))
+            fh.writelines(fmt % row for row in cells)
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -70,20 +81,11 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _series_rows(columns: dict) -> tuple:
-    header = ["t"] + list(columns)
-    length = len(next(iter(columns.values())))
-    rows = [[t] + [col[t] for col in columns.values()] for t in range(length)]
-    return header, rows
-
-
-def _table_out(args, table, stem: str) -> str:
-    path = os.path.join(args.out, f"{stem}.{args.format}")
-    if args.format == "json":
-        table.to_json(path)
-    else:
-        table.to_csv(path)
-    return path
+def _write_state_table(args, table, stem: str) -> None:
+    """Rows t, columns n0..nN of ``table.probs[n, t]``; no transposed copy."""
+    header = ["t"] + [f"n{n}" for n in range(table.n_max + 1)]
+    path = os.path.join(args.out, f"{stem}.csv")
+    _write_csv(path, header, [np.arange(table.horizon + 1), *table.probs])
 
 
 def validate_summary(payload: dict) -> None:
@@ -109,17 +111,16 @@ def _emit_summary(args, payload: dict, stem: str, echo: bool = False) -> None:
 
 def _cmd_renewal(args) -> int:
     law = parse_law(args.law)
-    table = renewal.state_table(law, args.horizon)
-    _table_out(args, table, "renewal_state")
+    _write_state_table(args, renewal.state_table(law, args.horizon), "renewal_state")
     pmf = law.pmf_vector(max(args.horizon, 1))
-    _write_csv(
-        os.path.join(args.out, "law_pmf.csv"),
-        ["t", "psi"],
-        ((t, pmf[t]) for t in range(len(pmf))),
-    )
+    path = os.path.join(args.out, "law_pmf.csv")
+    _write_csv(path, ["t", "psi"], [np.arange(len(pmf)), pmf])
     mean, second = renewal.count_moments(law, args.horizon)
-    header, rows = _series_rows({"count_mean": mean, "count_second": second})
-    _write_csv(os.path.join(args.out, "renewal_moments.csv"), header, rows)
+    _write_csv(
+        os.path.join(args.out, "renewal_moments.csv"),
+        ["t", "count_mean", "count_second"],
+        [np.arange(len(mean)), mean, second],
+    )
     masses, label = renewal.limit_state_law(law, n_max=15)
     _emit_summary(
         args,
@@ -160,14 +161,14 @@ def _cmd_stopped(args) -> int:
     spec = stopped.StoppedSpec(
         parse_law(args.inner), parse_law(args.stop), args.horizon
     )
-    table = stopped.stopped_state_table(spec)
-    _table_out(args, table, "stopped_state")
+    _write_state_table(args, stopped.stopped_state_table(spec), "stopped_state")
     mean = stopped.stopped_moments(spec, 1)
     second = stopped.stopped_moments(spec, 2)
-    header, rows = _series_rows(
-        {"mean": mean, "second": second, "variance": second - mean**2}
+    _write_csv(
+        os.path.join(args.out, "stopped_moments.csv"),
+        ["t", "mean", "second", "variance"],
+        [np.arange(len(mean)), mean, second, second - mean**2],
     )
-    _write_csv(os.path.join(args.out, "stopped_moments.csv"), header, rows)
     payload = {
         "command": "stopped",
         "inner": law_config(spec.inner),
@@ -212,6 +213,13 @@ def parse_steps(text: str) -> walks.StepLaw:
     return _STEP_KINDS[kind](**kwargs)
 
 
+def _write_grid(path: str, grid: walks.PropagatorGrid) -> None:
+    """Lattice coordinates x0..x{d-1} and the mass at each site of the box."""
+    coords = grid.lattice_coordinates().reshape(grid.dim, -1)
+    header = [f"x{j}" for j in range(grid.dim)] + ["prob"]
+    _write_csv(path, header, [*coords, grid.values.ravel()])
+
+
 def _cmd_walk(args) -> int:
     spec = stopped.StoppedSpec(
         parse_law(args.inner), parse_law(args.stop), args.horizon
@@ -220,20 +228,19 @@ def _cmd_walk(args) -> int:
     mean = stopped.stopped_moments(spec, 1)
     second = stopped.stopped_moments(spec, 2)
     moments = walks.walk_moments(step, mean, second)
-    columns = {"count_mean": mean, "count_second": second, "msd": moments.msd}
+    header = ["t", "count_mean", "count_second", "msd"]
+    columns = [np.arange(len(mean)), mean, second, moments.msd]
     for j in range(step.dim):
-        columns[f"mean_x{j}"] = moments.mean[:, j]
-        columns[f"second_x{j}"] = moments.second[:, j]
-    header, rows = _series_rows(columns)
-    _write_csv(os.path.join(args.out, "walk_moments.csv"), header, rows)
+        header += [f"mean_x{j}", f"second_x{j}"]
+        columns += [moments.mean[:, j], moments.second[:, j]]
+    _write_csv(os.path.join(args.out, "walk_moments.csv"), header, columns)
     if args.propagator_time is not None:
         t = args.propagator_time
         if not 0 <= t <= args.horizon:
             raise ParameterError("propagator time must be within the horizon")
         table = stopped.stopped_state_table(spec)
         grid = walks.propagator(step, table.column(t), args.box)
-        grid.time = float(t)
-        grid.to_csv(os.path.join(args.out, f"walk_propagator_t{t}.csv"))
+        _write_grid(os.path.join(args.out, f"walk_propagator_t{t}.csv"), grid)
     horizon = args.horizon
     payload = {
         "command": "walk",
@@ -257,7 +264,7 @@ def _cmd_ness(args) -> int:
         spec_inner = parse_law(args.inner)
         step = parse_steps(args.steps)
         grid = ness.lattice_ness(step, spec_inner, args.q, args.box)
-        grid.to_csv(os.path.join(args.out, "ness_lattice.csv"))
+        _write_grid(os.path.join(args.out, "ness_lattice.csv"), grid)
         payload = {
             "command": "ness",
             "kind": "lattice",
@@ -271,8 +278,17 @@ def _cmd_ness(args) -> int:
         }
         _emit_summary(args, payload, "ness_summary", echo=args.summary)
         return 0
+    if (args.y_min is None) != (args.y_max is None):
+        raise ParameterError("--y-min and --y-max must be given together")
+    if args.points < 1:
+        raise ParameterError(f"--points must be >= 1, got {args.points}")
     y = None
     if args.y_max is not None:
+        if not -math.inf < args.y_min < args.y_max < math.inf:
+            raise ParameterError(
+                f"--y-min ({args.y_min}) must be below --y-max ({args.y_max}), "
+                "both finite"
+            )
         y = np.linspace(args.y_min, args.y_max, args.points)
     params = {}
     if args.kind == "one-sided-exp":
@@ -292,7 +308,8 @@ def _cmd_ness(args) -> int:
         params.update({"alpha": args.alpha, "theta": args.theta})
     else:
         raise ParameterError(f"unknown ness kind {args.kind!r}")
-    curve.to_csv(os.path.join(args.out, "ness_curve.csv"))
+    path = os.path.join(args.out, "ness_curve.csv")
+    _write_csv(path, ["y", "density"], [curve.y, curve.density])
     payload = {
         "command": "ness",
         "kind": args.kind,
@@ -316,11 +333,8 @@ def _cmd_mc(args) -> int:
     t_obs = INFINITY if args.t_obs in ("inf", "infinity") else int(args.t_obs)
     values = montecarlo.sample_stopped_value(spec, cfg, t_obs)
     support, counts = np.unique(values, return_counts=True)
-    _write_csv(
-        os.path.join(args.out, "mc_histogram.csv"),
-        ["value", "count"],
-        zip(support, counts),
-    )
+    path = os.path.join(args.out, "mc_histogram.csv")
+    _write_csv(path, ["value", "count"], [support, counts])
     payload = {
         "command": "mc",
         "inner": law_config(spec.inner),
@@ -344,99 +358,70 @@ def _cmd_mc(args) -> int:
 
 _QS_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 _FIGURE_HORIZON = 200
+_P0, _Q = 0.7, 0.8
 
 
-def _fig_stop_grid(args, name, value_of):
-    columns = {}
-    for qs in _QS_GRID:
-        series = value_of(qs)
-        columns[f"stop_mass_{qs:g}"] = series
-    header, rows = _series_rows(columns)
-    _write_csv(os.path.join(args.out, f"{name}.csv"), header, rows)
+def _stop_grid(value_of):
+    """Series over t = 0..200, one column per stopping mass (fig3, fig6, fig8)."""
+    columns = [value_of(qs) for qs in _QS_GRID]
+    header = ["t"] + [f"stop_mass_{qs:g}" for qs in _QS_GRID]
+    return header, [np.arange(len(columns[0])), *columns]
+
+
+def _moments_vs_stop(summary_of):
+    """Infinite-time moments against the stopping success probability (fig2, fig5)."""
+    grid = np.linspace(0.02, 0.98, 49)
+    stats = [summary_of(p) for p in grid.tolist()]
+    moments = np.array([(s.mean, s.second_moment, s.variance) for s in stats])
+    return ["stop_p", "mean_inf", "second_inf", "variance_inf"], [grid, *moments.T]
+
+
+def _profiles(y, density, label):
+    """Stationary densities on the grid y for three scales (fig9, fig10)."""
+    scales = (0.5, 1.0, 2.0)
+    header = ["y"] + [f"{label}_{a:g}" for a in scales]
+    return header, [y] + [density(y, a) for a in scales]
+
+
+def _dbp(qs, horizon=_FIGURE_HORIZON):
+    return stopped.dbp_stops_bernoulli(_P0, _Q, qs, horizon)
+
+
+def _triangular_msd(qs):
+    spec = stopped.StoppedSpec(
+        Geometric(_P0), DefectiveGeometric(qs, 1.0 - _Q), _FIGURE_HORIZON
+    )
+    return walks.triangular_msd(
+        "biased", stopped.stopped_moments(spec, 1), stopped.stopped_moments(spec, 2)
+    )
+
+
+#: figure key -> () -> (header, columns) of ``<key>.csv``
+_FIGURES = {
+    "fig2": lambda: _moments_vs_stop(
+        lambda p: stopped.bernoulli_stops_sibuya(0.2, p)
+    ),
+    "fig3": lambda: _stop_grid(lambda qs: _dbp(qs).mean),
+    "fig5": lambda: _moments_vs_stop(
+        lambda p: stopped.bernoulli_stops_bernoulli(0.6, p)
+    ),
+    "fig6": lambda: _stop_grid(lambda qs: _dbp(qs).variance),
+    "fig7": lambda: (
+        ["t", "lambda_max"], [np.arange(2, 1001), _dbp(0.5, 1000).lambda_max[2:]]
+    ),
+    "fig8": lambda: _stop_grid(_triangular_msd),
+    "fig9": lambda: _profiles(
+        np.linspace(0.0, 10.0, 401), ness.one_sided_exp_density, "scale"
+    ),
+    "fig10": lambda: _profiles(np.linspace(-8.0, 8.0, 641), ness.laplace_density, "msd"),
+}
 
 
 def _cmd_figures(args) -> int:
-    keys = (
-        ["fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"]
-        if args.key == "all"
-        else [args.key]
-    )
-    p0, q = 0.7, 0.8
+    keys = list(_FIGURES) if args.key == "all" else [args.key]
     for key in keys:
-        if key == "fig2":
-            grid = np.linspace(0.02, 0.98, 49)
-            rows = []
-            for p in grid:
-                s = stopped.bernoulli_stops_sibuya(0.2, float(p))
-                rows.append([p, s.mean, s.second_moment, s.variance])
-            _write_csv(
-                os.path.join(args.out, "fig2.csv"),
-                ["stop_p", "mean_inf", "second_inf", "variance_inf"],
-                rows,
-            )
-        elif key == "fig3":
-            _fig_stop_grid(
-                args,
-                "fig3",
-                lambda qs: stopped.dbp_stops_bernoulli(
-                    p0, q, qs, _FIGURE_HORIZON
-                ).mean,
-            )
-        elif key == "fig5":
-            grid = np.linspace(0.02, 0.98, 49)
-            rows = []
-            for ps in grid:
-                s = stopped.bernoulli_stops_bernoulli(0.6, float(ps))
-                rows.append([ps, s.mean, s.second_moment, s.variance])
-            _write_csv(
-                os.path.join(args.out, "fig5.csv"),
-                ["stop_p", "mean_inf", "second_inf", "variance_inf"],
-                rows,
-            )
-        elif key == "fig6":
-            _fig_stop_grid(
-                args,
-                "fig6",
-                lambda qs: stopped.dbp_stops_bernoulli(
-                    p0, q, qs, _FIGURE_HORIZON
-                ).variance,
-            )
-        elif key == "fig7":
-            series = stopped.dbp_stops_bernoulli(p0, q, 0.5, 1000).lambda_max
-            rows = [[t, series[t]] for t in range(2, 1001)]
-            _write_csv(os.path.join(args.out, "fig7.csv"), ["t", "lambda_max"], rows)
-        elif key == "fig8":
-            def msd_of(qs):
-                spec = stopped.StoppedSpec(
-                    Geometric(p0), DefectiveGeometric(qs, 1.0 - q), _FIGURE_HORIZON
-                )
-                return walks.triangular_msd(
-                    "biased",
-                    stopped.stopped_moments(spec, 1),
-                    stopped.stopped_moments(spec, 2),
-                )
-
-            _fig_stop_grid(args, "fig8", msd_of)
-        elif key == "fig9":
-            y = np.linspace(0.0, 10.0, 401)
-            columns = {
-                f"scale_{a:g}": ness.one_sided_exp_density(y, a) for a in (0.5, 1.0, 2.0)
-            }
-            rows = [[y[i]] + [c[i] for c in columns.values()] for i in range(len(y))]
-            _write_csv(
-                os.path.join(args.out, "fig9.csv"), ["y"] + list(columns), rows
-            )
-        elif key == "fig10":
-            y = np.linspace(-8.0, 8.0, 641)
-            columns = {
-                f"msd_{b:g}": ness.laplace_density(y, b) for b in (0.5, 1.0, 2.0)
-            }
-            rows = [[y[i]] + [c[i] for c in columns.values()] for i in range(len(y))]
-            _write_csv(
-                os.path.join(args.out, "fig10.csv"), ["y"] + list(columns), rows
-            )
-        else:
-            raise ParameterError(f"unknown figure key {key!r}")
+        header, columns = _FIGURES[key]()
+        _write_csv(os.path.join(args.out, f"{key}.csv"), header, columns)
     _emit_summary(
         args,
         {"command": "figures", "keys": keys},
@@ -474,7 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, laws_needed=False):
         p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
         p.add_argument("--out", default=".")
-        p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--summary", action="store_true", help="echo the JSON summary")
         p.add_argument("--config", help="key = value file supplying these options")
         if laws_needed:
@@ -527,10 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fig = sub.add_parser("figures", help="regenerate figure datasets")
     common(p_fig)
-    p_fig.add_argument(
-        "key",
-        choices=["fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "all"],
-    )
+    p_fig.add_argument("key", choices=[*_FIGURES, "all"])
     p_fig.set_defaults(func=_cmd_figures)
     return parser
 

@@ -317,10 +317,11 @@ class PowerLawBernstein(WaitingLaw):
 
     def pmf(self, t):
         t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            vals = (t - 1.0 + self.zeta) ** (-self.gamma) - (t + self.zeta) ** (
-                -self.gamma
-            )
+        # t < 1 would put (t - 1 + zeta) near 0 and overflow the power
+        safe = np.maximum(t, 1.0)
+        vals = (safe - 1.0 + self.zeta) ** (-self.gamma) - (safe + self.zeta) ** (
+            -self.gamma
+        )
         return np.where(t >= 1, vals, 0.0)
 
     def survival_vector(self, horizon: int) -> np.ndarray:

@@ -169,12 +169,6 @@ class NessCurve:
     def trapezoid_mass(self) -> float:
         return float(np.trapezoid(self.density, self.y))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("y,density\n")
-            for yi, di in zip(self.y, self.density):
-                fh.write(f"{yi:.12g},{di:.12g}\n")
-
 
 def one_sided_exp_density(y, mean_displacement: float) -> np.ndarray:
     """(1/|A|) exp(-y/A) on the side of the bias, A the mean displacement."""

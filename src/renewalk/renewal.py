@@ -9,7 +9,6 @@ geometric.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,25 +58,6 @@ class StateTable:
         weights = np.asarray(v) ** n
         return weights @ self.probs
 
-    def to_csv(self, path) -> None:
-        """Write t rows by n columns."""
-        with open(path, "w") as fh:
-            header = ["t"] + [f"n{n}" for n in range(self.probs.shape[0])]
-            fh.write(",".join(header) + "\n")
-            for t in range(self.probs.shape[1]):
-                cells = [str(t)] + [f"{v:.12g}" for v in self.probs[:, t]]
-                fh.write(",".join(cells) + "\n")
-
-    def to_json(self, path) -> None:
-        payload = {
-            "schema_version": 1,
-            "horizon": self.horizon,
-            "n_max": self.n_max,
-            "probs": [[float(v) for v in row] for row in self.probs],
-        }
-        with open(path, "w") as fh:
-            json.dump(payload, fh)
-
 
 def survival_series(law: WaitingLaw, horizon: int) -> np.ndarray:
     """P[no event up to and including t] = 1 - sum_{r<=t} pmf(r), t = 0..horizon."""
@@ -126,7 +106,12 @@ def count_moments(law: WaitingLaw, horizon: int):
 
 
 def exceedance_prob(law: WaitingLaw, n0: int, t) -> float:
-    """P[N(t) > n0]; at t = INFINITY this is defect_mass^(n0+1)."""
+    """P[N(t) > n0]; at t = INFINITY this is defect_mass^(n0+1).
+
+    At finite t it is the first-passage probability P[T_1 + ... + T_(n0+1) <= t],
+    the mass of pmf^(*(n0+1)) on [0, t].  That is a sum of nonnegative terms,
+    so a small tail keeps its relative accuracy.
+    """
     if n0 < 0:
         raise ParameterError("n0 must be >= 0")
     if t == INFINITY:
@@ -136,15 +121,11 @@ def exceedance_prob(law: WaitingLaw, n0: int, t) -> float:
         raise ParameterError("time must be >= 0")
     if n0 >= t:
         return 0.0
-    horizon = max(t, 1)
-    surv = survival_series(law, horizon)
-    pmf = law.pmf_vector(horizon)
-    power = series.delta_series(horizon)
-    below = 0.0
-    for _ in range(n0 + 1):
-        below += series.convolve(surv, power)[t]
+    pmf = law.pmf_vector(t)
+    power = pmf
+    for _ in range(n0):
         power = series.convolve(power, pmf)
-    return float(min(max(1.0 - below, 0.0), 1.0))
+    return float(power.sum())
 
 
 def classify(law: WaitingLaw) -> str:

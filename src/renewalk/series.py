@@ -16,19 +16,6 @@ from .errors import HorizonMismatchError, SingularSeriesError
 DEFAULT_HORIZON = 512
 
 
-def as_series(values, horizon: int | None = None) -> np.ndarray:
-    """Coerce ``values`` to a float series, zero-padded up to ``horizon``."""
-    c = np.asarray(values, dtype=float).ravel()
-    if horizon is not None:
-        if len(c) > horizon + 1:
-            c = c[: horizon + 1]
-        elif len(c) < horizon + 1:
-            c = np.concatenate([c, np.zeros(horizon + 1 - len(c))])
-    if not np.all(np.isfinite(c)):
-        raise ValueError("series coefficients must be finite")
-    return c
-
-
 def delta_series(horizon: int) -> np.ndarray:
     """Unit of the convolution algebra: 1 at t=0, zero elsewhere."""
     c = np.zeros(horizon + 1)
@@ -54,20 +41,3 @@ def reciprocal(a: np.ndarray) -> np.ndarray:
     for t in range(1, len(a)):
         b[t] = -np.dot(a[1 : t + 1], b[t - 1 :: -1]) / a[0]
     return b
-
-
-def binomial_series(alpha: float, horizon: int) -> np.ndarray:
-    """Coefficients of (1-u)^alpha via the stable ratio recursion.
-
-    c[t] = (-1)^t C(alpha, t), computed as c[t] = c[t-1] (t-1-alpha)/t.
-    """
-    c = np.empty(horizon + 1)
-    c[0] = 1.0
-    for t in range(1, horizon + 1):
-        c[t] = c[t - 1] * (t - 1 - alpha) / t
-    return c
-
-
-def evaluate(a: np.ndarray, u: float) -> float:
-    """Evaluate the truncated series at ``u`` (Horner on the coefficients)."""
-    return float(np.polynomial.polynomial.polyval(u, a))

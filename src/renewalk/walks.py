@@ -172,15 +172,6 @@ class PropagatorGrid:
         phase = np.exp(-1j * np.tensordot(theta, coords, axes=1))
         return complex((self.values * phase).sum())
 
-    def to_csv(self, path) -> None:
-        coords = self.lattice_coordinates().reshape(self.dim, -1)
-        flat = self.values.ravel()
-        with open(path, "w") as fh:
-            fh.write(",".join(f"x{j}" for j in range(self.dim)) + ",prob\n")
-            for idx in range(flat.size):
-                cells = [str(int(coords[j, idx])) for j in range(self.dim)]
-                fh.write(",".join(cells) + f",{flat[idx]:.12g}\n")
-
 
 def _shift_add(dst: np.ndarray, src: np.ndarray, vec, weight: float) -> None:
     """dst[x] += weight * src[x - vec], truncating at the box edges."""

@@ -186,6 +186,10 @@ def test_ness_curve_kinds(tmp_path):
         lines = (out / "ness_curve.csv").read_text().splitlines()
         assert lines[0] == "y,density" and len(lines) > 1
     assert len(lines) == 31
+    # a one-point grid is one density value (its trapezoid mass is 0)
+    grid = ["--y-min", "0.5", "--y-max", "6", "--points", "1"]
+    assert run(["ness", "--kind", "laplace", *grid, "--out", str(out)]) == 0
+    assert len((out / "ness_curve.csv").read_text().splitlines()) == 2
     assert run(["ness", "--kind", "nope", "--out", str(tmp_path)]) == 2
 
 
@@ -222,13 +226,60 @@ def test_config_file_missing(tmp_path):
     assert run(["stopped", "--config", str(tmp_path / "none.cfg")]) == 2
 
 
-def test_json_format_state_table(tmp_path):
-    code = run(
-        ["stopped", "--inner", "geometric:p=0.7", "--stop", "geometric:p=0.2",
-         "--horizon", "8", "--out", str(tmp_path), "--format", "json"]
-    )
-    assert code == 0
-    payload = json.loads((tmp_path / "stopped_state.json").read_text())
-    assert payload["horizon"] == 8
-    cols = np.array(payload["probs"]).sum(axis=0)
-    np.testing.assert_allclose(cols, 1.0, atol=1e-10)
+def test_format_flag_is_rejected(tmp_path):
+    # state tables are CSV only; --format is no longer an option
+    for fmt in ("json", "csv"):
+        code = run(
+            ["stopped", "--inner", "geometric:p=0.7", "--stop", "geometric:p=0.2",
+             "--horizon", "8", "--out", str(tmp_path), "--format", fmt]
+        )
+        assert code == 2
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "grid, flag",
+    [
+        (["--y-max", "3"], "--y-min"),
+        (["--y-min", "-3"], "--y-max"),
+        (["--y-min", "-3", "--y-max", "3", "--points", "0"], "--points"),
+        (["--y-min", "-3", "--y-max", "3", "--points", "-2"], "--points"),
+        (["--y-min", "3", "--y-max", "3"], "--y-min"),
+        (["--y-min", "4", "--y-max", "3"], "--y-min"),
+        (["--y-min=-inf", "--y-max", "3"], "--y-min"),
+    ],
+)
+def test_ness_rejects_bad_grid_flags(tmp_path, capsys, grid, flag):
+    assert run(["ness", "--kind", "laplace", *grid, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("renewalk: error:") and flag in err
+    assert not list(tmp_path.iterdir())
+
+
+def _reference_csv(header, columns):
+    """Cell-by-cell formatter: integers as str(int), other values as %.12g."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(
+            str(int(v)) if isinstance(v, (int, np.integer)) else f"{float(v):.12g}"
+            for v in row
+        ))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("block_cells", [cli._CSV_BLOCK_CELLS, 7])
+def test_write_csv_matches_per_cell_formatting(tmp_path, monkeypatch, block_cells):
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(4)
+    x = np.arange(-40, 41)  # lattice coordinates on both sides of the origin
+    values = rng.standard_normal(x.size) * 10.0 ** rng.integers(-320, 300, x.size)
+    values[:9] = [5e-324, -1e-310, -0.0, 0.0, 3.0, 1e16, 123456789012.5,
+                  np.inf, np.nan]
+    counts = rng.integers(0, 2**62, x.size)
+    header = ["x0", "x1", "prob", "count"]
+    columns = [x, -3 * x[::-1], values, counts]
+    path = tmp_path / "table.csv"
+    cli._write_csv(str(path), header, columns)
+    assert path.read_text() == _reference_csv(header, columns)
+    with pytest.raises(ValueError):
+        cli._write_csv(str(path), header, [x, values[:-1]])

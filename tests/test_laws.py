@@ -114,6 +114,15 @@ def test_power_law_survival_telescopes_exactly():
     assert np.array_equal(law.survival_vector(256), expected)
 
 
+def test_power_law_pmf_vector_steep_and_barely_defective():
+    # pmf_vector also evaluates t = 0, where (t - 1 + zeta)^-gamma overflowed
+    # once zeta is within an ulp of 1; Tier-1 turns that warning into an error
+    law = PowerLawBernstein(20.0, 1.0000000000000002)
+    pmf = law.pmf_vector(4)
+    assert pmf[0] == 0.0 and np.isfinite(pmf).all()
+    assert pmf.sum() == pytest.approx(law.defect_mass - (4 + law.zeta) ** -20.0, abs=1e-15)
+
+
 def test_sampling_degenerate_cases():
     rng = np.random.default_rng(0)
     never = DefectiveGeometric(0.0, 0.7)

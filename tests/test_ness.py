@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from renewalk import ness, walks
+from renewalk.cli import main
 from renewalk.errors import ParameterError, QuadratureError
 from renewalk.laws import DefectiveGeometric, Geometric, ShiftedPoisson
 from renewalk.ness import (
@@ -233,12 +234,16 @@ def test_heavy_tailed_steps_share_the_biased_limit():
 
 
 def test_curve_csv(tmp_path):
-    curve = laplace_curve(1.0, y=np.linspace(-2, 2, 5))
-    path = tmp_path / "curve.csv"
-    curve.to_csv(path)
-    lines = path.read_text().splitlines()
+    argv = ["ness", "--kind", "laplace", "--scale", "1.0", "--y-min", "-2",
+            "--y-max", "2", "--points", "5", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "ness_curve.csv").read_text().splitlines()
     assert lines[0] == "y,density"
-    assert len(lines) == 6
+    assert [line.split(",")[0] for line in lines[1:]] == ["-2", "-1", "0", "1", "2"]
+    density = [float(line.split(",")[1]) for line in lines[1:]]
+    np.testing.assert_allclose(
+        density, laplace_density(np.linspace(-2, 2, 5), 1.0), rtol=1e-11, atol=0
+    )
 
 
 # --- independent oracles -------------------------------------------------

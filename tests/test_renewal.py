@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
+from scipy.special import betainc
+from scipy.special import binom as binom_coef
 from scipy.stats import binom
 
 from renewalk import renewal, series
+from renewalk.cli import main
 from renewalk.laws import (
     INFINITY,
     DefectiveGeometric,
@@ -139,9 +143,15 @@ def test_discrete_mittag_leffler_series_asymptotics():
     # power-law tail t^-mu / Gamma(1-mu)
     defect, mu, horizon = 0.5, 0.5, 512
     ratio = defect / (1 - defect)
-    num = series.binomial_series(mu - 1.0, horizon)
-    den = series.delta_series(horizon) + ratio * series.binomial_series(mu, horizon)
-    ml = series.convolve(num, series.reciprocal(den))
+    delta = series.delta_series(horizon)
+    # the Sibuya survival has transform (1-u)^(mu-1), so 1 - pmf has (1-u)^mu;
+    # both it and scipy's binomial coefficients sit within 1e-12 of exact
+    num = Sibuya(mu).survival_vector(horizon)
+    one_minus = delta - Sibuya(mu).pmf_vector(horizon)
+    k = np.arange(horizon + 1)
+    np.testing.assert_allclose(num, (-1.0) ** k * binom_coef(mu - 1.0, k), rtol=1e-11)
+    np.testing.assert_allclose(one_minus, (-1.0) ** k * binom_coef(mu, k), rtol=1e-11)
+    ml = series.convolve(num, series.reciprocal(delta + ratio * one_minus))
     t = 512
     assert ml[t] * math.gamma(1 - mu) * t**mu == pytest.approx(1.0, rel=0.10)
     # identity: count mean equals Q/P - (Q/P^2) ml(t)
@@ -160,6 +170,17 @@ def test_exceedance_prob():
     table = renewal.state_table(law, 24)
     direct = float(table.probs[3:, 16].sum())
     assert renewal.exceedance_prob(law, 2, 16) == pytest.approx(direct, abs=1e-12)
+
+
+def test_exceedance_prob_small_binomial_tails():
+    # Bernoulli events: P[N(t) > n0] is the binomial tail I_p(n0 + 1, t - n0),
+    # down to 1e-35 at n0 = 300
+    p, t = 0.12, 1200
+    for n0 in (144, 250, 300):
+        want = betainc(n0 + 1, t - n0, p)
+        assert renewal.exceedance_prob(Geometric(p), n0, t) == pytest.approx(
+            want, rel=1e-12, abs=0
+        )
 
 
 def test_limit_state_law():
@@ -196,12 +217,12 @@ def test_tauberian_count_limit():
     u = 0.99
     law = DefectiveGeometric(0.5, 0.7)
     mean, _ = renewal.count_moments(law, 512)
-    scaled = (1 - u) * series.evaluate(mean, u)
+    scaled = (1 - u) * polyval(u, mean)
     g = law.gf(u)
     assert scaled == pytest.approx(g / (1 - g), rel=0.008)
 
     mean, _ = renewal.count_moments(DefectiveSibuya(0.25, 0.5), 512)
-    scaled = (1 - u) * series.evaluate(mean, u)
+    scaled = (1 - u) * polyval(u, mean)
     q = 0.25
     corrected = q / (1 - q) - (q / (1 - q) ** 2) * (1 - u) ** 0.5
     assert scaled == pytest.approx(corrected, rel=0.02)
@@ -215,16 +236,14 @@ def test_sibuya_type_ii_count_growth():
 
 
 def test_state_table_export(tmp_path):
-    table = renewal.state_table(Geometric(0.5), 6)
-    csv_path = tmp_path / "table.csv"
-    table.to_csv(csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0].split(",")[:3] == ["t", "n0", "n1"]
+    # the CLI writes t rows by n columns; %.12g keeps 12 significant digits
+    assert main(["renewal", "--law", "geometric:p=0.5", "--horizon", "6",
+                 "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "renewal_state.csv").read_text().splitlines()
+    assert lines[0].split(",") == ["t"] + [f"n{n}" for n in range(7)]
     assert len(lines) == 8
-    json_path = tmp_path / "table.json"
-    table.to_json(json_path)
-    import json
-
-    payload = json.loads(json_path.read_text())
-    assert payload["horizon"] == 6
-    np.testing.assert_allclose(np.array(payload["probs"]), table.probs, atol=0)
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    np.testing.assert_array_equal(rows[:, 0], np.arange(7))
+    table = renewal.state_table(Geometric(0.5), 6)
+    np.testing.assert_allclose(rows[:, 1:], table.probs.T, rtol=1e-11, atol=0)
+    assert not list(tmp_path.glob("*_state.json"))

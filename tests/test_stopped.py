@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from renewalk import renewal, stopped
 from renewalk.errors import ParameterError
 from renewalk.laws import (
     INFINITY,
     DefectiveGeometric,
+    DefectiveSibuya,
     Geometric,
     PowerLawBernstein,
     ShiftedPoisson,
@@ -327,3 +330,41 @@ def test_discounted_inner_law_mass():
 def test_horizon_zero_table():
     spec = StoppedSpec(Geometric(0.5), Geometric(0.5), 0)
     assert stopped_state_table(spec).probs.tolist() == [[1.0]]
+
+
+def _laws(full_mass: bool):
+    """Every law family over its accepted range; full_mass keeps it non-defective."""
+    unit = st.floats(0.0, 1.0, exclude_min=True)
+    mu = st.floats(1e-3, 0.999)
+    mass = st.just(1.0) if full_mass else st.floats(0.0, 1.0)
+    zeta = st.just(1.0) if full_mass else st.floats(1.0, 1e6)
+
+    @st.composite
+    def tabulated(draw):
+        table = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=60)))
+        if table.sum() < 1e-300:
+            table[0] = 1.0
+        return Tabulated(table / table.sum() * draw(mass))
+
+    return st.one_of(
+        st.builds(Geometric, unit),
+        st.builds(DefectiveGeometric, mass, unit),
+        st.builds(Sibuya, mu),
+        st.builds(DefectiveSibuya, mass, mu),
+        st.builds(ShiftedPoisson, st.floats(0.0, 1e3, exclude_min=True)),
+        st.builds(PowerLawBernstein, st.floats(0.0, 50.0, exclude_min=True), zeta),
+        tabulated(),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(inner=_laws(full_mass=True), stop=_laws(full_mass=False),
+       horizon=st.integers(0, 48))
+def test_state_table_columns_sum_to_one(inner, stop, horizon):
+    tables = (
+        renewal.state_table(inner, horizon),
+        renewal.state_table(stop, horizon),
+        stopped_state_table(StoppedSpec(inner, stop, horizon)),
+    )
+    for table in tables:
+        np.testing.assert_allclose(table.row_sums(), 1.0, rtol=0, atol=1e-12)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from renewalk import stopped
+from renewalk.cli import main
 from renewalk.errors import BoxLeakageError, ParameterError
 from renewalk.laws import DefectiveGeometric, Geometric
 from renewalk.stopped import StoppedSpec, dbp_stops_bernoulli, stopped_moments
@@ -209,9 +210,11 @@ def test_ballistic_asymptote_biased():
 
 
 def test_propagator_grid_csv(tmp_path):
-    grid = propagator(line_walk(0.5), [0.0, 1.0], 2)
-    path = tmp_path / "grid.csv"
-    grid.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x0,prob"
-    assert len(lines) == 6
+    # an event every step and a stop that never comes: N(1) = 1, mass 1/2 at +-1
+    argv = ["walk", "--inner", "geometric:p=1", "--stop",
+            "defective_geometric:defect=0,p=0.5", "--steps", "line:p=0.5",
+            "--horizon", "2", "--propagator-time", "1", "--box", "2",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "walk_propagator_t1.csv").read_text().splitlines()
+    assert lines == ["x0,prob", "-2,0", "-1,0.5", "0,0", "1,0.5", "2,0"]
