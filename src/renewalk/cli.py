@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -50,29 +51,67 @@ _COMPUTE_ERRORS = (
 )
 
 
-#: rows are formatted in blocks of about this many cells, so a block's
-#: Python numbers stay small whatever the column count
-_CSV_BLOCK_CELLS = 1 << 13
+#: rows are formatted in blocks of about this many cells: few enough that a
+#: block's Python numbers stay small whatever the column count, enough that
+#: slicing every column once per block costs little next to formatting
+_CSV_BLOCK_CELLS = 1 << 15
+
+
+def _trailing_zero_run(columns, rows: int) -> np.ndarray:
+    """Per row, the number of trailing cells that hold +0 (printed ``0``).
+
+    -0.0 prints ``-0``, so it ends a run.
+    """
+    run = np.zeros(rows, dtype=np.int64)
+    alive = np.ones(rows, dtype=bool)
+    for c in reversed(columns):
+        alive &= c == 0
+        if np.issubdtype(c.dtype, np.floating):
+            alive &= ~np.signbit(c)
+        if not alive.any():
+            break
+        run += alive
+    return run
 
 
 def _write_csv(path: str, header, columns) -> None:
     """Write equal-length columns under ``header``, one format string per row.
 
     Integer columns are written as ``%d``, every other column as ``%.12g``.
+    Each row's trailing run of +0 cells, such as the n > t triangle of a
+    state table, is appended as one ``",0" * run`` string, not formatted.
     """
     columns = [np.asarray(c) for c in columns]
     rows = len(columns[0])
     if any(len(c) != rows for c in columns):
         raise ValueError(f"CSV columns for {path} differ in length")
-    fmt = ",".join(
+    ncols = len(columns)
+    cell_fmts = [
         "%d" if np.issubdtype(c.dtype, np.integer) else "%.12g" for c in columns
-    ) + "\n"
-    block = max(1, _CSV_BLOCK_CELLS // len(columns))
+    ]
+    # every cell carries its leading comma; a line drops the first one
+    fmt = "".join("," + f for f in cell_fmts)
+    full = fmt[1:] + "\n"
+    # fmt[: ends[k]] formats the first k cells
+    ends = [0, *itertools.accumulate(len(f) + 1 for f in cell_fmts)]
+    zeros = ",0" * ncols
+
+    def line(k, row):
+        return (fmt[: ends[k]] % row[:k] + zeros[: 2 * (ncols - k)])[1:] + "\n"
+
+    kept = ncols - _trailing_zero_run(columns, rows)
+    block = max(1, _CSV_BLOCK_CELLS // ncols)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, rows, block):
-            cells = zip(*(c[start : start + block].tolist() for c in columns))
-            fh.writelines(fmt % row for row in cells)
+            keep = kept[start : start + block].tolist()
+            # cells past the longest kept prefix are never converted
+            width = max(1, *keep)
+            cells = zip(*(c[start : start + block].tolist() for c in columns[:width]))
+            if min(keep) == ncols:  # no zero run: skip the per-row slicing
+                fh.writelines(full % row for row in cells)
+            else:
+                fh.writelines(map(line, keep, cells))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -238,7 +277,9 @@ def _cmd_walk(args) -> int:
         t = args.propagator_time
         if not 0 <= t <= args.horizon:
             raise ParameterError("propagator time must be within the horizon")
-        table = stopped.stopped_state_table(spec)
+        # column t depends on no later time, so the table stops at t
+        spec_t = stopped.StoppedSpec(spec.inner, spec.stop, t)
+        table = stopped.stopped_state_table(spec_t)
         grid = walks.propagator(step, table.column(t), args.box)
         _write_grid(os.path.join(args.out, f"walk_propagator_t{t}.csv"), grid)
     horizon = args.horizon

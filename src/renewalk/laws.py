@@ -164,12 +164,6 @@ class DefectiveGeometric(WaitingLaw):
         return rng.geometric(self.p, size=n).astype(float)
 
 
-def _sibuya_log_survival(t, mu: float):
-    """log of the Sibuya survival (-1)^t C(mu-1, t) = G(t+1-mu)/(G(1-mu) G(t+1))."""
-    t = np.asarray(t, dtype=float)
-    return gammaln(t + 1.0 - mu) - gammaln(1.0 - mu) - gammaln(t + 1.0)
-
-
 @dataclass(frozen=True)
 class Sibuya(WaitingLaw):
     """Fat-tailed law pmf(t) = (-1)^(t-1) C(mu, t), mu in (0, 1); infinite mean."""
@@ -194,8 +188,20 @@ class Sibuya(WaitingLaw):
         )
         return np.where(t >= 1, np.exp(logp), 0.0)
 
+    def pmf_vector(self, horizon: int) -> np.ndarray:
+        if horizon < 1:
+            raise ParameterError("pmf_vector needs horizon >= 1")
+        # pmf(t) = surv(t-1) mu / t
+        out = np.zeros(horizon + 1)
+        out[1:] = self.survival_vector(horizon - 1) * (self.mu / np.arange(1, horizon + 1))
+        return out
+
     def survival_vector(self, horizon: int) -> np.ndarray:
-        return np.exp(_sibuya_log_survival(np.arange(horizon + 1), self.mu))
+        # (-1)^t C(mu-1, t) = prod_{s<=t} (1 - mu/s): one rounding per factor
+        # keeps ~1e-15 relative, where exp of a gammaln difference loses 1e-12
+        out = np.ones(horizon + 1)
+        out[1:] = np.cumprod(1.0 - self.mu / np.arange(1, horizon + 1))
+        return out
 
     def gf(self, u: float) -> float:
         u = self._check_u(u)
@@ -241,6 +247,9 @@ class DefectiveSibuya(WaitingLaw):
 
     def pmf(self, t):
         return self.defect * self._base.pmf(t)
+
+    def pmf_vector(self, horizon: int) -> np.ndarray:
+        return self.defect * self._base.pmf_vector(horizon)
 
     def survival_vector(self, horizon: int) -> np.ndarray:
         return (1.0 - self.defect) + self.defect * self._base.survival_vector(horizon)

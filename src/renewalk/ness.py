@@ -108,7 +108,7 @@ def lattice_ness(
     values = fine / q
     origin = (half_width,) * step.dim
     values[origin] -= (1.0 - q) / q
-    return PropagatorGrid(values, half_width, math.inf, step.basis)
+    return PropagatorGrid(values, half_width, step.basis)
 
 
 def stable_density(y, alpha: float, theta: float = 0.0) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import series
 from .errors import ParameterError
@@ -23,6 +24,9 @@ INTERMEDIATE = "intermediate"
 
 #: float-safe boundary for classifying a law as non-defective
 _TYPE_II_TOL = 1e-12
+
+#: columns of the Toeplitz factor that :func:`state_table` holds at once
+_TOEPLITZ_BLOCK = 256
 
 
 @dataclass
@@ -72,20 +76,39 @@ def state_table(law: WaitingLaw, horizon: int) -> StateTable:
     """Full table P[N(t) = n] for 0 <= n, t <= horizon.
 
     Row n is survival * pmf^(*n); keeping n_max equal to the horizon makes
-    the column sums exactly one.
+    the column sums exactly one.  The rows are built by doubling: with
+    c = pmf^(*k), rows [k, 2k) are rows [0, k) times the upper-triangular
+    Toeplitz matrix U[i, t] = c[t - i], one matrix product per doubling.
+    Every term is nonnegative, so each entry keeps its relative accuracy.
     """
     if horizon < 0:
         raise ParameterError("horizon must be >= 0")
     if horizon == 0:
         return StateTable(np.ones((1, 1)))
-    surv = survival_series(law, horizon)
-    pmf = law.pmf_vector(horizon)
-    probs = np.zeros((horizon + 1, horizon + 1))
-    power = series.delta_series(horizon)
-    for n in range(horizon + 1):
-        probs[n] = series.convolve(surv, power)
-        if n < horizon:
-            power = series.convolve(power, pmf)
+    size = horizon + 1
+    probs = np.zeros((size, size))
+    probs[0] = survival_series(law, horizon)
+    power = law.pmf_vector(horizon)
+    k = 1
+    while k < size:
+        rows = min(k, size - k)
+        # padded[size + j] = power[j], zero for j < 0
+        padded = np.concatenate([np.zeros(size), power])
+        # c[j] = 0 for j < k: only columns t >= k and rows i <= t - k are nonzero
+        for start in range(k, size, _TOEPLITZ_BLOCK):
+            stop = min(start + _TOEPLITZ_BLOCK, size)
+            depth = stop - k
+            # toeplitz[i, j] = U[i, start + j] = power[start + j - i]
+            toeplitz = np.ascontiguousarray(
+                sliding_window_view(padded, stop - start)[
+                    size + start : size + start - depth : -1
+                ]
+            )
+            used = min(rows, depth)
+            probs[k : k + used, start:stop] = probs[:used, :depth] @ toeplitz
+        if 2 * k < size:
+            power = series.convolve(power, power)
+        k *= 2
     return StateTable(probs)
 
 
@@ -109,8 +132,9 @@ def exceedance_prob(law: WaitingLaw, n0: int, t) -> float:
     """P[N(t) > n0]; at t = INFINITY this is defect_mass^(n0+1).
 
     At finite t it is the first-passage probability P[T_1 + ... + T_(n0+1) <= t],
-    the mass of pmf^(*(n0+1)) on [0, t].  That is a sum of nonnegative terms,
-    so a small tail keeps its relative accuracy.
+    the mass of pmf^(*(n0+1)) on [0, t], with the power taken by repeated
+    squaring.  That is a sum of nonnegative terms, so a small tail keeps its
+    relative accuracy.
     """
     if n0 < 0:
         raise ParameterError("n0 must be >= 0")
@@ -121,11 +145,16 @@ def exceedance_prob(law: WaitingLaw, n0: int, t) -> float:
         raise ParameterError("time must be >= 0")
     if n0 >= t:
         return 0.0
-    pmf = law.pmf_vector(t)
-    power = pmf
-    for _ in range(n0):
-        power = series.convolve(power, pmf)
-    return float(power.sum())
+    square = law.pmf_vector(t)
+    power = None
+    exponent = n0 + 1
+    while True:
+        if exponent & 1:
+            power = square if power is None else series.convolve(power, square)
+        exponent >>= 1
+        if not exponent:
+            return float(power.sum())
+        square = series.convolve(square, square)
 
 
 def classify(law: WaitingLaw) -> str:

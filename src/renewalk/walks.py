@@ -73,9 +73,6 @@ class StepLaw:
     def var_step(self) -> np.ndarray:
         return self.second_moment - self.mean_step**2
 
-    def is_unbiased(self) -> bool:
-        return bool(np.all(np.abs(self.mean_step) < 1e-14))
-
 
 def line_walk(p_right: float = 0.5) -> StepLaw:
     """Steps +-1 on the one-dimensional lattice; p_right = 1 keeps only +1."""
@@ -137,7 +134,6 @@ class PropagatorGrid:
 
     values: np.ndarray
     half_width: int
-    time: float
     basis: np.ndarray
 
     @property
@@ -212,7 +208,7 @@ def propagator(step: StepLaw, count_pmf, half_width: int) -> PropagatorGrid:
         power = nxt
         if count_pmf[n]:
             values += count_pmf[n] * power
-    grid = PropagatorGrid(values, half_width, float("nan"), step.basis)
+    grid = PropagatorGrid(values, half_width, step.basis)
     if grid.mass_in_box < 1.0 - 1e-6:
         raise BoxLeakageError(
             f"probability {1.0 - grid.mass_in_box:.3e} left the box; enlarge it"

@@ -276,10 +276,25 @@ def test_write_csv_matches_per_cell_formatting(tmp_path, monkeypatch, block_cell
     values[:9] = [5e-324, -1e-310, -0.0, 0.0, 3.0, 1e16, 123456789012.5,
                   np.inf, np.nan]
     counts = rng.integers(0, 2**62, x.size)
-    header = ["x0", "x1", "prob", "count"]
-    columns = [x, -3 * x[::-1], values, counts]
+    tail = rng.standard_normal(x.size)
+    # rows ending in +0 runs of 1, 2, 3 and 5 cells (row 40, the origin, is
+    # all zero); -0.0 inside a run (row 23) and at its end (row 22)
+    counts[20:30] = 0
+    values[20:32] = 0.0
+    tail[10:32] = 0.0
+    values[40] = counts[40] = tail[40] = 0
+    tail[22] = values[23] = -0.0
+    header = ["x0", "x1", "count", "prob", "tail"]
+    columns = [x, -3 * x[::-1], counts, values, tail]
     path = tmp_path / "table.csv"
     cli._write_csv(str(path), header, columns)
-    assert path.read_text() == _reference_csv(header, columns)
+    text = path.read_text()
+    assert text == _reference_csv(header, columns)
+    lines = text.splitlines()
+    assert lines[1 + 40] == "0,0,0,0,0"
+    assert lines[1 + 21].endswith(",0,0,0")
+    assert lines[1 + 31].endswith(f",{counts[31]},0,0")
+    assert lines[1 + 22].endswith(",0,0,-0")
+    assert lines[1 + 23].endswith(",0,-0,0")
     with pytest.raises(ValueError):
         cli._write_csv(str(path), header, [x, values[:-1]])

@@ -1,8 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import renewalk
 from renewalk import montecarlo as mc
 from renewalk import ness, stopped, walks
 from renewalk.errors import InconclusiveRunError, ParameterError
@@ -151,6 +155,28 @@ def test_compare_discrete_self_consistency():
     comp = mc.compare_discrete(draws, support, probs)
     assert comp.tv < 0.01
     assert comp.chisq_pvalue > 0.001
+
+
+def test_compare_discrete_pvalue_matches_scipy_chisquare():
+    # every expected count is at least 5, so no bin is pooled
+    from scipy.stats import chisquare
+
+    counts = [30, 52, 61, 40, 12, 5]
+    probs = np.array([0.1, 0.25, 0.3, 0.2, 0.1, 0.05])
+    samples = np.repeat(np.arange(6), counts)
+    comp = mc.compare_discrete(samples, np.arange(6), probs)
+    want = chisquare(counts, probs * len(samples)).pvalue
+    assert comp.chisq_pvalue == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_cli_import_leaves_scipy_stats_out():
+    src = os.path.dirname(os.path.dirname(renewalk.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = "import sys, renewalk.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
 
 
 def test_compare_continuous_and_two_sample():

@@ -1,10 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 from scipy.special import betainc
-from scipy.special import binom as binom_coef
 from scipy.stats import binom
 
 from renewalk import renewal, series
@@ -30,6 +30,40 @@ def test_survival_closed_forms():
     np.testing.assert_allclose(surv, 1.0 - 1.5**-0.5 + (t + 1.5) ** -0.5, atol=1e-14)
     for law in (Geometric(0.2), Sibuya(0.5), ShiftedPoisson(3.0)):
         assert renewal.survival_series(law, 10)[0] == 1.0
+
+
+def _direct_state_table(law, horizon):
+    """Row-by-row oracle: row n is survival * pmf^(*n), one convolution each."""
+    if horizon == 0:
+        return np.ones((1, 1))
+    surv = renewal.survival_series(law, horizon)
+    pmf = law.pmf_vector(horizon)
+    probs = np.zeros((horizon + 1, horizon + 1))
+    power = series.delta_series(horizon)
+    for n in range(horizon + 1):
+        probs[n] = series.convolve(surv, power)
+        if n < horizon:
+            power = series.convolve(power, pmf)
+    return probs
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 2, 3, 127, 128, 129, 768])
+@pytest.mark.parametrize(
+    "law",
+    [Sibuya(0.5), Sibuya(0.05), Geometric(0.3), Geometric(0.7),
+     DefectiveSibuya(0.5, 0.4), PowerLawBernstein(0.5, 1.5)],
+)
+def test_state_table_doubling_matches_direct(law, horizon):
+    # the geometric tails reach subnormals, which keep too few digits for a
+    # relative check; entries at or below 1e-290 are checked for sign only
+    table = renewal.state_table(law, horizon).probs
+    direct = _direct_state_table(law, horizon)
+    assert table.shape == direct.shape
+    assert (table >= 0.0).all()
+    n, t = np.indices(table.shape)
+    assert (table[n > t] == 0.0).all()
+    normal = direct > 1e-290
+    np.testing.assert_allclose(table[normal], direct[normal], rtol=1e-13, atol=0)
 
 
 def test_state_table_geometric_is_binomial():
@@ -145,12 +179,16 @@ def test_discrete_mittag_leffler_series_asymptotics():
     ratio = defect / (1 - defect)
     delta = series.delta_series(horizon)
     # the Sibuya survival has transform (1-u)^(mu-1), so 1 - pmf has (1-u)^mu;
-    # both it and scipy's binomial coefficients sit within 1e-12 of exact
+    # the product recurrence keeps both within 1e-13 of the 30-digit values
     num = Sibuya(mu).survival_vector(horizon)
     one_minus = delta - Sibuya(mu).pmf_vector(horizon)
-    k = np.arange(horizon + 1)
-    np.testing.assert_allclose(num, (-1.0) ** k * binom_coef(mu - 1.0, k), rtol=1e-11)
-    np.testing.assert_allclose(one_minus, (-1.0) ** k * binom_coef(mu, k), rtol=1e-11)
+    with mpmath.workdps(30):
+        exact = np.array([
+            [float((-1) ** k * mpmath.binomial(a, k)) for k in range(horizon + 1)]
+            for a in (mu - 1.0, mu)
+        ])
+    np.testing.assert_allclose(num, exact[0], rtol=1e-13)
+    np.testing.assert_allclose(one_minus, exact[1], rtol=1e-13)
     ml = series.convolve(num, series.reciprocal(delta + ratio * one_minus))
     t = 512
     assert ml[t] * math.gamma(1 - mu) * t**mu == pytest.approx(1.0, rel=0.10)

@@ -218,3 +218,16 @@ def test_propagator_grid_csv(tmp_path):
     assert main(argv) == 0
     lines = (tmp_path / "walk_propagator_t1.csv").read_text().splitlines()
     assert lines == ["x0,prob", "-2,0", "-1,0.5", "0,0", "1,0.5", "2,0"]
+
+
+def test_propagator_time_ignores_later_horizon(tmp_path):
+    # column t of the stopped table depends on no later time, so the
+    # propagator file is the same whatever the horizon beyond t
+    files = []
+    for horizon in (24, 200):
+        out = tmp_path / str(horizon)
+        assert main(["walk", "--inner", "geometric:p=0.7", "--stop", "geometric:p=0.04",
+                     "--steps", "triangular-biased", "--horizon", str(horizon),
+                     "--propagator-time", "24", "--box", "24", "--out", str(out)]) == 0
+        files.append((out / "walk_propagator_t24.csv").read_bytes())
+    assert files[0] == files[1]
