@@ -28,6 +28,10 @@ _TYPE_II_TOL = 1e-12
 #: columns of the Toeplitz factor that :func:`state_table` holds at once
 _TOEPLITZ_BLOCK = 256
 
+#: below this horizon :func:`state_table` convolves row by row, which is
+#: faster than setting up the doubling's matrix products
+_DOUBLING_MIN_HORIZON = 20
+
 
 @dataclass
 class StateTable:
@@ -76,19 +80,41 @@ def state_table(law: WaitingLaw, horizon: int) -> StateTable:
     """Full table P[N(t) = n] for 0 <= n, t <= horizon.
 
     Row n is survival * pmf^(*n); keeping n_max equal to the horizon makes
-    the column sums exactly one.  The rows are built by doubling: with
-    c = pmf^(*k), rows [k, 2k) are rows [0, k) times the upper-triangular
-    Toeplitz matrix U[i, t] = c[t - i], one matrix product per doubling.
-    Every term is nonnegative, so each entry keeps its relative accuracy.
+    the column sums exactly one.  From horizon 20 on the rows are built by
+    doubling: with c = pmf^(*k), rows [k, 2k) are rows [0, k) times the
+    upper-triangular Toeplitz matrix U[i, t] = c[t - i], one matrix product
+    per doubling.  Every term is nonnegative, so each entry keeps its
+    relative accuracy.  Smaller tables are convolved row by row.
     """
     if horizon < 0:
         raise ParameterError("horizon must be >= 0")
     if horizon == 0:
         return StateTable(np.ones((1, 1)))
-    size = horizon + 1
+    surv = survival_series(law, horizon)
+    pmf = law.pmf_vector(horizon)
+    if horizon < _DOUBLING_MIN_HORIZON:
+        return StateTable(_rows_by_convolution(surv, pmf))
+    return StateTable(_rows_by_doubling(surv, pmf))
+
+
+def _rows_by_convolution(surv: np.ndarray, pmf: np.ndarray) -> np.ndarray:
+    """Rows surv * pmf^(*n), two convolutions per row."""
+    horizon = len(surv) - 1
+    probs = np.zeros((horizon + 1, horizon + 1))
+    power = series.delta_series(horizon)
+    for n in range(horizon + 1):
+        probs[n] = series.convolve(surv, power)
+        if n < horizon:
+            power = series.convolve(power, pmf)
+    return probs
+
+
+def _rows_by_doubling(surv: np.ndarray, pmf: np.ndarray) -> np.ndarray:
+    """Rows surv * pmf^(*n), one matrix product per doubling of n."""
+    size = len(surv)
     probs = np.zeros((size, size))
-    probs[0] = survival_series(law, horizon)
-    power = law.pmf_vector(horizon)
+    probs[0] = surv
+    power = pmf
     k = 1
     while k < size:
         rows = min(k, size - k)
@@ -109,7 +135,7 @@ def state_table(law: WaitingLaw, horizon: int) -> StateTable:
         if 2 * k < size:
             power = series.convolve(power, power)
         k *= 2
-    return StateTable(probs)
+    return probs
 
 
 def count_moments(law: WaitingLaw, horizon: int):

@@ -267,7 +267,7 @@ def _reference_csv(header, columns):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("block_cells", [cli._CSV_BLOCK_CELLS, 7])
+@pytest.mark.parametrize("block_cells", [cli._CSV_BLOCK_CELLS, 1 << 13, 7])
 def test_write_csv_matches_per_cell_formatting(tmp_path, monkeypatch, block_cells):
     monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_cells)
     rng = np.random.default_rng(4)

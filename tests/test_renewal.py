@@ -32,38 +32,28 @@ def test_survival_closed_forms():
         assert renewal.survival_series(law, 10)[0] == 1.0
 
 
-def _direct_state_table(law, horizon):
-    """Row-by-row oracle: row n is survival * pmf^(*n), one convolution each."""
-    if horizon == 0:
-        return np.ones((1, 1))
-    surv = renewal.survival_series(law, horizon)
-    pmf = law.pmf_vector(horizon)
-    probs = np.zeros((horizon + 1, horizon + 1))
-    power = series.delta_series(horizon)
-    for n in range(horizon + 1):
-        probs[n] = series.convolve(surv, power)
-        if n < horizon:
-            power = series.convolve(power, pmf)
-    return probs
-
-
-@pytest.mark.parametrize("horizon", [0, 1, 2, 3, 127, 128, 129, 768])
+@pytest.mark.parametrize("horizon", [0, 1, 2, 3, 19, 20, 127, 128, 129, 768])
 @pytest.mark.parametrize(
     "law",
     [Sibuya(0.5), Sibuya(0.05), Geometric(0.3), Geometric(0.7),
      DefectiveSibuya(0.5, 0.4), PowerLawBernstein(0.5, 1.5)],
 )
 def test_state_table_doubling_matches_direct(law, horizon):
-    # the geometric tails reach subnormals, which keep too few digits for a
-    # relative check; entries at or below 1e-290 are checked for sign only
-    table = renewal.state_table(law, horizon).probs
-    direct = _direct_state_table(law, horizon)
-    assert table.shape == direct.shape
-    assert (table >= 0.0).all()
-    n, t = np.indices(table.shape)
-    assert (table[n > t] == 0.0).all()
-    normal = direct > 1e-290
-    np.testing.assert_allclose(table[normal], direct[normal], rtol=1e-13, atol=0)
+    # the row-by-row convolution is the oracle for the doubling at every
+    # horizon, also below the one where state_table switches to it
+    surv = renewal.survival_series(law, horizon)
+    pmf = law.pmf_vector(max(horizon, 1))[: horizon + 1]
+    direct = renewal._rows_by_convolution(surv, pmf)
+    for table in (renewal._rows_by_doubling(surv, pmf),
+                  renewal.state_table(law, horizon).probs):
+        assert table.shape == direct.shape
+        assert (table >= 0.0).all()
+        n, t = np.indices(table.shape)
+        assert (table[n > t] == 0.0).all()
+        # the geometric tails reach subnormals, which keep too few digits for
+        # a relative check; entries at or below 1e-290 are checked for sign only
+        normal = direct > 1e-290
+        np.testing.assert_allclose(table[normal], direct[normal], rtol=1e-13, atol=0)
 
 
 def test_state_table_geometric_is_binomial():
