@@ -201,8 +201,7 @@ def _cmd_stopped(args) -> int:
         parse_law(args.inner), parse_law(args.stop), args.horizon
     )
     _write_state_table(args, stopped.stopped_state_table(spec), "stopped_state")
-    mean = stopped.stopped_moments(spec, 1)
-    second = stopped.stopped_moments(spec, 2)
+    mean, second = stopped._moment_pair(spec)
     _write_csv(
         os.path.join(args.out, "stopped_moments.csv"),
         ["t", "mean", "second", "variance"],
@@ -264,8 +263,7 @@ def _cmd_walk(args) -> int:
         parse_law(args.inner), parse_law(args.stop), args.horizon
     )
     step = parse_steps(args.steps)
-    mean = stopped.stopped_moments(spec, 1)
-    second = stopped.stopped_moments(spec, 2)
+    mean, second = stopped._moment_pair(spec)
     moments = walks.walk_moments(step, mean, second)
     header = ["t", "count_mean", "count_second", "msd"]
     columns = [np.arange(len(mean)), mean, second, moments.msd]
@@ -432,9 +430,7 @@ def _triangular_msd(qs):
     spec = stopped.StoppedSpec(
         Geometric(_P0), DefectiveGeometric(qs, 1.0 - _Q), _FIGURE_HORIZON
     )
-    return walks.triangular_msd(
-        "biased", stopped.stopped_moments(spec, 1), stopped.stopped_moments(spec, 2)
-    )
+    return walks.triangular_msd("biased", *stopped._moment_pair(spec))
 
 
 #: figure key -> () -> (header, columns) of ``<key>.csv``

@@ -4,9 +4,10 @@ A law carries a total mass ``defect_mass`` in (0, 1]; the deficit
 ``1 - defect_mass`` is probability sitting at infinity, so a draw may
 return the ``INFINITY`` sentinel.  Each family exposes its pmf, a
 closed-form generating-function evaluation where one exists, a
-closed-form survival, and an exact sampler: CDF inversion, except for
-Sibuya draws, which are geometric with a Beta-distributed success
-probability.
+closed-form survival, and an exact sampler: CDF inversion (for geometric
+laws, of an exponential variate), except for Sibuya draws, which are
+geometric with a Beta-distributed success probability.  Laws without a
+defect skip the draw that decides between a finite time and infinity.
 """
 
 from __future__ import annotations
@@ -24,6 +25,24 @@ from .errors import ParameterError
 INFINITY = math.inf
 
 _MASS_TOL = 1e-12
+
+
+def _geometric_draws(rng, n: int, p: float) -> np.ndarray:
+    """``n`` Geometric(p) draws on {1, 2, ...} as floats, one variate each.
+
+    W = ceil(E / -log(1-p)) with E standard exponential has P[W > t] =
+    (1-p)^t (Devroye 1986, X.2).  numpy's own sampler searches draw by draw
+    for p >= 1/3, at about 1/p uniforms per draw.  E = 0 would give 0, so
+    W is kept at 1 or more; draws beyond the float range (p near the
+    smallest float) are clamped, as infinity means "never arrives".
+    """
+    if p >= 1.0:
+        return np.ones(n)
+    w = rng.standard_exponential(n)
+    with np.errstate(over="ignore"):
+        w /= -math.log1p(-p)
+    np.ceil(w, out=w)
+    return np.clip(w, 1.0, np.finfo(float).max, out=w)
 
 
 class WaitingLaw:
@@ -64,10 +83,11 @@ class WaitingLaw:
     def sample(self, rng, size=None):
         """Draw waiting times; INFINITY (scalar) / np.inf (array) when defective."""
         if size is None:
-            if rng.random() >= self.defect_mass:
-                return INFINITY
-            return int(self._sample_finite(rng, 1)[0])
+            draw = float(self.sample(rng, 1)[0])
+            return INFINITY if draw == INFINITY else int(draw)
         n = int(size)
+        if self.defect_mass >= 1.0:
+            return self._sample_finite(rng, n)
         out = np.full(n, np.inf)
         finite = rng.random(n) < self.defect_mass
         k = int(finite.sum())
@@ -118,7 +138,7 @@ class Geometric(WaitingLaw):
         return 1.0 / self.p
 
     def _sample_finite(self, rng, n):
-        return rng.geometric(self.p, size=n).astype(float)
+        return _geometric_draws(rng, n, self.p)
 
 
 @dataclass(frozen=True)
@@ -161,7 +181,7 @@ class DefectiveGeometric(WaitingLaw):
         return 1.0 / self.p if self.defect >= 1.0 else INFINITY
 
     def _sample_finite(self, rng, n):
-        return rng.geometric(self.p, size=n).astype(float)
+        return _geometric_draws(rng, n, self.p)
 
 
 @dataclass(frozen=True)

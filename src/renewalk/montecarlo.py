@@ -5,6 +5,12 @@ Replicas are split into fixed-size chunks, each driven by its own
 counter-derived random stream, and chunk results are combined in index
 order.  Outputs therefore depend only on (seed, replicas, request), never
 on the worker count, which makes seeded runs byte-reproducible.
+
+Every sampler runs one event loop (``_events``): each pass draws one
+waiting time from the inner law's own sampler for every replica whose
+next event still falls within its cap.  Paths mark their events and take
+a running sum; a walk draws the steps of its M events as one multinomial
+count per step kind, which is the sum of M IID steps in law.
 """
 
 from __future__ import annotations
@@ -64,40 +70,71 @@ def _run_chunks(cfg: SimConfig, worker):
         return [f.result() for f in futures]
 
 
+def _events(law: WaitingLaw, caps: np.ndarray, rng):
+    """Yield ``(active, times)`` for each successive event at a time <= caps.
+
+    Pass k holds the k-th event of every replica that has one within its
+    cap: ``active`` indexes those replicas and ``times`` is where their
+    event falls.  Each pass draws one waiting time per active replica.
+    """
+    times = law.sample(rng, len(caps))
+    active = np.nonzero(times <= caps)[0]
+    times, caps = times[active], caps[active]
+    while active.size:
+        yield active, times
+        times += law.sample(rng, active.size)
+        keep = times <= caps
+        active, times, caps = active[keep], times[keep], caps[keep]
+
+
 def _renewal_count(law: WaitingLaw, caps: np.ndarray, rng) -> np.ndarray:
     """Events of a renewal stream with waiting law ``law`` within [0, caps]."""
-    n = len(caps)
-    counts = np.zeros(n, dtype=np.int64)
-    times = np.asarray(law.sample(rng, n), dtype=float)
-    active = np.nonzero(times <= caps)[0]
-    while active.size:
-        counts[active] += 1
-        times[active] += np.asarray(law.sample(rng, active.size), dtype=float)
-        active = active[times[active] <= caps[active]]
+    counts = np.zeros(len(caps), dtype=np.int64)
+    # the replicas of pass k are those with at least k events
+    for k, (active, _) in enumerate(_events(law, caps, rng), 1):
+        counts[active] = k
     return counts
+
+
+def _capped_runs(spec: StoppedSpec, cfg: SimConfig, t_obs, count, unfrozen: str):
+    """Run ``count(rng, caps)`` per chunk with caps = min(S, t_obs).
+
+    At t_obs = INFINITY the stopping time S is capped at cfg.horizon; if
+    more than one replica in a thousand hits the cap the run is
+    inconclusive and raises, with ``unfrozen`` as the message.
+    """
+    infinite = t_obs == INFINITY
+    if not infinite and (t_obs < 0 or t_obs > cfg.horizon):
+        raise ParameterError("t_obs must be in [0, horizon] or INFINITY")
+    cap = float(cfg.horizon if infinite else t_obs)
+
+    def worker(rng, size):
+        stop_times = spec.stop.sample(rng, size)
+        hits = int(np.count_nonzero(stop_times > cap)) if infinite else 0
+        return count(rng, np.minimum(stop_times, cap)), hits
+
+    results = _run_chunks(cfg, worker)
+    total_hits = sum(hits for _, hits in results)
+    if total_hits > 1e-3 * cfg.replicas:
+        raise InconclusiveRunError(f"{total_hits} of {cfg.replicas} {unfrozen}")
+    return [r for r, _ in results]
 
 
 def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
     """Replica paths M(0..horizon) of the stopped count, one row per replica.
 
-    Each path runs the inner renewal stream, draws one stopping time, and
-    freezes at it; an infinite stopping time never freezes the path.
+    Each path draws one stopping time S and runs the inner renewal stream up
+    to min(S, horizon), so M(t) = N(min(t, S)) is the running event count;
+    an infinite stopping time never freezes the path.
     """
     horizon = min(spec.horizon, cfg.horizon)
-    t_axis = np.arange(horizon + 1)
 
     def worker(rng, size):
-        stop_times = np.asarray(spec.stop.sample(rng, size), dtype=float)
-        events = np.zeros((size, horizon + 1), dtype=np.int64)
-        times = np.asarray(spec.inner.sample(rng, size), dtype=float)
-        active = np.nonzero(times <= horizon)[0]
-        while active.size:
-            events[active, times[active].astype(np.int64)] = 1
-            times[active] += np.asarray(spec.inner.sample(rng, active.size), dtype=float)
-            active = active[times[active] <= horizon]
-        counts = np.cumsum(events, axis=1)
-        freeze_col = np.minimum(t_axis[None, :], np.clip(stop_times, 0, horizon)[:, None])
-        return np.take_along_axis(counts, freeze_col.astype(np.int64), axis=1)
+        caps = np.minimum(spec.stop.sample(rng, size), horizon)
+        paths = np.zeros((size, horizon + 1), dtype=np.int64)
+        for active, times in _events(spec.inner, caps, rng):
+            paths[active, times.astype(np.int64)] = 1
+        return np.cumsum(paths, axis=1, out=paths)
 
     return np.vstack(_run_chunks(cfg, worker))
 
@@ -109,28 +146,12 @@ def sample_stopped_value(spec: StoppedSpec, cfg: SimConfig, t_obs) -> np.ndarray
     if more than one replica in a thousand hits the cap the run is
     inconclusive and raises instead of returning biased values.
     """
-    infinite = t_obs == INFINITY
-    if not infinite and (t_obs < 0 or t_obs > cfg.horizon):
-        raise ParameterError("t_obs must be in [0, horizon] or INFINITY")
-
-    def worker(rng, size):
-        stop_times = np.asarray(spec.stop.sample(rng, size), dtype=float)
-        if infinite:
-            hits = int(np.count_nonzero(stop_times > cfg.horizon))
-            caps = np.minimum(stop_times, cfg.horizon)
-        else:
-            hits = 0
-            caps = np.minimum(stop_times, float(t_obs))
-        return _renewal_count(spec.inner, caps, rng), hits
-
-    results = _run_chunks(cfg, worker)
-    total_hits = sum(r[1] for r in results)
-    if infinite and total_hits > 1e-3 * cfg.replicas:
-        raise InconclusiveRunError(
-            f"{total_hits} of {cfg.replicas} paths were still unfrozen at the "
-            f"horizon {cfg.horizon}; raise the horizon or fix the stopping law"
-        )
-    return np.concatenate([r[0] for r in results])
+    counts = _capped_runs(
+        spec, cfg, t_obs, lambda rng, caps: _renewal_count(spec.inner, caps, rng),
+        f"paths were still unfrozen at the horizon {cfg.horizon}; "
+        "raise the horizon or fix the stopping law",
+    )
+    return np.concatenate(counts)
 
 
 def sample_walk_endpoint(
@@ -138,42 +159,17 @@ def sample_walk_endpoint(
 ) -> np.ndarray:
     """Replica lattice positions of the walk at t_obs (or frozen, INFINITY).
 
-    The generator count is simulated path-wise exactly as in
-    :func:`sample_stopped_value`, then that many IID steps are summed.
+    The generator count M is simulated path-wise exactly as in
+    :func:`sample_stopped_value`.  The sum of M IID steps depends on them
+    only through how many of each kind were taken, which is multinomial.
     """
-    infinite = t_obs == INFINITY
-    if not infinite and (t_obs < 0 or t_obs > cfg.horizon):
-        raise ParameterError("t_obs must be in [0, horizon] or INFINITY")
-    n_steps = len(step.probs)
 
-    def worker(rng, size):
-        stop_times = np.asarray(spec.stop.sample(rng, size), dtype=float)
-        if infinite:
-            hits = int(np.count_nonzero(stop_times > cfg.horizon))
-            caps = np.minimum(stop_times, cfg.horizon)
-        else:
-            hits = 0
-            caps = np.minimum(stop_times, float(t_obs))
-        # walk one inner event at a time: each still-running replica takes
-        # one step per loop pass, so memory stays O(chunk) whatever the horizon
-        pos = np.zeros((size, step.dim), dtype=np.int64)
-        times = np.asarray(spec.inner.sample(rng, size), dtype=float)
-        active = np.nonzero(times <= caps)[0]
-        while active.size:
-            picks = rng.choice(n_steps, size=active.size, p=step.probs)
-            pos[active] += step.displacements[picks]
-            times[active] += np.asarray(spec.inner.sample(rng, active.size), dtype=float)
-            active = active[times[active] <= caps[active]]
-        return pos, hits
+    def endpoint(rng, caps):
+        counts = _renewal_count(spec.inner, caps, rng)
+        return rng.multinomial(counts, step.probs) @ step.displacements
 
-    results = _run_chunks(cfg, worker)
-    total_hits = sum(r[1] for r in results)
-    if infinite and total_hits > 1e-3 * cfg.replicas:
-        raise InconclusiveRunError(
-            f"{total_hits} of {cfg.replicas} walks were still unfrozen at the "
-            f"horizon {cfg.horizon}"
-        )
-    return np.vstack([r[0] for r in results])
+    unfrozen = f"walks were still unfrozen at the horizon {cfg.horizon}"
+    return np.vstack(_capped_runs(spec, cfg, t_obs, endpoint, unfrozen))
 
 
 def dequantize(values, rng, one_sided: bool = False) -> np.ndarray:
@@ -201,8 +197,7 @@ def unfrozen_fraction(spec: StoppedSpec, cfg: SimConfig, t: float) -> float:
     """
 
     def worker(rng, size):
-        stop_times = np.asarray(spec.stop.sample(rng, size), dtype=float)
-        return int(np.count_nonzero(stop_times > t))
+        return int(np.count_nonzero(spec.stop.sample(rng, size) > t))
 
     return sum(_run_chunks(cfg, worker)) / cfg.replicas
 

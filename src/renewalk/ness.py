@@ -29,11 +29,24 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import ParameterError, QuadratureError
 from .laws import WaitingLaw
 from .walks import PropagatorGrid, StepLaw
+
+
+def quad(*args, **kwargs):
+    """``scipy.integrate.quad``, imported on the first call.
+
+    The import takes about 0.3 s, which every CLI start would pay although
+    only the stationary-law quadratures need it.  The first call rebinds
+    this module's ``quad`` to scipy's, so later calls go straight to it.
+    """
+    global quad
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
+
 
 _FULL_MASS_TOL = 1e-12
 # relative tolerance of one mixture density value

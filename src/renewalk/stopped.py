@@ -79,13 +79,18 @@ def stopped_moments(spec: StoppedSpec, order: int) -> np.ndarray:
     """Series E M(t) (order 1) or E M^2(t) (order 2) on [0, horizon]."""
     if order not in (1, 2):
         raise ParameterError("order must be 1 or 2")
+    return _moment_pair(spec)[order - 1]
+
+
+def _moment_pair(spec: StoppedSpec) -> tuple[np.ndarray, np.ndarray]:
+    """E M(t) and E M^2(t) on [0, horizon] from one ``count_moments`` call."""
     horizon = max(spec.horizon, 1)
-    mean, second = renewal.count_moments(spec.inner, horizon)
-    inner_moment = mean if order == 1 else second
     stop_pmf = spec.stop.pmf_vector(horizon)
     stop_surv = spec.stop.survival_vector(horizon)
-    out = stop_surv * inner_moment + np.cumsum(stop_pmf * inner_moment)
-    return out[: spec.horizon + 1]
+    return tuple(
+        (stop_surv * inner + np.cumsum(stop_pmf * inner))[: spec.horizon + 1]
+        for inner in renewal.count_moments(spec.inner, horizon)
+    )
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from renewalk import cli
+from renewalk import cli, renewal, stopped
+from renewalk.laws import DefectiveGeometric, Geometric
 
 
 def run(args):
@@ -154,6 +155,29 @@ def test_walk_outputs(tmp_path):
     assert payload["mean_step"][1] == pytest.approx(np.sqrt(3) / 4, abs=1e-12)
     assert (tmp_path / "walk_moments.csv").exists()
     assert (tmp_path / "walk_propagator_t8.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["stopped", "walk"])
+def test_one_renewal_density_per_run(tmp_path, monkeypatch, command):
+    calls = []
+    count_moments = renewal.count_moments
+
+    def counted(*args):
+        calls.append(args)
+        return count_moments(*args)
+
+    monkeypatch.setattr(renewal, "count_moments", counted)
+    spec = stopped.StoppedSpec(Geometric(0.7), DefectiveGeometric(0.5, 0.2), 32)
+    argv = [command, "--inner", "geometric:p=0.7", "--stop",
+            "defective_geometric:defect=0.5,p=0.2", "--horizon", "32",
+            "--out", str(tmp_path)]
+    assert run(argv + (["--steps", "line:p=0.5"] if command == "walk" else [])) == 0
+    assert len(calls) == 1
+    name = "stopped_moments.csv" if command == "stopped" else "walk_moments.csv"
+    table = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+    for order in (1, 2):
+        np.testing.assert_allclose(table[:, order], stopped.stopped_moments(spec, order),
+                                   rtol=1e-11)
 
 
 def test_ness_curve_and_lattice(tmp_path):

@@ -237,6 +237,85 @@ def test_sibuya_sampler_survival_property(mu, seed):
         assert abs((draws > level).mean() - exact) < 5 * se + 5 / n
 
 
+_SURVIVAL_LEVELS = (0, 1, 2, 3, 5, 10, 30, 100, 1000, 5000)
+
+
+def _assert_sampler_survival(law, seed, n=1_000_000):
+    """Empirical P[W > t] within 6 standard errors of the exact survival.
+
+    Infinite draws count as exceeding every level, so the far levels also
+    check the rate of infinite draws, 1 - defect_mass.
+    """
+    draws = np.asarray(law.sample(np.random.default_rng(seed), size=n))
+    if law.defect_mass == 1.0:
+        assert not np.isinf(draws).any()
+    surv = law.survival_vector(_SURVIVAL_LEVELS[-1])
+    for level in _SURVIVAL_LEVELS:
+        exact = min(max(surv[level], 0.0), 1.0)
+        se = math.sqrt(exact * (1.0 - exact) / n)
+        assert abs((draws > level).mean() - exact) <= 6 * se + 1e-12, (law, level)
+    exact_inf = 1.0 - law.defect_mass
+    se_inf = math.sqrt(exact_inf * law.defect_mass / n)
+    assert abs(np.isinf(draws).mean() - exact_inf) <= 6 * se_inf + 1e-12
+
+
+# both sides of numpy's switch from inversion to a search at p = 1/3
+_GEOMETRIC_P = st.sampled_from([1e-3, 0.2, 1 / 3, 0.5, 0.9, 1.0])
+_SEED = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=_GEOMETRIC_P, seed=_SEED)
+def test_geometric_sampler_survival_property(p, seed):
+    _assert_sampler_survival(Geometric(p), seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(defect=st.floats(0.0, 1.0), p=_GEOMETRIC_P, seed=_SEED)
+def test_defective_geometric_sampler_survival_property(defect, p, seed):
+    _assert_sampler_survival(DefectiveGeometric(defect, p), seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(defect=st.floats(0.0, 1.0), mu=st.floats(0.05, 0.95), seed=_SEED)
+def test_defective_sibuya_sampler_survival_property(defect, mu, seed):
+    _assert_sampler_survival(DefectiveSibuya(defect, mu), seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(lam=st.floats(0.05, 200.0), seed=_SEED)
+def test_shifted_poisson_sampler_survival_property(lam, seed):
+    _assert_sampler_survival(ShiftedPoisson(lam), seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(gamma=st.floats(0.1, 4.0), zeta=st.floats(1.0, 4.0), seed=_SEED)
+def test_power_law_bernstein_sampler_survival_property(gamma, zeta, seed):
+    _assert_sampler_survival(PowerLawBernstein(gamma, zeta), seed)
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    weights=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40).filter(
+        lambda w: sum(w) > 0
+    ),
+    mass=st.floats(0.05, 1.0),
+    seed=_SEED,
+)
+def test_tabulated_sampler_survival_property(weights, mass, seed):
+    table = mass * np.array(weights) / sum(weights)
+    _assert_sampler_survival(Tabulated(table), seed)
+
+
+def test_geometric_draws_at_tiny_p_stay_finite():
+    # E / -log1p(-p) overflows for p near the smallest float; a law without
+    # a defect must still never return infinity
+    for p in (5e-324, 1e-300, 1e-17):
+        draws = Geometric(p).sample(np.random.default_rng(3), size=1000)
+        assert np.isfinite(draws).all() and (draws >= 1).all()
+        assert np.array_equal(draws, np.floor(draws))
+
+
 def test_dcm_verify_cases():
     t = np.arange(65, dtype=float)
     ok, witness = dcm_verify(np.exp(-0.3 * t), n_max=6)

@@ -10,7 +10,7 @@ import renewalk
 from renewalk import montecarlo as mc
 from renewalk import ness, stopped, walks
 from renewalk.errors import InconclusiveRunError, ParameterError
-from renewalk.laws import INFINITY, DefectiveGeometric, Geometric
+from renewalk.laws import INFINITY, DefectiveGeometric, Geometric, Sibuya
 from renewalk.montecarlo import SimConfig
 from renewalk.stopped import StoppedSpec
 
@@ -134,6 +134,45 @@ def test_walk_endpoint_moments_match_wald():
     assert cart[:, 1].mean() == pytest.approx(exact.mean[300, 1], rel=0.05)
 
 
+def test_walk_endpoint_law_matches_propagator():
+    # the full 2-d lattice law of the biased triangular walk at a finite t
+    spec = StoppedSpec(Geometric(0.6), DefectiveGeometric(0.5, 0.15), 12)
+    step = walks.triangular_walk(True)
+    t = half_width = 12
+    grid = walks.propagator(step, stopped.stopped_state_table(spec).column(t), half_width)
+    cfg = SimConfig(seed=79, replicas=200_000, horizon=t)
+    pos = mc.sample_walk_endpoint(step, spec, cfg, t) + half_width
+    width = 2 * half_width + 1
+    comp = mc.compare_discrete(pos[:, 0] * width + pos[:, 1], np.arange(width**2),
+                               grid.values.ravel())
+    assert comp.chisq_pvalue > 0.001
+
+
+def test_sibuya_paths_match_state_table_columns():
+    # events marked up to min(S, horizon) and summed, for a fat-tailed inner
+    # law and a stop that never comes on half the paths
+    spec = StoppedSpec(Sibuya(0.5), DefectiveGeometric(0.5, 0.1), 40)
+    paths = mc.sample_stopped_path(spec, SimConfig(seed=83, replicas=100_000, horizon=40))
+    table = stopped.stopped_state_table(spec)
+    for t in (3, 17, 40):
+        comp = mc.compare_discrete(paths[:, t], np.arange(41), table.column(t))
+        assert comp.chisq_pvalue > 0.001, t
+
+
+def test_samplers_identical_for_any_worker_count_over_many_chunks():
+    replicas = 3 * mc._CHUNK + 1000
+    step = walks.triangular_walk(True)
+    outs = []
+    for workers in (1, 3):
+        cfg = SimConfig(seed=89, replicas=replicas, horizon=128, workers=workers)
+        outs.append((
+            mc.sample_stopped_path(SPEC, cfg).tobytes(),
+            mc.sample_walk_endpoint(step, SPEC, cfg, 20).tobytes(),
+            mc.sample_walk_endpoint(step, SPEC, cfg, INFINITY).tobytes(),
+        ))
+    assert outs[0] == outs[1]
+
+
 def test_lattice_ness_against_endpoint_histogram():
     q = 0.8
     step = walks.line_walk(0.5)
@@ -173,10 +212,11 @@ def test_cli_import_leaves_scipy_stats_out():
     src = os.path.dirname(os.path.dirname(renewalk.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
-    code = "import sys, renewalk.cli; print('scipy.stats' in sys.modules)"
+    code = ("import sys, renewalk.cli; "
+            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_compare_continuous_and_two_sample():
