@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, poch
+from scipy.stats import binom
 
 from renewalk import laws
 from renewalk.errors import ParameterError
@@ -240,8 +241,26 @@ def test_sibuya_sampler_survival_property(mu, seed):
 _SURVIVAL_LEVELS = (0, 1, 2, 3, 5, 10, 30, 100, 1000, 5000)
 
 
+# one-sided tail of 6 standard errors of a normal law
+_SIX_SIGMA_TAIL = 0.5 * math.erfc(6.0 / math.sqrt(2.0))
+
+
+def _assert_binomial_count(count, n, prob, what):
+    """``count`` of ``n`` trials lies in the exact Binomial(n, prob) region
+    whose two tails each hold at most ``_SIX_SIGMA_TAIL``.
+
+    Where n * prob is large this is the 6-standard-error band; at far levels,
+    with a fraction of one expected exceedance, a single draw beyond the level
+    is a likely event that a normal band of width 6 * sqrt(prob / n) < 1 / n
+    would reject.
+    """
+    lo = binom.ppf(_SIX_SIGMA_TAIL, n, prob)
+    hi = binom.isf(_SIX_SIGMA_TAIL, n, prob)
+    assert lo <= count <= hi, (what, count, lo, hi)
+
+
 def _assert_sampler_survival(law, seed, n=1_000_000):
-    """Empirical P[W > t] within 6 standard errors of the exact survival.
+    """Count of draws above each level against the exact survival.
 
     Infinite draws count as exceeding every level, so the far levels also
     check the rate of infinite draws, 1 - defect_mass.
@@ -252,11 +271,9 @@ def _assert_sampler_survival(law, seed, n=1_000_000):
     surv = law.survival_vector(_SURVIVAL_LEVELS[-1])
     for level in _SURVIVAL_LEVELS:
         exact = min(max(surv[level], 0.0), 1.0)
-        se = math.sqrt(exact * (1.0 - exact) / n)
-        assert abs((draws > level).mean() - exact) <= 6 * se + 1e-12, (law, level)
-    exact_inf = 1.0 - law.defect_mass
-    se_inf = math.sqrt(exact_inf * law.defect_mass / n)
-    assert abs(np.isinf(draws).mean() - exact_inf) <= 6 * se_inf + 1e-12
+        _assert_binomial_count(int((draws > level).sum()), n, exact, (law, level))
+    exact_inf = min(max(1.0 - law.defect_mass, 0.0), 1.0)
+    _assert_binomial_count(int(np.isinf(draws).sum()), n, exact_inf, (law, "inf"))
 
 
 # both sides of numpy's switch from inversion to a search at p = 1/3
