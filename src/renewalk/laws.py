@@ -2,12 +2,16 @@
 
 A law carries a total mass ``defect_mass`` in (0, 1]; the deficit
 ``1 - defect_mass`` is probability sitting at infinity, so a draw may
-return the ``INFINITY`` sentinel.  Each family exposes its pmf, a
-closed-form generating-function evaluation where one exists, a
+return the ``INFINITY`` sentinel.  ``has_full_mass`` is the one test of
+whether that deficit is below float resolution.  Each family exposes its
+pmf, a closed-form generating-function evaluation where one exists, a
 closed-form survival, and an exact sampler: CDF inversion (for geometric
 laws, of an exponential variate), except for Sibuya draws, which are
 geometric with a Beta-distributed success probability.  Laws without a
 defect skip the draw that decides between a finite time and infinity.
+The defective families are one construction (``_Thinned``): a base law
+whose pmf is scaled by ``defect``, with the rest of the mass at infinity
+and the base law's own finite draws.
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ class WaitingLaw:
     #: total probability mass on finite times, in (0, 1]
     defect_mass: float = 1.0
 
+    @property
+    def has_full_mass(self) -> bool:
+        """True when the mass at infinity is below float resolution."""
+        return self.defect_mass >= 1.0 - _MASS_TOL
+
     def pmf(self, t):
         """Probability of waiting exactly ``t`` steps (vectorized, 0 for t < 1)."""
         raise NotImplementedError
@@ -74,10 +83,6 @@ class WaitingLaw:
 
     def gf(self, u: float) -> float:
         """Generating function sum_t pmf(t) u^t on [0, 1]; returns the mass at u=1."""
-        raise NotImplementedError
-
-    def mean(self) -> float:
-        """Expected waiting time; infinite for defective or fat-tailed laws."""
         raise NotImplementedError
 
     def sample(self, rng, size=None):
@@ -134,52 +139,6 @@ class Geometric(WaitingLaw):
         u = self._check_u(u)
         return self.p * u / (1.0 - self.q * u)
 
-    def mean(self) -> float:
-        return 1.0 / self.p
-
-    def _sample_finite(self, rng, n):
-        return _geometric_draws(rng, n, self.p)
-
-
-@dataclass(frozen=True)
-class DefectiveGeometric(WaitingLaw):
-    """Geometric thinned to total mass ``defect``; pmf(t) = defect * p (1-p)^(t-1).
-
-    ``defect`` = 0 is the degenerate law with all mass at infinity.
-    """
-
-    defect: float
-    p: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.defect <= 1.0:
-            raise ParameterError(f"defect mass must be in [0, 1], got {self.defect}")
-        if not 0.0 < self.p <= 1.0:
-            raise ParameterError(f"geometric p must be in (0, 1], got {self.p}")
-
-    @property
-    def defect_mass(self) -> float:
-        return self.defect
-
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
-
-    def pmf(self, t):
-        t = np.asarray(t)
-        return np.where(t >= 1, self.defect * self.p * self.q ** np.maximum(t - 1, 0), 0.0)
-
-    def survival_vector(self, horizon: int) -> np.ndarray:
-        t = np.arange(horizon + 1, dtype=float)
-        return (1.0 - self.defect) + self.defect * self.q**t
-
-    def gf(self, u: float) -> float:
-        u = self._check_u(u)
-        return self.defect * self.p * u / (1.0 - self.q * u)
-
-    def mean(self) -> float:
-        return 1.0 / self.p if self.defect >= 1.0 else INFINITY
-
     def _sample_finite(self, rng, n):
         return _geometric_draws(rng, n, self.p)
 
@@ -227,9 +186,6 @@ class Sibuya(WaitingLaw):
         u = self._check_u(u)
         return 1.0 - (1.0 - u) ** self.mu
 
-    def mean(self) -> float:
-        return INFINITY
-
     def _sample_finite(self, rng, n):
         # Geometric with a Beta(mu, 1-mu) success probability U, since
         # E (1-U)^t = G(t+1-mu)/(G(1-mu) G(t+1)) is the Sibuya survival
@@ -242,46 +198,6 @@ class Sibuya(WaitingLaw):
         with np.errstate(divide="ignore", over="ignore"):
             t = np.floor(np.log1p(-v) / np.log1p(-u)) + 1.0
         return np.minimum(t, np.finfo(float).max)
-
-
-@dataclass(frozen=True)
-class DefectiveSibuya(WaitingLaw):
-    """Sibuya law thinned to total mass ``defect``."""
-
-    defect: float
-    mu: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.defect <= 1.0:
-            raise ParameterError(f"defect mass must be in [0, 1], got {self.defect}")
-        if not 0.0 < self.mu < 1.0:
-            raise ParameterError(f"sibuya index must be in (0, 1), got {self.mu}")
-
-    @property
-    def defect_mass(self) -> float:
-        return self.defect
-
-    @property
-    def _base(self) -> Sibuya:
-        return Sibuya(self.mu)
-
-    def pmf(self, t):
-        return self.defect * self._base.pmf(t)
-
-    def pmf_vector(self, horizon: int) -> np.ndarray:
-        return self.defect * self._base.pmf_vector(horizon)
-
-    def survival_vector(self, horizon: int) -> np.ndarray:
-        return (1.0 - self.defect) + self.defect * self._base.survival_vector(horizon)
-
-    def gf(self, u: float) -> float:
-        return self.defect * self._base.gf(u)
-
-    def mean(self) -> float:
-        return INFINITY
-
-    def _sample_finite(self, rng, n):
-        return self._base._sample_finite(rng, n)
 
 
 @dataclass(frozen=True)
@@ -313,9 +229,6 @@ class ShiftedPoisson(WaitingLaw):
     def gf(self, u: float) -> float:
         u = self._check_u(u)
         return u * math.exp(self.lam * (u - 1.0))
-
-    def mean(self) -> float:
-        return 1.0 + self.lam
 
     def _sample_finite(self, rng, n):
         return 1.0 + rng.poisson(self.lam, size=n).astype(float)
@@ -373,16 +286,6 @@ class PowerLawBernstein(WaitingLaw):
         t = np.arange(1, cutoff + 1, dtype=float)
         return float(np.sum(self.pmf(t) * u**t))
 
-    def mean(self) -> float:
-        if self.zeta > 1.0:
-            return INFINITY
-        # zeta = 1: sum of the survival, finite only for gamma > 1
-        if self.gamma <= 1.0:
-            return INFINITY
-        from scipy.special import zeta as hurwitz
-
-        return float(hurwitz(self.gamma, 1.0))
-
     def _sample_finite(self, rng, n):
         # Conditional survival zeta^gamma (t+zeta)^-gamma inverts in closed form.
         u = rng.random(n)
@@ -423,16 +326,70 @@ class Tabulated(WaitingLaw):
         t = np.arange(1, len(self.table) + 1, dtype=float)
         return float(np.sum(self.table * u**t))
 
-    def mean(self) -> float:
-        if self.defect_mass < 1.0 - _MASS_TOL:
-            return INFINITY
-        t = np.arange(1, len(self.table) + 1, dtype=float)
-        return float(np.sum(self.table * t))
-
     def _sample_finite(self, rng, n):
         cum = np.cumsum(self.table)
         u = rng.random(n) * cum[-1]
         return np.searchsorted(cum, u, side="right").astype(float) + 1.0
+
+
+class _Thinned(WaitingLaw):
+    """Base law thinned to total mass ``defect``; the rest sits at infinity.
+
+    Subclasses are frozen dataclasses with fields ``defect`` and the base
+    law's parameters.  ``_build_base`` runs once, after the ``defect``
+    check, so the base law validates its own parameters.  ``defect`` = 0
+    is the degenerate law with all mass at infinity.
+    """
+
+    def __post_init__(self):
+        if not 0.0 <= self.defect <= 1.0:
+            raise ParameterError(f"defect mass must be in [0, 1], got {self.defect}")
+        object.__setattr__(self, "_base", self._build_base())
+
+    @property
+    def defect_mass(self) -> float:
+        return self.defect
+
+    def pmf(self, t):
+        return self.defect * self._base.pmf(t)
+
+    def pmf_vector(self, horizon: int) -> np.ndarray:
+        return self.defect * self._base.pmf_vector(horizon)
+
+    def survival_vector(self, horizon: int) -> np.ndarray:
+        return (1.0 - self.defect) + self.defect * self._base.survival_vector(horizon)
+
+    def gf(self, u: float) -> float:
+        return self.defect * self._base.gf(u)
+
+    def _sample_finite(self, rng, n):
+        return self._base._sample_finite(rng, n)
+
+
+@dataclass(frozen=True)
+class DefectiveGeometric(_Thinned):
+    """Geometric thinned to total mass ``defect``; pmf(t) = defect * p (1-p)^(t-1)."""
+
+    defect: float
+    p: float
+
+    def _build_base(self) -> Geometric:
+        return Geometric(self.p)
+
+    @property
+    def q(self) -> float:
+        return 1.0 - self.p
+
+
+@dataclass(frozen=True)
+class DefectiveSibuya(_Thinned):
+    """Sibuya law thinned to total mass ``defect``."""
+
+    defect: float
+    mu: float
+
+    def _build_base(self) -> Sibuya:
+        return Sibuya(self.mu)
 
 
 def dcm_verify(values, n_max: int, tol: float = 1e-12):
@@ -507,19 +464,10 @@ def parse_law(text: str) -> WaitingLaw:
 
 
 def law_config(law: WaitingLaw) -> str:
-    """Inverse of :func:`parse_law` for the parametric families."""
-    if isinstance(law, DefectiveGeometric):
-        return f"defective_geometric:defect={law.defect},p={law.p}"
-    if isinstance(law, Geometric):
-        return f"geometric:p={law.p}"
-    if isinstance(law, DefectiveSibuya):
-        return f"defective_sibuya:defect={law.defect},mu={law.mu}"
-    if isinstance(law, Sibuya):
-        return f"sibuya:mu={law.mu}"
-    if isinstance(law, ShiftedPoisson):
-        return f"shifted_poisson:lam={law.lam}"
-    if isinstance(law, PowerLawBernstein):
-        return f"power_law_bernstein:gamma={law.gamma},zeta={law.zeta}"
-    if isinstance(law, Tabulated):
-        return "tabulated:pmf=" + ";".join(repr(float(v)) for v in law.table)
+    """Inverse of :func:`parse_law`: the config string of a law of any kind."""
+    for kind, (cls, names) in _LAW_KINDS.items():
+        if type(law) is cls:
+            if cls is Tabulated:
+                return "tabulated:pmf=" + ";".join(repr(float(v)) for v in law.table)
+            return f"{kind}:" + ",".join(f"{name}={getattr(law, name)}" for name in names)
     raise ParameterError(f"no config form for {type(law).__name__}")

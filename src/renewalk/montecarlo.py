@@ -226,9 +226,10 @@ def compare_discrete(samples, support, probs) -> EmpiricalComparison:
     if support.shape != probs.shape:
         raise ParameterError("support and probs must align")
     n = samples.size
-    counts = np.array(
-        [(samples == v).sum() for v in support], dtype=float
-    )
+    # one sort of the samples, then a binary search per support value
+    values, freq = np.unique(samples, return_counts=True)
+    at = np.minimum(np.searchsorted(values, support), values.size - 1)
+    counts = np.where(values[at] == support, freq[at], 0).astype(float)
     other_count = n - counts.sum()
     other_prob = max(0.0, 1.0 - probs.sum())
     emp = counts / n

@@ -18,8 +18,10 @@ that does not oscillate,
            / ((1 - r^alpha)^2 + 2 r^alpha (1 + cos(pi a))) dr,
 
 with a = alpha/2 (Linnik) or a = alpha (Mittag-Leffler).  The stable
-densities themselves (``stable_density``) are still evaluated by direct
-oscillatory Fourier inversion with the exact exponential envelope as cutoff.
+densities themselves (``stable_density``) are Zolotarev's integral, which
+does not oscillate either (see ``_stable_point``).  Every density value from
+a quadrature carries its error estimate, and one above 1e-11 relative, or a
+failure that ``quad`` reports, raises ``QuadratureError``.
 """
 
 from __future__ import annotations
@@ -48,11 +50,35 @@ def quad(*args, **kwargs):
     return quad(*args, **kwargs)
 
 
-_FULL_MASS_TOL = 1e-12
-# relative tolerance of one mixture density value
-_MIX_RTOL = 1e-11
-# breakpoints where r y = e^k: e^(-ry) is flat below the first, negligible above the last
+# relative tolerance of one density value
+_RTOL = 1e-11
+# breakpoints where x = e^k in an integrand x e^(-x): it is flat below the
+# first turn and negligible above the last
 _TURNS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
+
+
+def _integrate(f, top, points, floor):
+    """(value, error) of int_0^top f; a failure quad reports is an infinite error."""
+    val, est, *info = quad(
+        f, 0.0, top, points=sorted(p for p in points if 0.0 < p < top) or None,
+        epsabs=0.5 * _RTOL * floor, epsrel=0.5 * _RTOL, limit=400, full_output=1,
+    )
+    return val, est if len(info) < 2 else math.inf
+
+
+def _checked(total: float, err: float, what: str) -> float:
+    if not err <= _RTOL * total:
+        raise QuadratureError(
+            f"{what}: quadrature error estimate {err:.3g} exceeds {_RTOL:g} of {total:.6g}"
+        )
+    return total
+
+
+def _per_magnitude(point, y: np.ndarray, one_sided: bool) -> np.ndarray:
+    """``point`` once per distinct |y|; y <= 0 maps to 0 when one-sided."""
+    mags = np.clip(y, 0.0, None) if one_sided else np.abs(y)
+    uniq, inverse = np.unique(mags, return_inverse=True)
+    return np.array([point(float(m)) for m in uniq])[inverse].reshape(y.shape)
 
 
 def ness_scale(inner: WaitingLaw, q: float) -> float:
@@ -106,7 +132,7 @@ def lattice_ness(
     """
     if not 0.0 < q < 1.0:
         raise ParameterError("q must be in (0, 1)")
-    if inner.defect_mass < 1.0 - _FULL_MASS_TOL:
+    if not inner.has_full_mass:
         raise ParameterError("inner law must be non-defective")
     if panels is None:
         panels = 4096 if step.dim == 1 else 512
@@ -125,15 +151,15 @@ def lattice_ness(
 
 
 def stable_density(y, alpha: float, theta: float = 0.0) -> np.ndarray:
-    """Stable density by Fourier inversion of exp(-(i^theta k)^alpha).
+    """Stable density with characteristic function exp(-(i^theta k)^alpha).
 
-    (i^theta k)^alpha = |k|^alpha exp(i pi sgn(k) alpha theta / 2), so for
-    real output it suffices to integrate over k > 0 and double the real
-    part.  Admissible parameters are the symmetric family theta = 0 with
-    alpha in (0, 2] and the one-sided family theta = 1 with alpha in (0, 1);
-    other combinations are rejected rather than guessed.  Closed-form
-    members: alpha=2 Gaussian (variance 2), alpha=1 Cauchy, alpha=1/2 with
-    theta=1 the one-sided 1/(2 sqrt(pi)) y^(-3/2) exp(-1/(4y)).
+    Admissible parameters are the symmetric family theta = 0 with alpha in
+    (0, 2] and the one-sided family theta = 1 with alpha in (0, 1); other
+    combinations are rejected rather than guessed.  Closed-form members:
+    alpha=2 Gaussian (variance 2), alpha=1 Cauchy, alpha=1/2 with theta=1
+    the one-sided 1/(2 sqrt(pi)) y^(-3/2) exp(-1/(4y)).  Other points come
+    from one quadrature each (``_stable_point``) whose error estimate must
+    stay below 1e-11 relative, else QuadratureError.
     """
     if theta == 0.0:
         if not 0.0 < alpha <= 2.0:
@@ -143,32 +169,70 @@ def stable_density(y, alpha: float, theta: float = 0.0) -> np.ndarray:
             raise ParameterError("one-sided stable index must be in (0, 1)")
     else:
         raise ParameterError(f"unsupported stable asymmetry parameter {theta}")
-    c = math.cos(math.pi * alpha * theta / 2.0)
-    s = math.sin(math.pi * alpha * theta / 2.0)
-    # envelope exp(-c k^alpha) below 1e-16 beyond the cutoff
-    cutoff = (16.0 * math.log(10.0) / c) ** (1.0 / alpha)
-
-    def even_part(k):
-        return np.exp(-c * k**alpha) * np.cos(s * k**alpha)
-
-    def odd_part(k):
-        return np.exp(-c * k**alpha) * np.sin(s * k**alpha)
-
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    out = np.empty_like(y_arr)
-    for i, yi in enumerate(y_arr):
-        total, _ = quad(
-            even_part, 0.0, cutoff, weight="cos", wvar=yi, limit=400,
-            epsabs=1e-12, epsrel=1e-12,
-        )
-        if s != 0.0:
-            part, _ = quad(
-                odd_part, 0.0, cutoff, weight="sin", wvar=yi, limit=400,
-                epsabs=1e-12, epsrel=1e-12,
-            )
-            total += part
-        out[i] = total / math.pi
+    if alpha == 2.0:
+        out = np.exp(-(y_arr**2) / 4.0) / (2.0 * math.sqrt(math.pi))
+    elif alpha == 1.0:
+        out = 1.0 / (math.pi * (1.0 + y_arr**2))
+    else:
+        out = _per_magnitude(lambda m: _stable_point(m, alpha, theta), y_arr, theta == 1.0)
     return out if np.ndim(y) else float(out[0])
+
+
+def _stable_point(y: float, alpha: float, theta: float) -> float:
+    """Stable density at y >= 0, alpha != 1, 2, by Zolotarev's integral
+
+        f(y) = alpha / (pi |alpha-1| y) int_0^(pi (1+theta)/2) g e^(-g) dw,
+        g = (y sin w / sin(c + alpha w))^(alpha/(alpha-1)) sin(c + (alpha-1) w) / sin w,
+
+    c = pi (1 - alpha (1+theta)/2) (Zolotarev 1986, sec. 2.2; Nolan 1997; the
+    scale cos(pi alpha theta/2)^(1/alpha) cancels).  g is monotone in w.  Each
+    half of the range is integrated in the distance from its own end, where
+    the sines keep every digit; from the far end, v, they are sin(e + v),
+    sin(alpha v) and sin(e + (1-alpha) v) with e = pi (1-theta)/2.  Breakpoints
+    sit where g = e^k (k in _TURNS) and at octaves towards an end where g is
+    not smooth: c 2^j on the near half (a layer w ~ c, thin as c -> 0) and,
+    for theta = 0 and alpha < 1/2, on the far half (g ~ v^(alpha/(1-alpha))).
+    """
+    if y == 0.0:
+        return 0.0 if theta == 1.0 else math.gamma(1.0 + 1.0 / alpha) / math.pi
+    from scipy.optimize import brentq
+
+    c = math.pi * (1.0 - alpha * (1.0 + theta) / 2.0)
+    e = math.pi * (1.0 - theta) / 2.0
+    half = math.pi * (1.0 + theta) / 4.0
+    power = alpha / (alpha - 1.0)
+    what = f"stable density alpha={alpha}, theta={theta}, y={y}"
+    # g carries the sines' rounding times |power|; the error it leaves in f
+    # measures below eps |power|, so 16 eps |power| is its estimate
+    _checked(1.0, 16.0 * np.finfo(float).eps * abs(power), what)
+    ends = (
+        (lambda w: (math.sin(w), math.sin(c + alpha * w), math.sin(c + (alpha - 1.0) * w)),
+         [c * 2.0**j for j in range(64)]),
+        (lambda v: (math.sin(e + v), math.sin(alpha * v), math.sin(e + (1.0 - alpha) * v)),
+         [half * 2.0**-j for j in range(1, 48)] if theta == 0.0 and alpha < 0.5 else []),
+    )
+    total = err = 0.0
+    for sines, points in ends:
+
+        def log_g(t, sines=sines):
+            a, b, d = sines(t)
+            return power * (math.log(y) + math.log(a / b)) + math.log(d / a)
+
+        def integrand(t):
+            x = log_g(t)
+            return math.exp(x - math.exp(x)) if x < 700.0 else 0.0
+
+        edge, mid = log_g(1e-200), log_g(half)
+        points = points + [
+            math.exp(brentq(lambda s: log_g(math.exp(s)) - k, math.log(1e-200), math.log(half)))
+            for k in _TURNS
+            if (edge - k) * (mid - k) < 0.0
+        ]
+        val, est = _integrate(integrand, half, points, total)
+        total += val
+        err += est
+    return alpha / (math.pi * abs(alpha - 1.0) * y) * _checked(total, err, what)
 
 
 @dataclass(frozen=True)
@@ -258,19 +322,11 @@ def _mixture_point(y: float, alpha: float, theta: float) -> float:
             log_r = side * math.log(math.sin(w) / far(w)) / alpha
             return math.exp(log_r - y * math.exp(log_r)) if log_r < 700.0 else 0.0
 
-        val, est = quad(
-            integrand, 0.0, top / 2.0,
-            points=sorted(p for p in pts if 0.0 < p < top / 2.0) or None,
-            epsabs=0.5 * _MIX_RTOL * total, epsrel=0.5 * _MIX_RTOL, limit=400,
-        )
+        val, est = _integrate(integrand, top / 2.0, pts, total)
         total += val
         err += est
-    if err > _MIX_RTOL * total:
-        raise QuadratureError(
-            f"stable mixture alpha={alpha}, theta={theta}, y={y}: quadrature error "
-            f"estimate {err:.3g} exceeds {_MIX_RTOL:g} of {total:.6g}"
-        )
-    return total / (alpha * math.pi)
+    what = f"stable mixture alpha={alpha}, theta={theta}, y={y}"
+    return _checked(total, err, what) / (alpha * math.pi)
 
 
 def stable_mixture_density(y, alpha: float, theta: float = 0.0):
@@ -299,11 +355,7 @@ def stable_mixture_density(y, alpha: float, theta: float = 0.0):
     elif theta == 1.0 and alpha == 1.0:
         out = one_sided_exp_density(y_arr, 1.0)
     else:
-        # one quadrature per distinct |y|; y <= 0 maps to 0 when one-sided
-        mags = np.abs(y_arr) if theta == 0.0 else np.clip(y_arr, 0.0, None)
-        uniq, inverse = np.unique(mags, return_inverse=True)
-        vals = np.array([_mixture_point(float(m), alpha, theta) for m in uniq])
-        out = vals[inverse].reshape(y_arr.shape)
+        out = _per_magnitude(lambda m: _mixture_point(m, alpha, theta), y_arr, theta == 1.0)
     return out if np.ndim(y) else float(out[0])
 
 

@@ -22,9 +22,6 @@ TYPE_I = "type_I"
 TYPE_II = "type_II"
 INTERMEDIATE = "intermediate"
 
-#: float-safe boundary for classifying a law as non-defective
-_TYPE_II_TOL = 1e-12
-
 #: columns of the Toeplitz factor that :func:`state_table` holds at once
 _TOEPLITZ_BLOCK = 256
 
@@ -185,7 +182,7 @@ def exceedance_prob(law: WaitingLaw, n0: int, t) -> float:
 
 def classify(law: WaitingLaw) -> str:
     """TYPE_II when the waiting law has full mass, TYPE_I otherwise."""
-    return TYPE_II if law.defect_mass >= 1.0 - _TYPE_II_TOL else TYPE_I
+    return TYPE_II if law.has_full_mass else TYPE_I
 
 
 def limit_state_law(law: WaitingLaw, n_max: int = 64):

@@ -18,6 +18,7 @@ from .errors import ParameterError
 from .laws import INFINITY, Tabulated, WaitingLaw
 from .renewal import INTERMEDIATE, TYPE_I, TYPE_II, StateTable
 
+#: float-safe boundary for the never-stop probability and the stop mass Q_S
 _FULL_MASS_TOL = 1e-12
 
 
@@ -30,7 +31,7 @@ class StoppedSpec:
     horizon: int
 
     def __post_init__(self):
-        if self.inner.defect_mass < 1.0 - _FULL_MASS_TOL:
+        if not self.inner.has_full_mass:
             raise ParameterError(
                 "inner law must be non-defective "
                 f"(mass {self.inner.defect_mass}); only the stopping law may be"
@@ -151,7 +152,7 @@ def geometric_stop_asymptotics(
         raise ParameterError(f"failure probability q must be in (0, 1), got {q}")
     if not 0.0 < stop_defect <= 1.0:
         raise ParameterError("stop defect mass must be in (0, 1]")
-    if inner.defect_mass < 1.0 - _FULL_MASS_TOL:
+    if not inner.has_full_mass:
         raise ParameterError("inner law must be non-defective")
     p = 1.0 - q
     g = inner.gf(q)

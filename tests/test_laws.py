@@ -348,15 +348,18 @@ def test_dcm_verify_cases():
 
 
 def test_parse_law_round_trip():
+    # every JSON summary embeds these strings, so they are pinned byte for byte
     for text in (
         "geometric:p=0.7",
         "defective_geometric:defect=0.5,p=0.2",
         "sibuya:mu=0.2",
+        "defective_sibuya:defect=0.9,mu=0.4",
         "shifted_poisson:lam=2.0",
         "power_law_bernstein:gamma=0.5,zeta=1.5",
         "tabulated:pmf=0.25;0.25;0.5",
     ):
         law = parse_law(text)
+        assert laws.law_config(law) == text
         again = parse_law(laws.law_config(law))
         assert type(again) is type(law)
         np.testing.assert_allclose(
@@ -386,3 +389,82 @@ def test_parameter_domains():
         PowerLawBernstein(0.5, 0.9)
     with pytest.raises(ParameterError):
         Tabulated(np.array([0.9, 0.4]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    defect=st.floats(0.0, 1.0),
+    share=st.floats(1e-3, 0.999),
+    u=st.floats(0.0, 1.0),
+    sibuya=st.booleans(),
+)
+def test_thinned_law_is_defect_times_base(defect, share, u, sibuya):
+    if sibuya:
+        law, base = DefectiveSibuya(defect, share), Sibuya(share)
+    else:
+        law, base = DefectiveGeometric(defect, share), Geometric(share)
+        t = np.arange(1, 60)
+        np.testing.assert_allclose(
+            law.pmf(t), defect * share * (1.0 - share) ** (t - 1), rtol=1e-13, atol=0
+        )
+        assert law.gf(u) == pytest.approx(
+            defect * share * u / (1.0 - (1.0 - share) * u), rel=1e-14, abs=1e-300
+        )
+    t = np.arange(-2, 60)
+    np.testing.assert_array_equal(law.pmf(t), defect * base.pmf(t))
+    np.testing.assert_array_equal(law.pmf_vector(59), defect * base.pmf_vector(59))
+    np.testing.assert_array_equal(
+        law.survival_vector(59), (1.0 - defect) + defect * base.survival_vector(59)
+    )
+    assert law.gf(u) == defect * base.gf(u)
+    assert law.defect_mass == defect
+    assert law.has_full_mass == (defect >= 1.0 - 1e-12)
+
+
+def test_thinned_sample_is_mask_then_base_draws():
+    # one uniform per draw decides finite or infinite, then the base law
+    # draws the finite ones from the same generator
+    for law, base in (
+        (DefectiveGeometric(0.4, 0.2), Geometric(0.2)),
+        (DefectiveSibuya(0.7, 0.3), Sibuya(0.3)),
+        (DefectiveGeometric(1.0, 0.6), Geometric(0.6)),
+    ):
+        got = law.sample(np.random.default_rng(11), 1000)
+        rng = np.random.default_rng(11)
+        want = np.full(1000, np.inf)
+        if law.defect < 1.0:
+            finite = rng.random(1000) < law.defect
+            want[finite] = base.sample(rng, int(finite.sum()))
+        else:
+            want = base.sample(rng, 1000)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_thinned_law_validates_defect_then_base():
+    with pytest.raises(ParameterError, match="defect mass must be in"):
+        DefectiveGeometric(1.5, 0.0)
+    with pytest.raises(ParameterError, match="geometric p must be in"):
+        DefectiveGeometric(0.5, 0.0)
+    with pytest.raises(ParameterError, match="sibuya index must be in"):
+        DefectiveSibuya(0.5, 1.0)
+
+
+def test_full_mass_boundary_is_shared():
+    # one test, WaitingLaw.has_full_mass, decides "no mass at infinity" for
+    # the renewal class, the stopped inner law and the lattice inner law
+    from renewalk import ness, renewal, stopped, walks
+
+    full, short = DefectiveGeometric(1.0 - 1e-13, 0.5), DefectiveGeometric(1.0 - 1e-11, 0.5)
+    assert full.has_full_mass and not short.has_full_mass
+    assert Geometric(0.5).has_full_mass and not PowerLawBernstein(1.0, 2.0).has_full_mass
+    assert renewal.classify(full) == renewal.TYPE_II
+    assert renewal.classify(short) == renewal.TYPE_I
+    stopped.StoppedSpec(full, Geometric(0.1), 5)
+    stopped.geometric_stop_asymptotics(full, 0.8)
+    ness.lattice_ness(walks.line_walk(0.5), full, 0.8, 8)
+    with pytest.raises(ParameterError, match="inner law must be non-defective"):
+        stopped.StoppedSpec(short, Geometric(0.1), 5)
+    with pytest.raises(ParameterError, match="inner law must be non-defective"):
+        stopped.geometric_stop_asymptotics(short, 0.8)
+    with pytest.raises(ParameterError, match="inner law must be non-defective"):
+        ness.lattice_ness(walks.line_walk(0.5), short, 0.8, 8)

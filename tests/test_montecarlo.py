@@ -208,12 +208,35 @@ def test_compare_discrete_pvalue_matches_scipy_chisquare():
     assert comp.chisq_pvalue == pytest.approx(want, rel=1e-12, abs=0)
 
 
+def test_compare_discrete_counts_each_support_value():
+    # unsorted support with gaps, and samples that fall outside it: relabel
+    # each sample by per-value counting to its support index (-1 outside),
+    # which must give the very same comparison on the support 0..m-1
+    rng = np.random.default_rng(67)
+    support = np.array([7, 2, 11, 3, 20, 5, 9])
+    probs = rng.dirichlet(np.ones(support.size)) * 0.9
+    samples = rng.integers(0, 25, size=5000)
+    labels = np.full(samples.size, -1)
+    for i, v in enumerate(support):
+        labels[samples == v] = i
+    assert (labels == -1).any()
+    got = mc.compare_discrete(samples, support, probs)
+    want = mc.compare_discrete(labels, np.arange(support.size), probs)
+    assert got == want
+    counts = np.array([(samples == v).sum() for v in support])
+    other = samples.size - counts.sum()
+    tv = 0.5 * (np.abs(counts / samples.size - probs).sum()
+                + abs(other / samples.size - (1.0 - probs.sum())))
+    assert got.tv == float(tv)
+
+
 def test_cli_import_leaves_scipy_stats_out():
     src = os.path.dirname(os.path.dirname(renewalk.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = ("import sys, renewalk.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate') if m in sys.modules])")
+            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"

@@ -1,8 +1,9 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
@@ -68,14 +69,12 @@ def test_stable_density_admissibility():
             stable_density(0.0, alpha, theta)
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize(
     "alpha,theta,lo,hi",
     [(2.0, 0.0, -np.inf, np.inf), (1.0, 0.0, -np.inf, np.inf), (0.5, 1.0, 0.0, np.inf)],
 )
 def test_stable_density_normalization(alpha, theta, lo, hi):
-    # quad flags possible roundoff at the far-tail probe points; the mass
-    # itself is still recovered to 1e-6, which is what the assertion pins
     total, err = quad(
         lambda y: float(stable_density(y, alpha, theta)), lo, hi, limit=400
     )
@@ -88,6 +87,129 @@ def test_stable_density_nonnegative_on_grid():
     assert (stable_density(y, 1.0) > -1e-10).all()
     ypos = np.linspace(0.05, 12.0, 40)
     assert (stable_density(ypos, 0.5, 1.0) > -1e-10).all()
+
+
+def stable_series(y, alpha, theta):
+    """Stable density from its series at 50 digits, or None where neither
+    settles (three terms in a row below 1e-17 of the sum) within 1000 terms
+    with at most 30 digits lost to cancellation.  The large-y series
+    (1/pi) sum_k (-1)^(k+1) G(k alpha+1)/k! sin(k pi alpha (1+theta)/2) y^(-k alpha-1)
+    converges for alpha < 1; the power series, symmetric family only,
+    (1/(pi alpha)) sum_k (-1)^k G((2k+1)/alpha)/(2k)! y^(2k) for alpha > 1.
+    Where one is only asymptotic it is cut at terms that small."""
+    with mp.workdps(50):
+        y, a = mp.mpf(y), mp.mpf(alpha)
+        s = mp.pi * a * (1 + theta) / 2
+
+        def large(k):
+            return ((-1) ** (k + 1) * mp.gamma(k * a + 1) / mp.factorial(k)
+                    * mp.sin(k * s) * y ** (-k * a - 1) / mp.pi)
+
+        def small(k):
+            return ((-1) ** k * mp.gamma((2 * k + 1) / a) / mp.factorial(2 * k)
+                    * y ** (2 * k) / (a * mp.pi))
+
+        for term, first in ((large, 1), (small, 0))[: 2 - int(theta)]:
+            total, biggest, quiet = mp.mpf(0), mp.mpf(0), 0
+            for k in range(first, first + 1000):
+                t = term(k)
+                total += t
+                biggest = max(biggest, abs(t))
+                quiet = quiet + 1 if abs(t) <= mp.mpf(1e-17) * abs(total) else 0
+                if quiet == 3:
+                    if biggest < mp.mpf(1e30) * abs(total):
+                        return float(total)
+                    break
+    return None
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_stable_density_matches_series_for_small_alpha(theta):
+    # the range where inverting the Fourier integral returned 2e-9 for
+    # 9.58e-4 (alpha = 0.2, y = 30) and negative values at alpha = 0.1
+    for alpha in (0.05, 0.1, 0.2):
+        for y in (3.0, 30.0, 300.0):
+            assert stable_density(y, alpha, theta) == pytest.approx(
+                stable_series(y, alpha, theta), rel=1e-12, abs=0
+            )
+    assert stable_density(30.0, 0.2) == pytest.approx(9.5804e-4, rel=1e-4)
+
+
+def test_stable_density_hard_points():
+    # alpha = 1.5, y = 300: one breakpoint at the peak gave 8.21e-8 for 1.9206e-7;
+    # alpha -> 2 at y = 10: a heavy tail of weight ~(2 - alpha) on a Gaussian bulk
+    for alpha, y in ((1.5, 300.0), (1.9999, 10.0), (1.999999, 10.0), (1.99999999, 6.0)):
+        assert stable_density(y, alpha) == pytest.approx(
+            stable_series(y, alpha, 0.0), rel=1e-12, abs=0
+        )
+    assert stable_density(10.0, 1.999999) == pytest.approx(1.146330857933180e-09, rel=1e-12)
+
+
+def test_stable_density_levy_pin():
+    # alpha = 1/2, theta = 1 is the Levy law: fixes the sign of the skewness
+    # and the scale cos(pi alpha theta/2)^(1/alpha) of the one-sided family
+    y = np.geomspace(0.01, 1e4, 25)
+    np.testing.assert_allclose(stable_density(y, 0.5, 1.0), smirnov_preset(y), rtol=1e-14, atol=0)
+
+
+def test_stable_density_at_origin():
+    for alpha in (0.3, 1.0, 1.5, 2.0):
+        assert stable_density(0.0, alpha) == pytest.approx(
+            math.gamma(1.0 + 1.0 / alpha) / math.pi, rel=1e-15
+        )
+    assert stable_density(0.0, 0.3, 1.0) == 0.0
+    assert stable_density(np.array([-1.0, 0.0]), 0.3, 1.0).tolist() == [0.0, 0.0]
+
+
+def test_stable_density_is_continuous_through_cauchy():
+    # f(y; 1 -+ eps) straddle the Cauchy density, and the central difference
+    # in alpha is the same at two eps: a slope, not a jump, at alpha = 1
+    y = np.array([0.001, 0.3, 1.0, 2.0, 5.0, 30.0, 1000.0])
+    slopes = []
+    for eps in (1e-3, 4e-4):
+        below, above = stable_density(y, 1.0 - eps), stable_density(y, 1.0 + eps)
+        cauchy = cauchy_preset(y)
+        assert np.all(np.abs(below / cauchy - 1.0) < 10.0 * eps)
+        assert np.all(np.abs(above / cauchy - 1.0) < 10.0 * eps)
+        assert np.all(np.abs((below + above) / (2.0 * cauchy) - 1.0) < 30.0 * eps**2)
+        slopes.append((above - below) / (2.0 * eps * cauchy))
+    np.testing.assert_allclose(slopes[0], slopes[1], rtol=0, atol=1e-4)
+    # closer to 1 the integrand amplifies rounding by alpha/|alpha-1|
+    # beyond the 1e-11 tolerance, which is refused rather than returned
+    for alpha in (1.0 - 1e-6, 1.0 + 1e-6, 1.0 + 2.0**-52):
+        with pytest.raises(QuadratureError, match="stable density"):
+            stable_density(0.5, alpha)
+
+
+def test_stable_density_quadrature_error_is_reported(monkeypatch):
+    monkeypatch.setattr(ness, "quad", lambda *args, **kwargs: (1.0, 1e-6))
+    with pytest.raises(QuadratureError, match="alpha=1.5, theta=0.0, y=2.0"):
+        stable_density(2.0, 1.5)
+
+
+@settings(max_examples=50, deadline=None)
+@given(one_sided=st.booleans(), alpha=st.floats(0.05, 2.0), log_y=st.floats(-3.0, 3.0))
+def test_stable_density_property(one_sided, alpha, log_y):
+    # every value is the series' (or a closed form's) to 1e-12, or refused
+    theta = 1.0 if one_sided else 0.0
+    if one_sided:
+        alpha = min(alpha, 2.0 - alpha)
+        assume(alpha < 1.0)
+    y = 10.0**log_y
+    if alpha == 2.0:
+        want = gaussian_preset(y)
+    elif alpha == 1.0:
+        want = cauchy_preset(y)
+    else:
+        want = stable_series(y, alpha, theta)
+        assume(want is not None)
+    try:
+        value = stable_density(y, alpha, theta)
+    except QuadratureError:
+        return
+    assert value == pytest.approx(want, rel=1e-12, abs=0)
+    if not one_sided:
+        assert stable_density(-y, alpha, theta) == value
 
 
 def test_mixture_alpha_two_equals_laplace():
@@ -203,6 +325,7 @@ def test_heavy_tailed_steps_share_the_biased_limit():
     # the approach is slower (rate (scale)^-(mu-1)), so demonstrate it by
     # KS decreasing along the stopping probability
     from scipy import stats as sps
+    from scipy.special import zeta
 
     from renewalk import montecarlo as mc
     from renewalk.laws import INFINITY, PowerLawBernstein
@@ -226,7 +349,7 @@ def test_heavy_tailed_steps_share_the_biased_limit():
             weights=draws,
             minlength=counts.size,
         )
-        scale = ness_scale(inner, 1.0 - p) * step_law.mean()
+        scale = ness_scale(inner, 1.0 - p) * zeta(1.5)
         y = mc.dequantize(endpoints, rng, one_sided=True) / scale
         distances.append(sps.kstest(y, exp_cdf).statistic)
     assert distances[0] > distances[1] > distances[2]
