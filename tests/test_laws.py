@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gamma, poch
 from scipy.stats import binom
@@ -398,6 +398,9 @@ def test_parameter_domains():
     u=st.floats(0.0, 1.0),
     sibuya=st.booleans(),
 )
+# a subnormal defect makes subnormal pmf values, which carry fewer digits
+# than rtol asks for unless the closed form is grouped as the law groups it
+@example(defect=1.1125369292536007e-308, share=0.001, u=0.0, sibuya=False)
 def test_thinned_law_is_defect_times_base(defect, share, u, sibuya):
     if sibuya:
         law, base = DefectiveSibuya(defect, share), Sibuya(share)
@@ -405,7 +408,7 @@ def test_thinned_law_is_defect_times_base(defect, share, u, sibuya):
         law, base = DefectiveGeometric(defect, share), Geometric(share)
         t = np.arange(1, 60)
         np.testing.assert_allclose(
-            law.pmf(t), defect * share * (1.0 - share) ** (t - 1), rtol=1e-13, atol=0
+            law.pmf(t), defect * (share * (1.0 - share) ** (t - 1)), rtol=1e-13, atol=0
         )
         assert law.gf(u) == pytest.approx(
             defect * share * u / (1.0 - (1.0 - share) * u), rel=1e-14, abs=1e-300
