@@ -19,14 +19,7 @@ import numpy as np
 
 from . import montecarlo, ness, renewal, stopped, walks
 from .series import DEFAULT_HORIZON
-from .errors import (
-    BoxLeakageError,
-    HorizonMismatchError,
-    InconclusiveRunError,
-    ParameterError,
-    QuadratureError,
-    SingularSeriesError,
-)
+from .errors import ParameterError, SingularSeriesError
 from .laws import (
     INFINITY,
     DefectiveGeometric,
@@ -38,17 +31,7 @@ from .laws import (
 
 SCHEMA_VERSION = 1
 
-_COMPUTE_ERRORS = (
-    ParameterError,
-    HorizonMismatchError,
-    SingularSeriesError,
-    BoxLeakageError,
-    QuadratureError,
-    InconclusiveRunError,
-    RuntimeError,
-    ValueError,
-    OSError,
-)
+_COMPUTE_ERRORS = (ValueError, RuntimeError, SingularSeriesError, OSError)
 
 
 #: rows are formatted in blocks of about this many cells: few enough that a
@@ -300,6 +283,9 @@ def _cmd_walk(args) -> int:
 
 def _cmd_ness(args) -> int:
     if args.kind == "lattice":
+        for flag, value in (("--inner", args.inner), ("--steps", args.steps)):
+            if value is None:
+                raise ParameterError(f"ness --kind lattice needs {flag}")
         spec_inner = parse_law(args.inner)
         step = parse_steps(args.steps)
         grid = ness.lattice_ness(step, spec_inner, args.q, args.box)

@@ -1,10 +1,10 @@
 """Infinite-time propagators of geometrically stopped walks and their
 continuous-space limits.
 
-On the lattice the stationary law is a Fourier integral over the torus,
-computed by the trapezoid rule (spectrally accurate for these periodic
-integrands): one inverse FFT gives the sum at every site of the box, and
-a second one at half the panels checks the refinement.
+On the lattice, in any dimension, the stationary law is a Fourier integral
+over the torus, computed by the trapezoid rule: one inverse FFT gives the
+sum at every site of the box.  Its only error, the aliased mass of images
+one period away, is held below 1e-9 by sizing the torus from a tail bound.
 
 In the scaling limit of a rarely stopped walk the rescaled endpoint density
 is an exponential mixture of alpha-stable laws.  The symmetric mixture is
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ParameterError, QuadratureError
 from .laws import WaitingLaw
-from .walks import PropagatorGrid, StepLaw
+from .walks import _MEMORY_CAP, PropagatorGrid, StepLaw
 
 
 def quad(*args, **kwargs):
@@ -52,6 +52,8 @@ def quad(*args, **kwargs):
 
 # relative tolerance of one density value
 _RTOL = 1e-11
+# mass the lattice torus may alias onto the box
+_ALIAS_TOL = 1e-9
 # breakpoints where x = e^k in an integrand x e^(-x): it is flat below the
 # first turn and negligible above the last
 _TURNS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
@@ -97,8 +99,6 @@ def _torus_grid(step: StepLaw, psibar: float, panels: int, half_width: int):
     With nodes theta_j = -pi + 2 pi j/n the sum n^-d sum_j f(theta_j) e^(i x.theta_j)
     is (-1)^(x_1+...+x_d) times the inverse FFT of f at x mod n.
     """
-    if step.dim not in (1, 2):
-        raise ParameterError("lattice stationary law supports d <= 2 only")
     n = panels
     theta = -math.pi + 2.0 * math.pi * np.arange(n) / n
     w = np.zeros((n,) * step.dim, dtype=complex)
@@ -107,7 +107,7 @@ def _torus_grid(step: StepLaw, psibar: float, panels: int, half_width: int):
         w += reduce(np.multiply.outer, phases[1:], p * phases[0])
     w *= -psibar
     w += 1.0
-    vals = np.fft.ifftn(np.divide(1.0 - psibar, w, out=w))
+    vals = np.fft.ifftn(np.divide(1.0 - psibar, w, out=w), out=w)
     x = np.arange(-half_width, half_width + 1)
     sign = reduce(np.multiply.outer, [1.0 - 2.0 * (x % 2)] * step.dim)
     vals = vals[np.ix_(*[x % n] * step.dim)] * sign
@@ -126,25 +126,34 @@ def lattice_ness(
     """Stationary propagator of a walk stopped at a geometric(p = 1-q) time.
 
     P(x, inf) = P_q(x, inf)/q - (p/q) delta_x0 where P_q is the inverse
-    Fourier transform of (1-g)/(1 - W(theta) g), g = inner_gf(q).  The
-    quadrature is repeated at half resolution; disagreement above 1e-6
-    relative raises.
+    Fourier transform of (1-g)/(1 - W(theta) g) = sum_m (1-g) g^m W^m,
+    g = inner_gf(q).  P_q puts mass g^k on walks of k or more steps; in the
+    max norm a step moves at most s sites and, on a torus of n panels, every
+    image of a box site lies n - L or more sites out, so g^ceil((n-L)/s)/q
+    bounds the mass aliased onto the box.  By default n is the least power of two above 2L
+    that keeps this within 1e-9; a given ``panels`` that does not raises
+    QuadratureError, and n^d over the dense-grid cap raises ParameterError.
     """
     if not 0.0 < q < 1.0:
         raise ParameterError("q must be in (0, 1)")
+    if half_width < 0:
+        raise ParameterError(f"half_width={half_width} must be >= 0")
     if not inner.has_full_mass:
         raise ParameterError("inner law must be non-defective")
-    if panels is None:
-        panels = 4096 if step.dim == 1 else 512
     psibar = inner.gf(q)
-    fine = _torus_grid(step, psibar, panels, half_width)
-    coarse = _torus_grid(step, psibar, panels // 2, half_width)
-    scale = np.max(np.abs(fine))
-    if np.max(np.abs(fine - coarse)) > 1e-6 * scale:
-        raise QuadratureError(
-            "lattice quadrature did not converge; increase the panel count"
-        )
-    values = fine / q
+    reach = int(np.abs(step.displacements).max()) or 1
+    aliased = lambda n: psibar ** math.ceil((n - half_width) / reach) / q
+    if panels is None:
+        panels = 1 << (2 * half_width).bit_length()
+        while aliased(panels) > _ALIAS_TOL and panels**step.dim <= _MEMORY_CAP:
+            panels *= 2
+    if panels**step.dim > _MEMORY_CAP:
+        raise ParameterError(f"box {half_width} at q={q} needs a torus of at least "
+                             f"{panels} panels per axis, over the dense-grid cap")
+    if aliased(panels) > _ALIAS_TOL:
+        raise QuadratureError(f"{panels} panels may alias {aliased(panels):.3g} of "
+                              "mass onto the box; increase the panel count")
+    values = _torus_grid(step, psibar, panels, half_width) / q
     origin = (half_width,) * step.dim
     values[origin] -= (1.0 - q) / q
     return PropagatorGrid(values, half_width, step.basis)

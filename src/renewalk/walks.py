@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BoxLeakageError, ParameterError
 
-_MEMORY_CAP = 2**24  # grid entries; dense boxes beyond this are refused
+_MEMORY_CAP = 2**24  # grid entries; dense boxes and tori beyond this are refused
 
 
 @dataclass(frozen=True)
@@ -191,6 +191,8 @@ def propagator(step: StepLaw, count_pmf, half_width: int) -> PropagatorGrid:
     count_pmf = np.asarray(count_pmf, dtype=float)
     if abs(count_pmf.sum() - 1.0) > 1e-9:
         raise ParameterError("count pmf must sum to 1")
+    if half_width < 0:
+        raise ParameterError(f"half_width={half_width} must be >= 0")
     shape = (2 * half_width + 1,) * step.dim
     if math.prod(shape) > _MEMORY_CAP:
         raise ParameterError(

@@ -195,6 +195,33 @@ def test_ness_curve_and_lattice(tmp_path):
     assert payload["mass_in_box"] == pytest.approx(1.0, abs=1e-6)
 
 
+@pytest.mark.parametrize(
+    "steps",
+    ["line:p=0.7", "line-biased", "hypercubic:d=2", "triangular-biased",
+     "triangular-unbiased"],
+)
+def test_ness_lattice_at_default_q_and_box(tmp_path, steps):
+    # q = 0.99 and box 256 need a 2048-panel torus in every one of these
+    argv = ["ness", "--kind", "lattice", "--inner", "geometric:p=0.7",
+            "--steps", steps, "--out", str(tmp_path)]
+    assert run(argv) == 0
+    payload = json.loads((tmp_path / "ness_summary.json").read_text())
+    assert (payload["q"], payload["box"]) == (0.99, 256)
+    assert 0.97 < payload["mass_in_box"] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("missing", ["--inner", "--steps"])
+def test_ness_lattice_names_a_missing_flag(tmp_path, capsys, missing):
+    flags = {"--inner": "geometric:p=0.7", "--steps": "line:p=0.5"}
+    del flags[missing]
+    argv = ["ness", "--kind", "lattice", *next(iter(flags.items())),
+            "--out", str(tmp_path)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("renewalk: error:") and missing in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_ness_curve_kinds(tmp_path):
     kinds = {
         "laplace": ["--scale", "1.0"],

@@ -10,7 +10,7 @@ import renewalk
 from renewalk import montecarlo as mc
 from renewalk import ness, stopped, walks
 from renewalk.errors import InconclusiveRunError, ParameterError
-from renewalk.laws import INFINITY, DefectiveGeometric, Geometric, Sibuya
+from renewalk.laws import INFINITY, DefectiveGeometric, Geometric, ShiftedPoisson, Sibuya
 from renewalk.montecarlo import SimConfig
 from renewalk.stopped import StoppedSpec
 
@@ -184,6 +184,24 @@ def test_lattice_ness_against_endpoint_histogram():
     support = np.arange(-120, 121)
     comp = mc.compare_discrete(pos, support, grid.values)
     assert comp.tv < 0.01
+
+
+def test_lattice_ness_three_dimensions_against_endpoints():
+    q = 0.9
+    step = walks.hypercubic_walk(3)
+    inner = ShiftedPoisson(1.0)
+    grid = ness.lattice_ness(step, inner, q, 16)
+    assert grid.mass_in_box == pytest.approx(1.0, abs=1e-6)
+    spec = StoppedSpec(inner, Geometric(1 - q), 2048)
+    cfg = SimConfig(seed=59, replicas=200_000, horizon=2048)
+    pos = mc.sample_walk_endpoint(step, spec, cfg, INFINITY)
+    at_origin = (pos == 0).all(axis=1)
+    p0 = grid.prob([0, 0, 0])
+    se = math.sqrt(p0 * (1.0 - p0) / len(pos))
+    assert abs(at_origin.mean() - p0) < 6.0 * se
+    sq = (pos.astype(float) ** 2).sum(axis=1)
+    _, second = grid.cartesian_moments()
+    assert abs(sq.mean() - second.sum()) < 6.0 * sq.std() / math.sqrt(len(pos))
 
 
 def test_compare_discrete_self_consistency():

@@ -302,21 +302,112 @@ def test_lattice_ness_two_dimensions():
     np.testing.assert_allclose(grid.values, grid.values[::-1, :], atol=1e-12)
 
 
-def test_lattice_ness_rejects_bad_input():
+def test_lattice_ness_rejects_bad_input(monkeypatch):
     step = walks.line_walk(0.5)
     with pytest.raises(ParameterError):
         lattice_ness(step, Geometric(0.7), 1.2, 16)
     with pytest.raises(ParameterError):
         lattice_ness(step, DefectiveGeometric(0.5, 0.7), 0.8, 16)
-    with pytest.raises(ParameterError):
-        lattice_ness(walks.hypercubic_walk(3), Geometric(0.7), 0.8, 8)
+
+    # near q = 1 the tail bound asks for a 3-d torus past the dense-grid
+    # cap; that is refused before any grid is allocated
+    def no_grid(*args):
+        raise AssertionError("torus grid allocated")
+
+    monkeypatch.setattr(ness, "_torus_grid", no_grid)
+    with pytest.raises(ParameterError, match="box 8 at q=0.9999"):
+        lattice_ness(walks.hypercubic_walk(3), Geometric(0.7), 0.9999, 8)
+
+
+def test_lattice_ness_rejects_negative_box(tmp_path, capsys):
+    with pytest.raises(ParameterError, match="half_width"):
+        lattice_ness(walks.line_walk(0.5), Geometric(0.7), 0.8, -3)
+    argv = ["ness", "--kind", "lattice", "--steps", "line:p=0.5",
+            "--inner", "geometric:p=0.7", "--box", "-3", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    assert "half_width=-3" in capsys.readouterr().err
 
 
 def test_lattice_ness_refinement_guard():
-    # starved panel count cannot reproduce itself under refinement
+    # 16 panels cannot hold the 121-site box: its images overlap the box
+    # itself, and the alias bound exceeds 1
     step = walks.line_walk(0.5)
     with pytest.raises(QuadratureError):
         lattice_ness(step, Geometric(0.7), 0.97, 60, panels=16)
+
+
+@pytest.mark.parametrize(
+    "step,inner,q,half_width,panels",
+    [
+        (walks.line_walk(0.5), Geometric(0.5), 0.98, 256, 1024),
+        (walks.hypercubic_walk(2), Geometric(0.5), 0.96, 64, 512),
+        (walks.triangular_walk(True), Geometric(0.7), 0.99, 256, 2048),
+        # g^ceil(n - 60) <= 1e-9 q needs n >= 129 although the box fits in 128
+        (walks.line_walk(0.5), Geometric(0.7), 0.8, 60, 256),
+        (walks.hypercubic_walk(3), ShiftedPoisson(1.0), 0.9, 16, 128),
+    ],
+    ids=["line", "square", "triangular_biased", "line_tail", "cubic"],
+)
+def test_lattice_ness_torus_size(monkeypatch, step, inner, q, half_width, panels):
+    # the least power of two above 2L whose alias bound is within 1e-9, once
+    sizes = []
+    grid = ness._torus_grid
+    monkeypatch.setattr(ness, "_torus_grid", lambda *a: sizes.append(a[2]) or grid(*a))
+    lattice_ness(step, inner, q, half_width)
+    assert sizes == [panels]
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7])
+@pytest.mark.parametrize("q", [0.8, 0.99])
+def test_lattice_ness_matches_two_sided_geometric(p, q):
+    # for +-1 steps P_q(x) = (1-g)/sqrt(1 - 4 g^2 p(1-p)) r^|x|, where the
+    # ratio r on each side is the small root of g b r^2 - r + g a = 0, a the
+    # probability of a step towards that side and b = 1 - a
+    inner, half_width = Geometric(0.7), 100
+    g = inner.gf(q)
+    right = np.roots([g * (1.0 - p), -1.0, g * p]).min()
+    left = np.roots([g * p, -1.0, g * (1.0 - p)]).min()
+    x = np.arange(-half_width, half_width + 1)
+    want = np.where(x >= 0, right ** np.abs(x), left ** np.abs(x))
+    want *= (1.0 - g) / math.sqrt(1.0 - 4.0 * g * g * p * (1.0 - p)) / q
+    want[half_width] -= (1.0 - q) / q
+    grid = lattice_ness(walks.line_walk(p), inner, q, half_width)
+    np.testing.assert_allclose(grid.values, want, rtol=0, atol=1e-12)
+
+
+def test_lattice_ness_biased_triangular_near_one():
+    # the ballistic case at q = 0.99: a 2048-panel torus, most mass in the box
+    step = walks.triangular_walk(True)
+    grid = lattice_ness(step, Geometric(0.7), 0.99, 128)
+    assert 0.97 < grid.mass_in_box <= 1.0
+    assert (grid.values >= -1e-13).all()
+    # the steps are symmetric under the Cartesian reflection x -> -x, which
+    # maps lattice coordinates (a, b) to (-a - b, b)
+    a, b = grid.lattice_coordinates()
+    inside = np.abs(a + b) <= 128
+    mirror = grid.values[-a[inside] - b[inside] + 128, b[inside] + 128]
+    np.testing.assert_allclose(grid.values[inside], mirror, rtol=0, atol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    step=st.sampled_from([walks.line_walk(0.5), walks.line_walk(0.8),
+                          walks.hypercubic_walk(2), walks.triangular_walk(True)]),
+    q=st.floats(0.5, 0.97),
+    half_width=st.integers(4, 48),
+    doublings=st.integers(0, 1),
+)
+def test_torus_alias_bound_holds(step, q, half_width, doublings):
+    # images add nonnegative mass, so the grid at n panels exceeds the one at
+    # 4n by less than its own aliased mass, g^ceil((n - L)/s) on P_q
+    psibar = Geometric(0.7).gf(q)
+    n = (1 << (2 * half_width).bit_length()) << doublings
+    reach = int(np.abs(step.displacements).max())
+    bound = psibar ** math.ceil((n - half_width) / reach)
+    coarse = ness._torus_grid(step, psibar, n, half_width)
+    fine = ness._torus_grid(step, psibar, 4 * n, half_width)
+    assert (coarse - fine >= -1e-15).all()
+    assert np.abs(coarse - fine).sum() <= bound + 1e-13
 
 
 def test_heavy_tailed_steps_share_the_biased_limit():

@@ -109,6 +109,15 @@ def test_propagator_box_cap():
         propagator(hypercubic_walk(3), [1.0], 200)
 
 
+def test_propagator_rejects_negative_box(tmp_path, capsys):
+    with pytest.raises(ParameterError, match="half_width"):
+        propagator(line_walk(0.5), [1.0], -1)
+    assert main(["walk", "--inner", "geometric:p=0.7", "--stop", "geometric:p=0.2",
+                 "--steps", "line:p=0.5", "--horizon", "8", "--propagator-time", "4",
+                 "--box", "-1", "--out", str(tmp_path)]) == 1
+    assert "half_width=-1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "step",
     [line_walk(0.5), line_walk(0.8), hypercubic_walk(2), triangular_walk(True)],
