@@ -54,6 +54,9 @@ def quad(*args, **kwargs):
 _RTOL = 1e-11
 # mass the lattice torus may alias onto the box
 _ALIAS_TOL = 1e-9
+# torus entries per slab of phase products added into the grid: one 512^2
+# torus is one slab, and a larger grid peaks near itself plus one slab
+_SLAB_ENTRIES = 2**18
 # breakpoints where x = e^k in an integrand x e^(-x): it is flat below the
 # first turn and negligible above the last
 _TURNS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
@@ -97,14 +100,18 @@ def _torus_grid(step: StepLaw, psibar: float, panels: int, half_width: int):
     """Trapezoid-rule inverse Fourier transform of (1-g)/(1 - W(theta) g) on the box.
 
     With nodes theta_j = -pi + 2 pi j/n the sum n^-d sum_j f(theta_j) e^(i x.theta_j)
-    is (-1)^(x_1+...+x_d) times the inverse FFT of f at x mod n.
+    is (-1)^(x_1+...+x_d) times the inverse FFT of f at x mod n.  Each step's
+    phase product is added one slab of the first axis at a time.
     """
     n = panels
     theta = -math.pi + 2.0 * math.pi * np.arange(n) / n
     w = np.zeros((n,) * step.dim, dtype=complex)
+    rows = max(1, _SLAB_ENTRIES // n ** (step.dim - 1))
     for vec, p in zip(step.displacements, step.probs):
         phases = [np.exp(-1j * theta * v) for v in vec]
-        w += reduce(np.multiply.outer, phases[1:], p * phases[0])
+        first = p * phases[0]
+        for i in range(0, n, rows):
+            w[i : i + rows] += reduce(np.multiply.outer, phases[1:], first[i : i + rows])
     w *= -psibar
     w += 1.0
     vals = np.fft.ifftn(np.divide(1.0 - psibar, w, out=w), out=w)

@@ -5,6 +5,11 @@ coefficients ``c[0..T]`` of a generating function truncated at the shared
 horizon ``T``.  All identities in the package are checked coefficient-wise
 on that window, so truncation introduces no error for coefficients below
 the horizon.
+
+Both kernels fill their output ``_BLOCK`` coefficients at a time, with one
+or two direct ``np.convolve`` calls per block: only the kept half of a
+product is computed, no FFT is used, and a sum of nonnegative terms stays
+one, so tiny coefficients keep their relative accuracy.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ import numpy as np
 from .errors import HorizonMismatchError, SingularSeriesError
 
 DEFAULT_HORIZON = 512
+_BLOCK = 256  # output coefficients per np.convolve block
 
 
 def delta_series(horizon: int) -> np.ndarray:
@@ -23,21 +29,47 @@ def delta_series(horizon: int) -> np.ndarray:
     return c
 
 
+def _history(a: np.ndarray, b: np.ndarray, s: int, e: int) -> np.ndarray:
+    """sum_{j<s} a[t-j] b[j] for t in [s, e): the terms of b before the block."""
+    return np.convolve(a[1:e], b[:s], "valid")
+
+
 def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Causal discrete convolution (a*b)[t] = sum_r a[r] b[t-r], truncated."""
+    """Causal discrete convolution (a*b)[t] = sum_r a[r] b[t-r], truncated.
+
+    Block [s, e) is the product of a[:e-s] with b[s:e] plus the history of
+    b[:s]: about n^2/2 + n*_BLOCK products instead of the full n^2.
+    """
     if len(a) != len(b):
         raise HorizonMismatchError(
             f"series horizons differ: {len(a) - 1} vs {len(b) - 1}"
         )
-    return np.convolve(a, b)[: len(a)]
+    n = len(a)
+    out = np.empty(n, np.result_type(a, b))
+    for s in range(0, n, _BLOCK):
+        e = min(s + _BLOCK, n)
+        out[s:e] = np.convolve(a[: e - s], b[s:e])[: e - s]
+        if s:
+            out[s:e] += _history(a, b, s, e)
+    return out
 
 
 def reciprocal(a: np.ndarray) -> np.ndarray:
-    """Series ``b`` with (a*b) = delta, by the standard division recursion."""
+    """Series ``b`` with (a*b) = delta.
+
+    The first block comes from the division recursion
+    b[t] = -sum_{r>=1} a[r] b[t-r] / a[0].  That head is also the inverse of
+    the block's lower-triangular Toeplitz factor of ``a``, so each later
+    block is the head times minus the history of the blocks before it.
+    """
     if a[0] == 0.0:
         raise SingularSeriesError("cannot invert a series with zero constant term")
     b = np.zeros_like(a)
     b[0] = 1.0 / a[0]
-    for t in range(1, len(a)):
+    for t in range(1, min(_BLOCK, len(a))):
         b[t] = -np.dot(a[1 : t + 1], b[t - 1 :: -1]) / a[0]
+    head = b[:_BLOCK]
+    for s in range(_BLOCK, len(a), _BLOCK):
+        e = min(s + _BLOCK, len(a))
+        b[s:e] = np.convolve(head[: e - s], -_history(a, b, s, e))[: e - s]
     return b

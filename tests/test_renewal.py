@@ -120,7 +120,7 @@ def test_count_moments_bernoulli():
     np.testing.assert_allclose(second, table.moment(2), atol=1e-10)
 
 
-@pytest.mark.parametrize("p", [0.3, 0.69, 0.7])
+@pytest.mark.parametrize("p", [0.3, 0.69, 0.7, 0.78, 0.98])
 def test_count_moments_binomial_long_horizon(p):
     # N(8192) is binomial(8192, p): both moments to 1e-12 relative
     mean, second = renewal.count_moments(Geometric(p), 8192)

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import brute_convolve, direct_reciprocal
 from scipy.special import binom
 
 from renewalk import series
 from renewalk.errors import HorizonMismatchError, SingularSeriesError
+from renewalk.laws import Geometric, Sibuya
+
+# 65 and below fit in one block; the rest cross block edges of series._BLOCK
+LENGTHS = (255, 256, 257, 1000)
 
 
-def brute_convolve(a, b):
-    """Independent O(T^2) double-sum oracle."""
-    out = np.zeros(len(a))
-    for t in range(len(a)):
-        for r in range(t + 1):
-            out[t] += a[r] * b[t - r]
-    return out
+def _magnitude(a, b):
+    """|a| * |b|: the scale of the rounding error of each product coefficient."""
+    return np.convolve(np.abs(a), np.abs(b))[: len(a)]
 
 
 def test_delta_is_identity():
@@ -65,17 +68,18 @@ def test_reciprocal_requires_nonzero_constant_term():
 
 
 def test_reciprocal_is_two_sided_inverse():
+    # the reciprocal of a random series grows geometrically with its length,
+    # so the residual is judged against the size of the terms it sums
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        a = rng.standard_normal(65) * 0.3
+    for n in (65,) * 5 + LENGTHS:
+        a = rng.standard_normal(n) * 0.3
         a[0] = 1.0 + rng.random()
         rec = series.reciprocal(a)
-        np.testing.assert_allclose(
-            series.convolve(a, rec), series.delta_series(64), atol=1e-10
-        )
-        np.testing.assert_allclose(
-            series.convolve(rec, a), series.delta_series(64), atol=1e-10
-        )
+        delta = series.delta_series(n - 1)
+        for product in (series.convolve(a, rec), series.convolve(rec, a)):
+            assert np.all(np.abs(product - delta) <= 1e-13 * _magnitude(a, rec))
+            if n == 65:
+                np.testing.assert_allclose(product, delta, atol=1e-10)
 
 
 def test_binomial_inverse_pair():
@@ -91,19 +95,57 @@ def test_binomial_inverse_pair():
 
 def test_convolution_commutative_associative():
     rng = np.random.default_rng(3)
-    a, b, c = rng.random((3, 48))
-    ab = series.convolve(a, b)
-    np.testing.assert_allclose(ab, series.convolve(b, a), atol=1e-12)
-    np.testing.assert_allclose(
-        series.convolve(ab, c), series.convolve(a, series.convolve(b, c)), atol=1e-12
-    )
+    for n in (48,) + LENGTHS:
+        a, b, c = rng.random((3, n))
+        ab = series.convolve(a, b)
+        abc = series.convolve(ab, c)
+        a_bc = series.convolve(a, series.convolve(b, c))
+        np.testing.assert_allclose(ab, series.convolve(b, a), rtol=1e-14, atol=0)
+        np.testing.assert_allclose(abc, a_bc, rtol=1e-14, atol=0)
+        if n == 48:
+            np.testing.assert_allclose(ab, series.convolve(b, a), atol=1e-12)
+            np.testing.assert_allclose(abc, a_bc, atol=1e-12)
 
 
 def test_divide_roundtrip():
     rng = np.random.default_rng(5)
-    num = rng.random(40)
-    den = rng.random(40) * 0.2
-    den[0] = 1.0
-    ratio = series.convolve(num, series.reciprocal(den))
-    np.testing.assert_allclose(series.convolve(ratio, den), num, atol=1e-10)
+    for n in (40,) + LENGTHS:
+        num = rng.random(n)
+        den = rng.random(n) * 0.2
+        den[0] = 1.0
+        rec = series.reciprocal(den)
+        ratio = series.convolve(num, rec)
+        back = series.convolve(ratio, den)
+        bound = 1e-12 * _magnitude(_magnitude(num, rec), den)
+        assert np.all(np.abs(back - num) <= bound)
+        if n == 40:
+            np.testing.assert_allclose(back, num, atol=1e-10)
+
+
+def _renewal_input(kind, param, n):
+    law = Sibuya(param) if kind == "sibuya" else Geometric(param)
+    return series.delta_series(n - 1) - law.pmf_vector(max(n - 1, 1))[:n]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 775),
+    seed=st.integers(0, 2**32 - 1),
+    decades=st.sampled_from([0.0, 1.0, 100.0]),
+    kind=st.sampled_from(["sibuya", "geometric"]),
+    share=st.floats(0.0, 1.0),
+)
+def test_blocked_kernels_match_the_direct_methods(n, seed, decades, kind, share):
+    rng = np.random.default_rng(seed)
+    # nonnegative factors spread over `decades` orders of magnitude
+    a, b = 10.0 ** (-decades * rng.random((2, n))) * rng.random((2, n))
+    np.testing.assert_allclose(
+        series.convolve(a, b), np.convolve(a, b)[:n], rtol=1e-14, atol=0
+    )
+    # renewal inputs delta - pmf: Sibuya mu in [0.05, 0.95], Geometric p in [0.02, 0.98]
+    param = 0.05 + 0.9 * share if kind == "sibuya" else 0.02 + 0.96 * share
+    a = _renewal_input(kind, param, n)
+    rec = series.reciprocal(a)
+    assert np.all(rec >= 0.0)
+    np.testing.assert_allclose(rec, direct_reciprocal(a), rtol=2e-12, atol=0)
 
