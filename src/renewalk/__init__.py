@@ -41,7 +41,6 @@ from .stopped import (
 from .walks import (
     PropagatorGrid,
     StepLaw,
-    char_fn,
     hypercubic_walk,
     line_walk,
     propagator,

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import ParameterError
 
@@ -157,6 +156,8 @@ class Sibuya(WaitingLaw):
 
     def pmf(self, t):
         # mu * G(t - mu) / (G(1 - mu) G(t + 1)), stable for any t
+        from scipy.special import gammaln
+
         t = np.asarray(t, dtype=float)
         safe = np.maximum(t, 1.0)
         logp = (
@@ -213,6 +214,8 @@ class ShiftedPoisson(WaitingLaw):
     defect_mass = 1.0
 
     def pmf(self, t):
+        from scipy.special import gammaln
+
         t = np.asarray(t, dtype=float)
         safe = np.maximum(t, 1.0)
         logp = (safe - 1.0) * math.log(self.lam) - self.lam - gammaln(safe)
@@ -220,6 +223,8 @@ class ShiftedPoisson(WaitingLaw):
 
     def survival_vector(self, horizon: int) -> np.ndarray:
         # P[1 + Poisson > t] = P[Poisson >= t] = gammainc(t, lam) for t >= 1
+        from scipy.special import gammainc
+
         out = np.empty(horizon + 1)
         out[0] = 1.0
         if horizon >= 1:

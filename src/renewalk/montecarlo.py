@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .errors import InconclusiveRunError, ParameterError
 from .laws import INFINITY, WaitingLaw
@@ -253,6 +252,8 @@ def compare_discrete(samples, support, probs) -> EmpiricalComparison:
     if len(obs_bins) < 2:
         pvalue = float("nan")
     else:
+        from scipy.special import chdtrc
+
         exp_arr = np.array(exp_bins)
         exp_arr *= np.sum(obs_bins) / exp_arr.sum()
         stat = float(np.sum((np.array(obs_bins) - exp_arr) ** 2 / exp_arr))

@@ -236,16 +236,6 @@ class BernoulliStopSummary:
     variance: np.ndarray
     lambda_max: np.ndarray
 
-    def state_polynomial(self, v, t):
-        """E v^M(t); v and t broadcast, v may be complex."""
-        v = np.asarray(v)
-        t = np.asarray(t)
-        p0, q, qs = self.p0, self.q, self.stop_defect
-        lam = 1.0 - qs
-        p = 1.0 - q
-        a = (1.0 - p0) + p0 * v
-        return lam * a**t + qs / (1.0 - q * a) * (p * a + (1.0 - a) * (q * a) ** t)
-
 
 def dbp_stops_bernoulli(
     p0: float, q: float, stop_defect: float, horizon: int

@@ -111,23 +111,6 @@ def triangular_walk(biased: bool) -> StepLaw:
     return StepLaw(disp, np.full(6, 1.0 / 6.0), _TRI_BASIS)
 
 
-def char_fn(step: StepLaw, phi) -> complex:
-    """Characteristic function sum_r p_r exp(-i phi . a_r), Cartesian phi."""
-    phi = np.asarray(phi, dtype=float).ravel()
-    if phi.shape[0] != step.dim:
-        raise ParameterError("phi dimension mismatch")
-    return complex(np.sum(step.probs * np.exp(-1j * step.cartesian_steps @ phi)))
-
-
-def char_fn_lattice(step: StepLaw, theta) -> complex:
-    """Characteristic function in lattice coordinates (theta conjugate to
-    the integer position)."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.shape[0] != step.dim:
-        raise ParameterError("theta dimension mismatch")
-    return complex(np.sum(step.probs * np.exp(-1j * step.displacements @ theta)))
-
-
 @dataclass
 class PropagatorGrid:
     """Probability mass over the lattice box [-L, L]^d at a fixed time."""
@@ -160,13 +143,6 @@ class PropagatorGrid:
         mean = np.array([(self.values * c).sum() for c in cart])
         second = np.array([(self.values * c**2).sum() for c in cart])
         return mean, second
-
-    def char_lattice(self, theta) -> complex:
-        """sum_x values(x) exp(-i theta . x) over the box."""
-        theta = np.asarray(theta, dtype=float).ravel()
-        coords = self.lattice_coordinates()
-        phase = np.exp(-1j * np.tensordot(theta, coords, axes=1))
-        return complex((self.values * phase).sum())
 
 
 def _shift_add(dst: np.ndarray, src: np.ndarray, vec, weight: float) -> None:

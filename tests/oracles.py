@@ -1,4 +1,6 @@
-"""Direct methods kept as test oracles for the blocked library kernels."""
+"""Direct methods and closed forms kept as test oracles: the double-sum
+product and division recursion behind the blocked series kernels, and the
+characteristic functions and state polynomial of the walk and stop tests."""
 
 import numpy as np
 
@@ -20,3 +22,34 @@ def direct_reciprocal(a):
     for t in range(1, len(a)):
         b[t] = -np.dot(a[1 : t + 1], b[t - 1 :: -1]) / a[0]
     return b
+
+
+def char_fn(step, phi) -> complex:
+    """Characteristic function sum_r p_r exp(-i phi . a_r), Cartesian phi."""
+    phi = np.asarray(phi, dtype=float).ravel()
+    return complex(np.sum(step.probs * np.exp(-1j * step.cartesian_steps @ phi)))
+
+
+def char_fn_lattice(step, theta) -> complex:
+    """Characteristic function in lattice coordinates (theta conjugate to
+    the integer position)."""
+    theta = np.asarray(theta, dtype=float).ravel()
+    return complex(np.sum(step.probs * np.exp(-1j * step.displacements @ theta)))
+
+
+def char_lattice(grid, theta) -> complex:
+    """sum_x values(x) exp(-i theta . x) over a propagator grid's box."""
+    theta = np.asarray(theta, dtype=float).ravel()
+    phase = np.exp(-1j * np.tensordot(theta, grid.lattice_coordinates(), axes=1))
+    return complex((grid.values * phase).sum())
+
+
+def state_polynomial(summary, v, t):
+    """E v^M(t) of a ``dbp_stops_bernoulli`` summary; v and t broadcast, v may
+    be complex."""
+    v = np.asarray(v)
+    t = np.asarray(t)
+    p0, q, qs = summary.p0, summary.q, summary.stop_defect
+    p = 1.0 - q
+    a = (1.0 - p0) + p0 * v
+    return (1.0 - qs) * a**t + qs / (1.0 - q * a) * (p * a + (1.0 - a) * (q * a) ** t)

@@ -201,7 +201,9 @@ def test_ness_curve_and_lattice(tmp_path):
      "triangular-unbiased"],
 )
 def test_ness_lattice_at_default_q_and_box(tmp_path, steps):
-    # q = 0.99 and box 256 need a 2048-panel torus in every one of these
+    # q = 0.99 and box 256 need a 1024-panel torus for the walks that return
+    # (line:p=0.7, hypercubic:d=2, triangular-unbiased) and 2048 for the
+    # ballistic ones (line-biased, triangular-biased)
     argv = ["ness", "--kind", "lattice", "--inner", "geometric:p=0.7",
             "--steps", steps, "--out", str(tmp_path)]
     assert run(argv) == 0

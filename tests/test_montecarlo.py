@@ -204,6 +204,31 @@ def test_lattice_ness_three_dimensions_against_endpoints():
     assert abs(sq.mean() - second.sum()) < 6.0 * sq.std() / math.sqrt(len(pos))
 
 
+def test_lattice_ness_three_dimensions_on_a_chernoff_sized_torus(monkeypatch):
+    # the step count alone asks for 512 panels, past the dense-grid cap; the
+    # walk's own decay rate needs 64, which 128 panels confirm
+    q, step, inner = 0.95, walks.hypercubic_walk(3), Geometric(0.7)
+    sizes = []
+    torus_grid = ness._torus_grid
+    monkeypatch.setattr(ness, "_torus_grid", lambda *a: sizes.append(a[2]) or torus_grid(*a))
+    grid = ness.lattice_ness(step, inner, q, 16)
+    assert sizes == [64]
+    finer = ness.lattice_ness(step, inner, q, 16, panels=128)
+    np.testing.assert_allclose(grid.values, finer.values, rtol=0, atol=1e-10)
+    # about 6e-5 of this law lies outside the 33^3 box, so the endpoints are
+    # compared on the box: the share outside it, the origin and E|X|^2 there
+    spec = StoppedSpec(inner, Geometric(1 - q), 2048)
+    cfg = SimConfig(seed=61, replicas=200_000, horizon=2048)
+    pos = mc.sample_walk_endpoint(step, spec, cfg, INFINITY)
+    inside = (np.abs(pos) <= 16).all(axis=1)
+    for share, want in (((pos == 0).all(axis=1), grid.prob([0, 0, 0])),
+                        (~inside, 1.0 - grid.mass_in_box)):
+        assert abs(share.mean() - want) < 6.0 * math.sqrt(want * (1.0 - want) / len(pos))
+    sq = np.where(inside, (pos.astype(float) ** 2).sum(axis=1), 0.0)
+    _, second = grid.cartesian_moments()
+    assert abs(sq.mean() - second.sum()) < 6.0 * sq.std() / math.sqrt(len(pos))
+
+
 def test_compare_discrete_self_consistency():
     rng = np.random.default_rng(53)
     draws = Geometric(0.5).sample(rng, size=100_000)
@@ -253,7 +278,8 @@ def test_cli_import_leaves_scipy_stats_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     code = ("import sys, renewalk.cli; "
-            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize') "
+            "print([m for m in ('scipy.stats', 'scipy.integrate', 'scipy.optimize', "
+            "'scipy.special') "
             "if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)

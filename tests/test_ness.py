@@ -341,13 +341,17 @@ def test_lattice_ness_refinement_guard():
     "step,inner,q,half_width,panels",
     [
         (walks.line_walk(0.5), Geometric(0.5), 0.98, 256, 1024),
-        (walks.hypercubic_walk(2), Geometric(0.5), 0.96, 64, 512),
+        (walks.hypercubic_walk(2), Geometric(0.5), 0.96, 64, 256),
         (walks.triangular_walk(True), Geometric(0.7), 0.99, 256, 2048),
-        # g^ceil(n - 60) <= 1e-9 q needs n >= 129 although the box fits in 128
-        (walks.line_walk(0.5), Geometric(0.7), 0.8, 60, 256),
-        (walks.hypercubic_walk(3), ShiftedPoisson(1.0), 0.9, 16, 128),
+        # the step count alone, g^ceil(n - 60) <= 1e-9 q, needs n >= 129;
+        # the Chernoff bound keeps the 128 panels the box fits in
+        (walks.line_walk(0.5), Geometric(0.7), 0.8, 60, 128),
+        (walks.hypercubic_walk(3), ShiftedPoisson(1.0), 0.9, 16, 64),
+        # the drift sets the decay rate: the Chernoff bound asks as much as
+        # the step count does
+        (walks.line_walk(0.8), Geometric(0.7), 0.99, 256, 2048),
     ],
-    ids=["line", "square", "triangular_biased", "line_tail", "cubic"],
+    ids=["line", "square", "triangular_biased", "line_tail", "cubic", "line_biased"],
 )
 def test_lattice_ness_torus_size(monkeypatch, step, inner, q, half_width, panels):
     # the least power of two above 2L whose alias bound is within 1e-9, once
@@ -377,7 +381,7 @@ def test_lattice_ness_matches_two_sided_geometric(p, q):
 
 
 def test_lattice_ness_biased_triangular_near_one():
-    # the ballistic case at q = 0.99: a 2048-panel torus, most mass in the box
+    # the ballistic case at q = 0.99: a 1024-panel torus, most mass in the box
     step = walks.triangular_walk(True)
     grid = lattice_ness(step, Geometric(0.7), 0.99, 128)
     assert 0.97 < grid.mass_in_box <= 1.0
@@ -393,22 +397,43 @@ def test_lattice_ness_biased_triangular_near_one():
 @settings(max_examples=40, deadline=None)
 @given(
     step=st.sampled_from([walks.line_walk(0.5), walks.line_walk(0.8),
-                          walks.hypercubic_walk(2), walks.triangular_walk(True)]),
+                          walks.hypercubic_walk(2), walks.triangular_walk(True),
+                          walks.triangular_walk(False)]),
     q=st.floats(0.5, 0.97),
     half_width=st.integers(4, 48),
     doublings=st.integers(0, 1),
 )
 def test_torus_alias_bound_holds(step, q, half_width, doublings):
     # images add nonnegative mass, so the grid at n panels exceeds the one at
-    # 4n by less than its own aliased mass, g^ceil((n - L)/s) on P_q
+    # 4n by less than its own aliased mass, q times the alias bound on P_q
     psibar = Geometric(0.7).gf(q)
     n = (1 << (2 * half_width).bit_length()) << doublings
-    reach = int(np.abs(step.displacements).max())
-    bound = psibar ** math.ceil((n - half_width) / reach)
+    bound = q * ness._alias_bound(step, psibar, q, half_width, n)
     coarse = ness._torus_grid(step, psibar, n, half_width)
     fine = ness._torus_grid(step, psibar, 4 * n, half_width)
     assert (coarse - fine >= -1e-15).all()
     assert np.abs(coarse - fine).sum() <= bound + 1e-13
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7, 0.9, 1.0])
+@pytest.mark.parametrize("q", [0.5, 0.8, 0.95, 0.99, 0.999])
+def test_alias_bound_against_exact_tails(p, q):
+    # for +-1 steps P_q(x) = c r^|x| on each side (see the test above), so
+    # P_q(|X| >= m) is two geometric tails; the bound holds it, and exceeds it
+    # by a factor below 3m, not the step count's exponential one
+    g = Geometric(0.7).gf(q)
+    step = walks.line_walk(p)
+    for half_width, n in ((10, 32), (60, 128), (100, 1024), (256, 2048)):
+        m = n - half_width
+        if p == 1.0:
+            tail = g**m
+        else:
+            c = (1.0 - g) / math.sqrt(1.0 - 4.0 * g * g * p * (1.0 - p))
+            ratios = (np.roots([g * (1.0 - p), -1.0, g * p]).min(),
+                      np.roots([g * p, -1.0, g * (1.0 - p)]).min())
+            tail = sum(c * r**m / (1.0 - r) for r in ratios)
+        bound = q * ness._alias_bound(step, g, q, half_width, n)
+        assert tail * (1.0 - 1e-12) <= bound <= 3 * m * tail
 
 
 def test_heavy_tailed_steps_share_the_biased_limit():

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import char_fn, char_fn_lattice, char_lattice
 
 from renewalk import stopped
 from renewalk.cli import main
@@ -10,8 +11,6 @@ from renewalk.laws import DefectiveGeometric, Geometric
 from renewalk.stopped import StoppedSpec, dbp_stops_bernoulli, stopped_moments
 from renewalk.walks import (
     StepLaw,
-    char_fn,
-    char_fn_lattice,
     hypercubic_walk,
     line_walk,
     propagator,
@@ -149,7 +148,7 @@ def test_fourier_consistency_on_grid():
             theta = np.array([a, b])
             w = char_fn_lattice(step, theta)
             expected = sum(table.column(t)[n] * w**n for n in range(t + 1))
-            assert grid.char_lattice(theta) == pytest.approx(expected, abs=1e-8)
+            assert char_lattice(grid, theta) == pytest.approx(expected, abs=1e-8)
 
 
 def test_walk_moment_formulas():
