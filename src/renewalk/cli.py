@@ -26,6 +26,7 @@ from .laws import (
     Geometric,
     ShiftedPoisson,
     law_config,
+    parse_config,
     parse_law,
 )
 
@@ -208,30 +209,18 @@ def _cmd_stopped(args) -> int:
 
 
 _STEP_KINDS = {
-    "line": lambda p=0.5: walks.line_walk(float(p)),
-    "line-biased": lambda: walks.line_walk(1.0),
-    "hypercubic": lambda d=1: walks.hypercubic_walk(int(float(d))),
-    "triangular-biased": lambda: walks.triangular_walk(True),
-    "triangular-unbiased": lambda: walks.triangular_walk(False),
+    "line": (lambda p=0.5: walks.line_walk(float(p)), ("p",)),
+    "line-biased": (lambda: walks.line_walk(1.0), ()),
+    "hypercubic": (lambda d=1: walks.hypercubic_walk(float(d)), ("d",)),
+    "triangular-biased": (lambda: walks.triangular_walk(True), ()),
+    "triangular-unbiased": (lambda: walks.triangular_walk(False), ()),
 }
 
 
 def parse_steps(text: str) -> walks.StepLaw:
     """Step-law config: kind[:key=value,...], e.g. line:p=0.5 or hypercubic:d=2."""
-    kind, _, params_text = text.strip().partition(":")
-    kind = kind.strip().lower()
-    if kind not in _STEP_KINDS:
-        raise ParameterError(
-            f"unknown step kind {kind!r}; expected one of {sorted(_STEP_KINDS)}"
-        )
-    kwargs = {}
-    if params_text.strip():
-        for item in params_text.split(","):
-            key, sep, value = item.partition("=")
-            if not sep:
-                raise ParameterError(f"malformed step parameter {item!r}")
-            kwargs[key.strip()] = value
-    return _STEP_KINDS[kind](**kwargs)
+    kind, values = parse_config(text, _STEP_KINDS, "step")
+    return _STEP_KINDS[kind][0](**values)
 
 
 def _write_grid(path: str, grid: walks.PropagatorGrid) -> None:

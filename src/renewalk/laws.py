@@ -431,41 +431,46 @@ _LAW_KINDS = {
 }
 
 
+def parse_config(text: str, kinds: dict, what: str) -> tuple[str, dict[str, str]]:
+    """Split ``kind:key=value,key=value`` into the kind and a dict of value strings.
+
+    ``kinds`` maps each kind to a pair whose second entry names its keys; '-'
+    and '_' in a kind are the same.  Unknown kinds and keys, and items
+    without '=', raise ParameterError.
+    """
+    given, _, params_text = text.strip().partition(":")
+    given = given.strip().lower()
+    kind = {k.replace("-", "_"): k for k in kinds}.get(given.replace("-", "_"))
+    if kind is None:
+        raise ParameterError(
+            f"unknown {what} kind {given!r}; expected one of {sorted(kinds)}"
+        )
+    values = {}
+    for item in params_text.split(",") if params_text.strip() else ():
+        key, sep, value = item.partition("=")
+        key = key.strip()
+        if not sep:
+            raise ParameterError(f"malformed {what} parameter {item!r}")
+        if key not in kinds[kind][1]:
+            raise ParameterError(f"unknown parameter {key!r} for {what} {kind!r}")
+        values[key] = value
+    return kind, values
+
+
 def parse_law(text: str) -> WaitingLaw:
     """Build a law from a config string like ``geometric:p=0.7``.
 
-    Format: ``kind:key=value,key=value``.  The tabulated kind takes
-    ``pmf=v1;v2;...``.  Unknown kinds or keys are rejected.
+    Format: ``kind:key=value,key=value`` (``parse_config``).  The tabulated
+    kind takes ``pmf=v1;v2;...``.  Unknown kinds or keys are rejected.
     """
-    text = text.strip()
-    kind, _, params_text = text.partition(":")
-    kind = kind.strip().lower().replace("-", "_")
-    if kind not in _LAW_KINDS:
-        raise ParameterError(
-            f"unknown law kind {kind!r}; expected one of {sorted(_LAW_KINDS)}"
-        )
+    kind, values = parse_config(text, _LAW_KINDS, "law")
     cls, names = _LAW_KINDS[kind]
-    kwargs = {}
-    if params_text.strip():
-        for item in params_text.split(","):
-            key, sep, value = item.partition("=")
-            key = key.strip()
-            if not sep:
-                raise ParameterError(f"malformed law parameter {item!r}")
-            if key not in names:
-                raise ParameterError(f"unknown parameter {key!r} for law {kind!r}")
-            if key == "pmf":
-                kwargs["table"] = np.array(
-                    [float(v) for v in value.split(";") if v.strip()]
-                )
-            else:
-                kwargs[key] = float(value)
-    missing = [n for n in names if n != "pmf" and n not in kwargs]
-    if kind == "tabulated" and "table" not in kwargs:
-        missing.append("pmf")
+    missing = [n for n in names if n not in values]
     if missing:
         raise ParameterError(f"law {kind!r} is missing parameters {missing}")
-    return cls(**kwargs)
+    if cls is Tabulated:
+        return cls(np.array([float(v) for v in values["pmf"].split(";") if v.strip()]))
+    return cls(**{key: float(value) for key, value in values.items()})
 
 
 def law_config(law: WaitingLaw) -> str:

@@ -5,8 +5,8 @@ On the lattice, in any dimension, the stationary law is a Fourier integral
 over the torus, computed by the trapezoid rule: one inverse FFT gives the
 sum at every site of the box.  Its only error, the aliased mass of images
 one period away, is held below 1e-9 by sizing the torus from a tail bound:
-the smaller of a step count and a Chernoff bound on the walk's own decay
-rate.
+the smaller of a step count and the exact two-sided geometric tails of
+the axis marginals, or the step count alone for steps longer than one site.
 
 In the scaling limit of a rarely stopped walk the rescaled endpoint density
 is an exponential mixture of alpha-stable laws.  The symmetric mixture is
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import partial, reduce
 
 import numpy as np
 
@@ -56,13 +56,6 @@ def quad(*args, **kwargs):
 _RTOL = 1e-11
 # mass the lattice torus may alias onto the box
 _ALIAS_TOL = 1e-9
-# Chernoff exponents lam = lam* (1 - 2^(-k/4)), k = 1..160: dense in the
-# distance to lam*, where the minimum sits once the bound is small
-_LAMBDA_GRID = -np.expm1(-math.log(2.0) / 4.0 * np.arange(1, 161))
-# Newton steps allowed for lam*; g = 1 - 1e-12 takes 25
-_ROOT_STEPS = 100
-# least 1 - g phi(lam) trusted: its rounding is then below 1e-6 of it
-_GAP_FLOOR = 1e-9
 # torus entries per slab of phase products added into the grid: one 512^2
 # torus is one slab, and a larger grid peaks near itself plus one slab
 _SLAB_ENTRIES = 2**18
@@ -132,30 +125,6 @@ def _torus_grid(step: StepLaw, psibar: float, panels: int, half_width: int):
     return vals.real
 
 
-def _root(log_g: float, probs: list, moves: list) -> float:
-    """lam* > 0 with log g + log phi(lam*) = 0, phi(lam) = sum probs e^(lam moves).
-
-    log phi is convex and grows like lam max(moves), so Newton's method from
-    a point past the root descends onto it; the result may sit a rounding
-    above it, which the caller's gap test rejects.
-    """
-
-    def excess(lam):
-        tilted = [p * math.exp(lam * x) for p, x in zip(probs, moves)]
-        phi = sum(tilted)
-        return log_g + math.log(phi), sum(t * x for t, x in zip(tilted, moves)) / phi
-
-    lam = 1.0
-    while excess(lam)[0] < 0.0:
-        lam *= 2.0
-    for _ in range(_ROOT_STEPS):
-        f, slope = excess(lam)
-        lam -= f / slope
-        if f <= 1e-15:
-            break
-    return lam
-
-
 def _alias_bound(step: StepLaw, g: float, q: float, half_width: int, panels: int) -> float:
     """Bound on the mass an n-panel torus aliases onto the box, as a share of P.
 
@@ -165,30 +134,30 @@ def _alias_bound(step: StepLaw, g: float, q: float, half_width: int, panels: int
 
     * steps: a step moves at most s sites, so X leaves only after ceil(r/s)
       or more steps, which P_q weighs g^ceil(r/s);
-    * Chernoff: on each half-axis P_q(+-X_i >= r) <= (1-g) e^(-lam r)/(1 - g phi(lam)),
-      phi(lam) = sum_steps prob e^(+-lam x_i), for any lam with g phi(lam) < 1
-      (Dembo & Zeitouni, Large Deviations Techniques and Applications, 2.2).
-      The minimum is taken over a fixed grid inside (0, lam*), g phi(lam*) = 1,
-      skipping lam where 1 - g phi is near rounding; any admissible lam is a
-      valid bound.  A half-axis that no step moves along adds nothing.
+    * tails, when no step moves more than one site per axis: with a, b, c the
+      chances of a step +1, 0, -1 along e_i, the marginal of X_i is two-sided
+      geometric, P_q(X_i = x) = (1-g)/sqrt(D) rho^x for x >= 0 and sigma^(-x)
+      for x <= 0, where D = (1-g)(1+g-2gb) + g^2 (a-c)^2, rho = 2ga/S,
+      sigma = 2gc/S and S = 1 - gb + sqrt(D) (Feller, An Introduction to
+      Probability Theory and Its Applications I, ch. XIV).  The half-axis
+      tails (1-g)/sqrt(D) rho^r/(1-rho) and the same with sigma are summed
+      over the axes.  A walk that moves further is held to the step bound.
 
-    The steps bound is the tight one for ballistic walks, Chernoff's for
-    walks that return.
+    The steps bound is the tight one for ballistic walks, the tails for walks
+    that return.
     """
     r = panels - half_width
     reach = int(np.abs(step.displacements).max()) or 1
     steps = g ** math.ceil(r / reach)
-    if r <= 0:
+    if r <= 0 or reach > 1:
         return steps / q
-    moves = np.hstack([step.displacements, -step.displacements]).T
-    moves = moves[moves.max(axis=1) > 0]
-    log_g, probs = math.log(g), step.probs.tolist()
-    lam_star = [_root(log_g, probs, v) for v in moves.tolist()]
-    lam = np.multiply.outer(lam_star, _LAMBDA_GRID)
-    gap = -np.expm1(log_g + np.log(np.exp(lam[..., None] * moves[:, None, :]) @ step.probs))
-    log_terms = np.where(gap > _GAP_FLOOR, -lam * r - np.log(gap.clip(_GAP_FLOOR)), np.inf)
-    chernoff = (1.0 - g) * np.exp(log_terms.min(axis=1)).sum()
-    return min(steps, chernoff) / q
+    tails = 0.0
+    for a, b, c in (step.probs @ (step.displacements.T[..., None] == (1, 0, -1))).tolist():
+        root = math.sqrt((1.0 - g) * (1.0 + g - 2.0 * g * b) + (g * (a - c)) ** 2)
+        for x in (a, c):
+            ratio = 2.0 * g * x / (1.0 - g * b + root)
+            tails += (1.0 - g) / root * ratio**r / (1.0 - ratio)
+    return min(steps, tails) / q
 
 
 def lattice_ness(
@@ -204,10 +173,11 @@ def lattice_ness(
     Fourier transform of (1-g)/(1 - W(theta) g) = sum_m (1-g) g^m W^m,
     g = inner_gf(q).  On a torus of n panels every image of a box site lies
     n - L or more sites out along some axis, and ``_alias_bound`` bounds the
-    mass P puts there by the smaller of a step count and a Chernoff bound on
-    the walk's decay rate.  By default n is the least power of two above 2L
-    whose bound is within 1e-9; a given ``panels`` whose bound is not raises
-    QuadratureError, and n^d over the dense-grid cap raises ParameterError.
+    mass P puts there by the smaller of a step count and the exact tails of
+    the axis marginals, or by the step count alone for steps longer than one
+    site.  By default n is the least power of two above 2L whose bound is
+    within 1e-9; a given ``panels`` whose bound is not raises QuadratureError,
+    and n^d over the dense-grid cap raises ParameterError.
     """
     if not 0.0 < q < 1.0:
         raise ParameterError("q must be in (0, 1)")
@@ -216,14 +186,16 @@ def lattice_ness(
     if not inner.has_full_mass:
         raise ParameterError("inner law must be non-defective")
     psibar = inner.gf(q)
-    aliased = cache(lambda n: _alias_bound(step, psibar, q, half_width, n))
-    if panels is None:
+    aliased = partial(_alias_bound, step, psibar, q, half_width)
+    given = panels is not None
+    if not given:
         panels = 1 << (2 * half_width).bit_length()
         while aliased(panels) > _ALIAS_TOL and panels**step.dim <= _MEMORY_CAP:
             panels *= 2
     if panels**step.dim > _MEMORY_CAP:
-        raise ParameterError(f"box {half_width} at q={q} needs a torus of at least "
-                             f"{panels} panels per axis, over the dense-grid cap")
+        torus = (f"{panels} panels per axis in {step.dim} dimensions" if given else
+                 f"box {half_width} at q={q} needs a torus of at least {panels} panels per axis")
+        raise ParameterError(f"{torus}, over the dense-grid cap of {_MEMORY_CAP} entries")
     if aliased(panels) > _ALIAS_TOL:
         raise QuadratureError(f"{panels} panels may alias {aliased(panels):.3g} of "
                               "mass onto the box; increase the panel count")

@@ -87,8 +87,9 @@ def line_walk(p_right: float = 0.5) -> StepLaw:
 
 def hypercubic_walk(d: int) -> StepLaw:
     """Unbiased nearest-neighbor walk on the d-dimensional cubic lattice."""
-    if d < 1:
-        raise ParameterError("dimension must be >= 1")
+    if not (d >= 1 and float(d).is_integer()):
+        raise ParameterError(f"dimension d={d} must be an integer >= 1")
+    d = int(d)
     disp = np.vstack([np.eye(d, dtype=np.int64), -np.eye(d, dtype=np.int64)])
     return StepLaw(disp, np.full(2 * d, 1.0 / (2 * d)))
 

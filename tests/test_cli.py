@@ -201,15 +201,27 @@ def test_ness_curve_and_lattice(tmp_path):
      "triangular-unbiased"],
 )
 def test_ness_lattice_at_default_q_and_box(tmp_path, steps):
-    # q = 0.99 and box 256 need a 1024-panel torus for the walks that return
-    # (line:p=0.7, hypercubic:d=2, triangular-unbiased) and 2048 for the
-    # ballistic ones (line-biased, triangular-biased)
+    # q = 0.99 and box 256 need a 1024-panel torus for every walk but the
+    # ballistic line-biased, which needs 2048
     argv = ["ness", "--kind", "lattice", "--inner", "geometric:p=0.7",
             "--steps", steps, "--out", str(tmp_path)]
     assert run(argv) == 0
     payload = json.loads((tmp_path / "ness_summary.json").read_text())
     assert (payload["q"], payload["box"]) == (0.99, 256)
     assert 0.97 < payload["mass_in_box"] <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize(
+    "steps,named",
+    [("line:q=0.5", "unknown parameter 'q'"), ("hypercubic:d=2.5", "d=2.5"),
+     ("line:p", "malformed step parameter 'p'")],
+)
+def test_ness_lattice_rejects_bad_step_parameters(tmp_path, capsys, steps, named):
+    argv = ["ness", "--kind", "lattice", "--inner", "geometric:p=0.7",
+            "--steps", steps, "--out", str(tmp_path)]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("renewalk: error:") and named in err
 
 
 @pytest.mark.parametrize("missing", ["--inner", "--steps"])

@@ -206,7 +206,7 @@ def test_lattice_ness_three_dimensions_against_endpoints():
 
 def test_lattice_ness_three_dimensions_on_a_chernoff_sized_torus(monkeypatch):
     # the step count alone asks for 512 panels, past the dense-grid cap; the
-    # walk's own decay rate needs 64, which 128 panels confirm
+    # exact tails of the axis marginals need 64, which 128 panels confirm
     q, step, inner = 0.95, walks.hypercubic_walk(3), Geometric(0.7)
     sizes = []
     torus_grid = ness._torus_grid

@@ -320,6 +320,16 @@ def test_lattice_ness_rejects_bad_input(monkeypatch):
         lattice_ness(walks.hypercubic_walk(3), Geometric(0.7), 0.9999, 8)
 
 
+def test_lattice_ness_names_given_panels_over_the_cap(monkeypatch):
+    # the default sizing runs this box on 64 panels, so 512 is no need: the
+    # message names the given count and the cap
+    monkeypatch.setattr(ness, "_torus_grid", lambda *a: pytest.fail("torus grid allocated"))
+    with pytest.raises(ParameterError) as err:
+        lattice_ness(walks.hypercubic_walk(3), Geometric(0.7), 0.9, 8, panels=512)
+    assert str(err.value) == ("512 panels per axis in 3 dimensions, over the "
+                              "dense-grid cap of 16777216 entries")
+
+
 def test_lattice_ness_rejects_negative_box(tmp_path, capsys):
     with pytest.raises(ParameterError, match="half_width"):
         lattice_ness(walks.line_walk(0.5), Geometric(0.7), 0.8, -3)
@@ -342,13 +352,13 @@ def test_lattice_ness_refinement_guard():
     [
         (walks.line_walk(0.5), Geometric(0.5), 0.98, 256, 1024),
         (walks.hypercubic_walk(2), Geometric(0.5), 0.96, 64, 256),
-        (walks.triangular_walk(True), Geometric(0.7), 0.99, 256, 2048),
+        (walks.triangular_walk(True), Geometric(0.7), 0.99, 256, 1024),
         # the step count alone, g^ceil(n - 60) <= 1e-9 q, needs n >= 129;
-        # the Chernoff bound keeps the 128 panels the box fits in
+        # the exact tails keep the 128 panels the box fits in
         (walks.line_walk(0.5), Geometric(0.7), 0.8, 60, 128),
         (walks.hypercubic_walk(3), ShiftedPoisson(1.0), 0.9, 16, 64),
-        # the drift sets the decay rate: the Chernoff bound asks as much as
-        # the step count does
+        # the drift sets the decay rate: the tails ask as much as the step
+        # count does
         (walks.line_walk(0.8), Geometric(0.7), 0.99, 256, 2048),
     ],
     ids=["line", "square", "triangular_biased", "line_tail", "cubic", "line_biased"],
@@ -415,25 +425,46 @@ def test_torus_alias_bound_holds(step, q, half_width, doublings):
     assert np.abs(coarse - fine).sum() <= bound + 1e-13
 
 
-@pytest.mark.parametrize("p", [0.5, 0.7, 0.9, 1.0])
+@pytest.mark.parametrize(
+    "step",
+    [walks.line_walk(p) for p in (0.5, 0.7, 0.9, 1.0)]
+    + [walks.hypercubic_walk(2), walks.hypercubic_walk(3),
+       walks.triangular_walk(True), walks.triangular_walk(False)],
+    ids=["0.5", "0.7", "0.9", "1.0", "square", "cubic", "triangular_biased",
+         "triangular_unbiased"],
+)
 @pytest.mark.parametrize("q", [0.5, 0.8, 0.95, 0.99, 0.999])
-def test_alias_bound_against_exact_tails(p, q):
-    # for +-1 steps P_q(x) = c r^|x| on each side (see the test above), so
-    # P_q(|X| >= m) is two geometric tails; the bound holds it, and exceeds it
-    # by a factor below 3m, not the step count's exponential one
+def test_alias_bound_against_exact_tails(step, q):
+    # each step moves X_i by -1, 0 or +1 (chances c, b, a), so P_q(X_i = x) is
+    # k r^|x|, where the ratio r on each side is the small root of
+    # g v r^2 - (1 - g b) r + g u = 0, u the chance of a step towards that
+    # side and v away from it, and k gives unit mass.  The bound is the sum
+    # over half-axes of P_q(+-X_i >= m) = k r^m/(1 - r), or the step count
+    # g^m where that is smaller
     g = Geometric(0.7).gf(q)
-    step = walks.line_walk(p)
-    for half_width, n in ((10, 32), (60, 128), (100, 1024), (256, 2048)):
-        m = n - half_width
-        if p == 1.0:
-            tail = g**m
-        else:
-            c = (1.0 - g) / math.sqrt(1.0 - 4.0 * g * g * p * (1.0 - p))
-            ratios = (np.roots([g * (1.0 - p), -1.0, g * p]).min(),
-                      np.roots([g * p, -1.0, g * (1.0 - p)]).min())
-            tail = sum(c * r**m / (1.0 - r) for r in ratios)
-        bound = q * ness._alias_bound(step, g, q, half_width, n)
-        assert tail * (1.0 - 1e-12) <= bound <= 3 * m * tail
+
+    def ratio(u, v):
+        # near q = 1 the two roots close in, so np.roots leaves a relative
+        # error near 1e-15 and the float coefficients, whose chances need not
+        # sum to 1, move the root as much; r^m multiplies it by m.  One Newton
+        # step at 30 digits, with b = 1 - u - v, removes both
+        u, v = mp.mpf(u), mp.mpf(v)
+        poly = [g * v, g * (1 - u - v) - 1, g * u]
+        r = mp.mpf(np.roots([float(c) for c in poly]).min())
+        value, slope = mp.polyval(poly, r, derivative=True)
+        return r - value / slope
+
+    with mp.workdps(30):
+        for half_width, n in ((10, 32), (60, 128), (100, 1024), (256, 2048)):
+            m = n - half_width
+            tail = 0
+            for moves in step.displacements.T:
+                a, c = step.probs[moves == 1].sum(), step.probs[moves == -1].sum()
+                right, left = ratio(a, c), ratio(c, a)
+                k = 1 / (1 / (1 - right) + left / (1 - left))
+                tail += sum(k * r**m / (1 - r) for r in (right, left))
+            bound = q * ness._alias_bound(step, g, q, half_width, n)
+            assert bound == pytest.approx(min(g**m, float(tail)), rel=1e-12, abs=0)
 
 
 def test_heavy_tailed_steps_share_the_biased_limit():
