@@ -25,7 +25,7 @@ from .ness import (
     stable_density,
     stable_mixture_curve,
 )
-from .renewal import StateTable, count_moments, limit_state_law, state_table, survival_series
+from .renewal import StateTable, count_moments, limit_state_law, state_table
 from .stopped import (
     AsymptoticSummary,
     StoppedSpec,

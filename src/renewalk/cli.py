@@ -135,7 +135,7 @@ def _emit_summary(args, payload: dict, stem: str, echo: bool = False) -> None:
 def _cmd_renewal(args) -> int:
     law = parse_law(args.law)
     _write_state_table(args, renewal.state_table(law, args.horizon), "renewal_state")
-    pmf = law.pmf_vector(max(args.horizon, 1))
+    pmf = law.pmf_vector(args.horizon)
     path = os.path.join(args.out, "law_pmf.csv")
     _write_csv(path, ["t", "psi"], [np.arange(len(pmf)), pmf])
     mean, second = renewal.count_moments(law, args.horizon)
@@ -209,9 +209,9 @@ def _cmd_stopped(args) -> int:
 
 
 _STEP_KINDS = {
-    "line": (lambda p=0.5: walks.line_walk(float(p)), ("p",)),
+    "line": (lambda p=0.5: walks.line_walk(p), ("p",)),
     "line-biased": (lambda: walks.line_walk(1.0), ()),
-    "hypercubic": (lambda d=1: walks.hypercubic_walk(float(d)), ("d",)),
+    "hypercubic": (lambda d=1: walks.hypercubic_walk(d), ("d",)),
     "triangular-biased": (lambda: walks.triangular_walk(True), ()),
     "triangular-unbiased": (lambda: walks.triangular_walk(False), ()),
 }

@@ -48,6 +48,13 @@ def _geometric_draws(rng, n: int, p: float) -> np.ndarray:
     return np.clip(w, 1.0, np.finfo(float).max, out=w)
 
 
+def _window(horizon: int) -> int:
+    """The horizon T of a series on t = 0..T; T = 0 is the one-term series."""
+    if horizon < 0:
+        raise ParameterError(f"horizon must be >= 0, got {horizon}")
+    return horizon
+
+
 class WaitingLaw:
     """Base interface; concrete families override the closed forms."""
 
@@ -64,10 +71,8 @@ class WaitingLaw:
         raise NotImplementedError
 
     def pmf_vector(self, horizon: int) -> np.ndarray:
-        """Series [0, pmf(1), ..., pmf(horizon)]; never renormalized."""
-        if horizon < 1:
-            raise ParameterError("pmf_vector needs horizon >= 1")
-        t = np.arange(horizon + 1)
+        """Series [0, pmf(1), ..., pmf(horizon)], horizon >= 0; never renormalized."""
+        t = np.arange(_window(horizon) + 1)
         out = np.asarray(self.pmf(t), dtype=float)
         out[0] = 0.0
         return out
@@ -132,7 +137,7 @@ class Geometric(WaitingLaw):
         return vals
 
     def survival_vector(self, horizon: int) -> np.ndarray:
-        return self.q ** np.arange(horizon + 1, dtype=float)
+        return self.q ** np.arange(_window(horizon) + 1, dtype=float)
 
     def gf(self, u: float) -> float:
         u = self._check_u(u)
@@ -169,17 +174,15 @@ class Sibuya(WaitingLaw):
         return np.where(t >= 1, np.exp(logp), 0.0)
 
     def pmf_vector(self, horizon: int) -> np.ndarray:
-        if horizon < 1:
-            raise ParameterError("pmf_vector needs horizon >= 1")
         # pmf(t) = surv(t-1) mu / t
-        out = np.zeros(horizon + 1)
-        out[1:] = self.survival_vector(horizon - 1) * (self.mu / np.arange(1, horizon + 1))
+        out = np.zeros(_window(horizon) + 1)
+        out[1:] = self.survival_vector(horizon)[:-1] * (self.mu / np.arange(1, horizon + 1))
         return out
 
     def survival_vector(self, horizon: int) -> np.ndarray:
         # (-1)^t C(mu-1, t) = prod_{s<=t} (1 - mu/s): one rounding per factor
         # keeps ~1e-15 relative, where exp of a gammaln difference loses 1e-12
-        out = np.ones(horizon + 1)
+        out = np.ones(_window(horizon) + 1)
         out[1:] = np.cumprod(1.0 - self.mu / np.arange(1, horizon + 1))
         return out
 
@@ -225,10 +228,8 @@ class ShiftedPoisson(WaitingLaw):
         # P[1 + Poisson > t] = P[Poisson >= t] = gammainc(t, lam) for t >= 1
         from scipy.special import gammainc
 
-        out = np.empty(horizon + 1)
-        out[0] = 1.0
-        if horizon >= 1:
-            out[1:] = gammainc(np.arange(1, horizon + 1, dtype=float), self.lam)
+        out = np.ones(_window(horizon) + 1)
+        out[1:] = gammainc(np.arange(1, horizon + 1, dtype=float), self.lam)
         return out
 
     def gf(self, u: float) -> float:
@@ -272,7 +273,7 @@ class PowerLawBernstein(WaitingLaw):
         return np.where(t >= 1, vals, 0.0)
 
     def survival_vector(self, horizon: int) -> np.ndarray:
-        t = np.arange(horizon + 1, dtype=float)
+        t = np.arange(_window(horizon) + 1, dtype=float)
         return 1.0 - self.zeta ** (-self.gamma) + (t + self.zeta) ** (-self.gamma)
 
     def tail_mass(self, horizon: int) -> float:
@@ -431,12 +432,13 @@ _LAW_KINDS = {
 }
 
 
-def parse_config(text: str, kinds: dict, what: str) -> tuple[str, dict[str, str]]:
-    """Split ``kind:key=value,key=value`` into the kind and a dict of value strings.
+def parse_config(text: str, kinds: dict, what: str) -> tuple[str, dict]:
+    """Split ``kind:key=value,key=value`` into the kind and a dict of numbers.
 
     ``kinds`` maps each kind to a pair whose second entry names its keys; '-'
-    and '_' in a kind are the same.  Unknown kinds and keys, and items
-    without '=', raise ParameterError.
+    and '_' in a kind are the same.  A ``pmf`` value is a list ``v1;v2;...``
+    of numbers, every other value one number.  Unknown kinds and keys, items
+    without '=' and values that are not numbers raise ParameterError.
     """
     given, _, params_text = text.strip().partition(":")
     given = given.strip().lower()
@@ -453,7 +455,15 @@ def parse_config(text: str, kinds: dict, what: str) -> tuple[str, dict[str, str]
             raise ParameterError(f"malformed {what} parameter {item!r}")
         if key not in kinds[kind][1]:
             raise ParameterError(f"unknown parameter {key!r} for {what} {kind!r}")
-        values[key] = value
+        try:
+            values[key] = (
+                [float(v) for v in value.split(";") if v.strip()]
+                if key == "pmf" else float(value)
+            )
+        except ValueError:
+            raise ParameterError(
+                f"parameter {key}={value.strip()!r} of {what} {kind!r} is not a number"
+            ) from None
     return kind, values
 
 
@@ -468,9 +478,7 @@ def parse_law(text: str) -> WaitingLaw:
     missing = [n for n in names if n not in values]
     if missing:
         raise ParameterError(f"law {kind!r} is missing parameters {missing}")
-    if cls is Tabulated:
-        return cls(np.array([float(v) for v in values["pmf"].split(";") if v.strip()]))
-    return cls(**{key: float(value) for key, value in values.items()})
+    return cls(*(values[name] for name in names))
 
 
 def law_config(law: WaitingLaw) -> str:

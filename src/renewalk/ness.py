@@ -2,11 +2,12 @@
 continuous-space limits.
 
 On the lattice, in any dimension, the stationary law is a Fourier integral
-over the torus, computed by the trapezoid rule: one inverse FFT gives the
-sum at every site of the box.  Its only error, the aliased mass of images
-one period away, is held below 1e-9 by sizing the torus from a tail bound:
-the smaller of a step count and the exact two-sided geometric tails of
-the axis marginals, or the step count alone for steps longer than one site.
+over the torus, computed by the trapezoid rule: one FFT of the step law
+gives the integrand at the nodes, one inverse FFT the sum at every site of
+the box.  Its only error, the aliased mass of images one period away, is
+held below 1e-9 by sizing the torus from a tail bound: the smaller of a
+step count and the exact two-sided geometric tails of the axis marginals,
+or the step count alone for steps longer than one site.
 
 In the scaling limit of a rarely stopped walk the rescaled endpoint density
 is an exponential mixture of alpha-stable laws.  The symmetric mixture is
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import partial
 
 import numpy as np
 
@@ -56,9 +57,6 @@ def quad(*args, **kwargs):
 _RTOL = 1e-11
 # mass the lattice torus may alias onto the box
 _ALIAS_TOL = 1e-9
-# torus entries per slab of phase products added into the grid: one 512^2
-# torus is one slab, and a larger grid peaks near itself plus one slab
-_SLAB_ENTRIES = 2**18
 # breakpoints where x = e^k in an integrand x e^(-x): it is flat below the
 # first turn and negligible above the last
 _TURNS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
@@ -101,25 +99,19 @@ def ness_scale(inner: WaitingLaw, q: float) -> float:
 def _torus_grid(step: StepLaw, psibar: float, panels: int, half_width: int):
     """Trapezoid-rule inverse Fourier transform of (1-g)/(1 - W(theta) g) on the box.
 
-    With nodes theta_j = -pi + 2 pi j/n the sum n^-d sum_j f(theta_j) e^(i x.theta_j)
-    is (-1)^(x_1+...+x_d) times the inverse FFT of f at x mod n.  Each step's
-    phase product is added one slab of the first axis at a time.
+    The step law placed at its displacements mod n has FFT W(theta_j) at the
+    nodes theta_j = 2 pi j/n, and the inverse FFT of the integrand there is
+    the sum n^-d sum_j f(theta_j) e^(i x.theta_j) at x mod n.
     """
     n = panels
-    theta = -math.pi + 2.0 * math.pi * np.arange(n) / n
     w = np.zeros((n,) * step.dim, dtype=complex)
-    rows = max(1, _SLAB_ENTRIES // n ** (step.dim - 1))
-    for vec, p in zip(step.displacements, step.probs):
-        phases = [np.exp(-1j * theta * v) for v in vec]
-        first = p * phases[0]
-        for i in range(0, n, rows):
-            w[i : i + rows] += reduce(np.multiply.outer, phases[1:], first[i : i + rows])
+    np.add.at(w, tuple((step.displacements % n).T), step.probs)
+    np.fft.fftn(w, out=w)
     w *= -psibar
     w += 1.0
     vals = np.fft.ifftn(np.divide(1.0 - psibar, w, out=w), out=w)
-    x = np.arange(-half_width, half_width + 1)
-    sign = reduce(np.multiply.outer, [1.0 - 2.0 * (x % 2)] * step.dim)
-    vals = vals[np.ix_(*[x % n] * step.dim)] * sign
+    x = np.arange(-half_width, half_width + 1) % n
+    vals = vals[np.ix_(*[x] * step.dim)]
     if np.max(np.abs(vals.imag)) > 1e-9:
         raise QuadratureError("inverse Fourier transform is not numerically real")
     return vals.real
@@ -296,7 +288,6 @@ class NessCurve:
 
     y: np.ndarray
     density: np.ndarray
-    kind: str
 
     def trapezoid_mass(self) -> float:
         return float(np.trapezoid(self.density, self.y))
@@ -326,7 +317,7 @@ def one_sided_exp_curve(mean_displacement: float, y=None) -> NessCurve:
         y = np.linspace(0.0, top, 1401) * math.copysign(1.0, mean_displacement)
         y = np.sort(y)
     y = np.asarray(y, dtype=float)
-    return NessCurve(y, one_sided_exp_density(y, mean_displacement), "one_sided_exp")
+    return NessCurve(y, one_sided_exp_density(y, mean_displacement))
 
 
 def laplace_curve(msd: float, y=None) -> NessCurve:
@@ -334,7 +325,7 @@ def laplace_curve(msd: float, y=None) -> NessCurve:
         top = 14.0 * math.sqrt(msd)
         y = np.linspace(-top, top, 2001)
     y = np.asarray(y, dtype=float)
-    return NessCurve(y, laplace_density(y, msd), "laplace")
+    return NessCurve(y, laplace_density(y, msd))
 
 
 def _mixture_point(y: float, alpha: float, theta: float) -> float:
@@ -429,4 +420,4 @@ def stable_mixture_curve(alpha: float, theta: float = 0.0, y=None) -> NessCurve:
             if alpha <= 1.0:
                 y = y[y != 0.0]
     y = np.asarray(y, dtype=float)
-    return NessCurve(y, stable_mixture_density(y, alpha, theta), "stable_mixture")
+    return NessCurve(y, stable_mixture_density(y, alpha, theta))

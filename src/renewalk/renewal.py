@@ -64,15 +64,6 @@ class StateTable:
         return weights @ self.probs
 
 
-def survival_series(law: WaitingLaw, horizon: int) -> np.ndarray:
-    """P[no event up to and including t] = 1 - sum_{r<=t} pmf(r), t = 0..horizon."""
-    if horizon < 0:
-        raise ParameterError("horizon must be >= 0")
-    if horizon == 0:
-        return np.ones(1)
-    return law.survival_vector(horizon)
-
-
 def state_table(law: WaitingLaw, horizon: int) -> StateTable:
     """Full table P[N(t) = n] for 0 <= n, t <= horizon.
 
@@ -83,11 +74,7 @@ def state_table(law: WaitingLaw, horizon: int) -> StateTable:
     per doubling.  Every term is nonnegative, so each entry keeps its
     relative accuracy.  Smaller tables are convolved row by row.
     """
-    if horizon < 0:
-        raise ParameterError("horizon must be >= 0")
-    if horizon == 0:
-        return StateTable(np.ones((1, 1)))
-    surv = survival_series(law, horizon)
+    surv = law.survival_vector(horizon)
     pmf = law.pmf_vector(horizon)
     if horizon < _DOUBLING_MIN_HORIZON:
         return StateTable(_rows_by_convolution(surv, pmf))
@@ -144,7 +131,7 @@ def count_moments(law: WaitingLaw, horizon: int):
     with E #pairs up to t = sum_{s'<=t} (h*h)(s'),
     E N^2(t) = sum_{s<=t} (h + 2 h*h)(s).
     """
-    pmf = law.pmf_vector(max(horizon, 1))[: horizon + 1]
+    pmf = law.pmf_vector(horizon)
     delta = series.delta_series(horizon)
     density = series.reciprocal(delta - pmf) - delta
     pairs = series.convolve(density, density)
@@ -206,8 +193,8 @@ def brute_force_state_table(law: WaitingLaw, horizon: int) -> StateTable:
     """
     if horizon > 20:
         raise ParameterError("exhaustive enumeration is for horizons <= 20")
-    pmf = law.pmf_vector(max(horizon, 1))
-    surv = survival_series(law, horizon)
+    pmf = law.pmf_vector(horizon)
+    surv = law.survival_vector(horizon)
     probs = np.zeros((horizon + 1, horizon + 1))
     t_axis = np.arange(horizon + 1)
 

@@ -9,6 +9,7 @@ probability Q_S and runs forever with probability 1 - Q_S.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,6 @@ def stopped_state_table(spec: StoppedSpec) -> StateTable:
     """
     horizon = spec.horizon
     inner = renewal.state_table(spec.inner, horizon)
-    if horizon == 0:
-        return StateTable(np.ones((1, 1)))
     stop_pmf = spec.stop.pmf_vector(horizon)
     stop_surv = spec.stop.survival_vector(horizon)
     frozen = np.cumsum(inner.probs * stop_pmf[None, :], axis=1)
@@ -85,12 +84,11 @@ def stopped_moments(spec: StoppedSpec, order: int) -> np.ndarray:
 
 def _moment_pair(spec: StoppedSpec) -> tuple[np.ndarray, np.ndarray]:
     """E M(t) and E M^2(t) on [0, horizon] from one ``count_moments`` call."""
-    horizon = max(spec.horizon, 1)
-    stop_pmf = spec.stop.pmf_vector(horizon)
-    stop_surv = spec.stop.survival_vector(horizon)
+    stop_pmf = spec.stop.pmf_vector(spec.horizon)
+    stop_surv = spec.stop.survival_vector(spec.horizon)
     return tuple(
-        (stop_surv * inner + np.cumsum(stop_pmf * inner))[: spec.horizon + 1]
-        for inner in renewal.count_moments(spec.inner, horizon)
+        stop_surv * inner + np.cumsum(stop_pmf * inner)
+        for inner in renewal.count_moments(spec.inner, spec.horizon)
     )
 
 
@@ -156,13 +154,13 @@ def geometric_stop_asymptotics(
         raise ParameterError("inner law must be non-defective")
     p = 1.0 - q
     g = inner.gf(q)
-    head = [stop_defect * (q - g) / q]
     scale = stop_defect * (1.0 - g) / q
+    # the least m >= 1 with scale g^m <= 1e-15, at most 200000
     m = 1
-    while scale * g**m > 1e-15 and m < 200_000:
-        m += 1
+    if scale * g > 1e-15:
+        m = min(math.ceil(math.log(1e-15 / scale) / math.log(g)), 200_000)
     masses = np.empty(m + 1)
-    masses[0] = head[0]
+    masses[0] = stop_defect * (q - g) / q
     masses[1:] = scale * g ** np.arange(1, m + 1)
     if stop_defect >= 1.0 - _FULL_MASS_TOL:
         mean = g / (q * (1.0 - g))
@@ -314,8 +312,6 @@ def brute_force_stopped_table(spec: StoppedSpec) -> StateTable:
     horizon = spec.horizon
     if horizon > 16:
         raise ParameterError("exhaustive enumeration is for horizons <= 16")
-    if horizon == 0:
-        return StateTable(np.ones((1, 1)))
     inner_pmf = spec.inner.pmf_vector(horizon)
     inner_surv = spec.inner.survival_vector(horizon)
     stop_pmf = spec.stop.pmf_vector(horizon)

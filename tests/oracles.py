@@ -1,6 +1,7 @@
 """Direct methods and closed forms kept as test oracles: the double-sum
-product and division recursion behind the blocked series kernels, and the
-characteristic functions and state polynomial of the walk and stop tests."""
+product and division recursion behind the blocked series kernels, the
+characteristic functions and state polynomial of the walk and stop tests,
+and the step-by-step prefix length of the limiting stopped-count masses."""
 
 import numpy as np
 
@@ -53,3 +54,12 @@ def state_polynomial(summary, v, t):
     p = 1.0 - q
     a = (1.0 - p0) + p0 * v
     return (1.0 - qs) * a**t + qs / (1.0 - q * a) * (p * a + (1.0 - a) * (q * a) ** t)
+
+
+def stored_prefix_length(scale, g):
+    """The least m >= 1 with scale g^m <= 1e-15, at most 200000, one m at a
+    time: the last index of ``geometric_stop_asymptotics``' stored masses."""
+    m = 1
+    while scale * g**m > 1e-15 and m < 200_000:
+        m += 1
+    return m

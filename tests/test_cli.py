@@ -114,6 +114,41 @@ def test_renewal_pmf_export(tmp_path):
     assert float(lines[2].split(",")[1]) == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "argv,stems",
+    [(["renewal", "--law", "sibuya:mu=0.5"],
+      ["renewal_state", "law_pmf", "renewal_moments"]),
+     (["stopped", "--inner", "geometric:p=0.7", "--stop", "geometric:p=0.2"],
+      ["stopped_state", "stopped_moments"]),
+     (["walk", "--inner", "geometric:p=0.7", "--stop", "geometric:p=0.2",
+       "--steps", "hypercubic:d=2", "--propagator-time", "0", "--box", "2"],
+      ["walk_moments"])],
+    ids=["renewal", "stopped", "walk"],
+)
+def test_horizon_zero_writes_the_t0_row(tmp_path, argv, stems):
+    # T = 0: nothing has happened, so M(0) = 0 with probability 1
+    assert run([*argv, "--horizon", "0", "--out", str(tmp_path)]) == 0
+    for stem in stems:
+        header, *rows = (tmp_path / f"{stem}.csv").read_text().splitlines()
+        assert len(rows) == 1 and rows[0].startswith("0,"), stem
+    if argv[0] == "walk":
+        propagator = (tmp_path / "walk_propagator_t0.csv").read_text()
+        assert [line for line in propagator.splitlines() if line.endswith(",1")] == ["0,0,1"]
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [(["renewal", "--law", "geometric:p=abc"], "parameter p='abc' of law 'geometric'"),
+     (["ness", "--kind", "lattice", "--inner", "geometric:p=0.7", "--steps",
+       "hypercubic:d=x"], "parameter d='x' of step 'hypercubic'")],
+    ids=["law", "step"],
+)
+def test_non_numeric_config_value_names_key_and_kind(tmp_path, capsys, argv, named):
+    assert run([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"renewalk: error: {named} is not a number\n"
+
+
 def test_figures_all(tmp_path):
     assert run(["figures", "all", "--out", str(tmp_path)]) == 0
     for key in ("fig2", "fig3", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10"):

@@ -347,17 +347,21 @@ def test_dcm_verify_cases():
     assert witness[0] == 1
 
 
+#: one config of each law kind
+_CONFIGS = (
+    "geometric:p=0.7",
+    "defective_geometric:defect=0.5,p=0.2",
+    "sibuya:mu=0.2",
+    "defective_sibuya:defect=0.9,mu=0.4",
+    "shifted_poisson:lam=2.0",
+    "power_law_bernstein:gamma=0.5,zeta=1.5",
+    "tabulated:pmf=0.25;0.25;0.5",
+)
+
+
 def test_parse_law_round_trip():
     # every JSON summary embeds these strings, so they are pinned byte for byte
-    for text in (
-        "geometric:p=0.7",
-        "defective_geometric:defect=0.5,p=0.2",
-        "sibuya:mu=0.2",
-        "defective_sibuya:defect=0.9,mu=0.4",
-        "shifted_poisson:lam=2.0",
-        "power_law_bernstein:gamma=0.5,zeta=1.5",
-        "tabulated:pmf=0.25;0.25;0.5",
-    ):
+    for text in _CONFIGS:
         law = parse_law(text)
         assert laws.law_config(law) == text
         again = parse_law(laws.law_config(law))
@@ -367,6 +371,21 @@ def test_parse_law_round_trip():
             np.asarray(law.pmf(np.arange(1, 20))),
             atol=0,
         )
+
+
+@pytest.mark.parametrize("text", _CONFIGS)
+def test_vectors_on_the_one_term_window(text):
+    # T = 0 holds only t = 0, where no law has mass; T < 0 is no window
+    law = parse_law(text)
+    assert law.pmf_vector(0).tolist() == [0.0]
+    assert law.survival_vector(0).tolist() == [1.0]
+    for vector in (law.pmf_vector, law.survival_vector):
+        with pytest.raises(ParameterError, match="horizon must be >= 0, got -1"):
+            vector(-1)
+
+
+def test_configs_cover_every_law_kind():
+    assert sorted(text.partition(":")[0] for text in _CONFIGS) == sorted(laws._LAW_KINDS)
 
 
 def test_parse_law_rejects_unknown():

@@ -599,20 +599,18 @@ def test_torus_fft_matches_dense_sum(step):
         )
 
 
-def test_torus_grid_peak_memory_is_near_one_grid(monkeypatch):
-    # a 128^3 torus is 32 MiB of complex entries and 8 slabs of phase products
+def test_torus_grid_peak_memory_is_near_one_grid():
+    # a 128^3 torus is 32 MiB of complex entries; both FFTs and the division
+    # run in place on it, so nothing else of its size is allocated
     step, n = walks.hypercubic_walk(3), 128
     psibar = Geometric(0.7).gf(0.9)
     tracemalloc.start()
     try:
-        got = ness._torus_grid(step, psibar, n, 8)
+        ness._torus_grid(step, psibar, n, 8)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * 16 * n**3
-    # the slabs add the same products as one whole-grid outer product
-    monkeypatch.setattr(ness, "_SLAB_ENTRIES", n**3)
-    np.testing.assert_array_equal(got, ness._torus_grid(step, psibar, n, 8))
+    assert peak <= 1.1 * 16 * n**3
 
 
 def test_mixture_closed_forms_are_exact():

@@ -9,6 +9,7 @@ from scipy.stats import binom
 
 from renewalk import renewal, series
 from renewalk.cli import main
+from renewalk.errors import ParameterError
 from renewalk.laws import (
     INFINITY,
     DefectiveGeometric,
@@ -23,13 +24,13 @@ from renewalk.laws import (
 def test_survival_closed_forms():
     t = np.arange(65, dtype=float)
     # defective geometric: (1-Q) + Q q^t
-    surv = renewal.survival_series(DefectiveGeometric(0.5, 0.7), 64)
+    surv = DefectiveGeometric(0.5, 0.7).survival_vector(64)
     np.testing.assert_allclose(surv, 0.5 + 0.5 * 0.3**t, atol=1e-14)
     # power-law family
-    surv = renewal.survival_series(PowerLawBernstein(0.5, 1.5), 64)
+    surv = PowerLawBernstein(0.5, 1.5).survival_vector(64)
     np.testing.assert_allclose(surv, 1.0 - 1.5**-0.5 + (t + 1.5) ** -0.5, atol=1e-14)
     for law in (Geometric(0.2), Sibuya(0.5), ShiftedPoisson(3.0)):
-        assert renewal.survival_series(law, 10)[0] == 1.0
+        assert law.survival_vector(10)[0] == 1.0
 
 
 @pytest.mark.parametrize("horizon", [0, 1, 2, 3, 19, 20, 127, 128, 129, 768])
@@ -41,8 +42,8 @@ def test_survival_closed_forms():
 def test_state_table_doubling_matches_direct(law, horizon):
     # the row-by-row convolution is the oracle for the doubling at every
     # horizon, also below the one where state_table switches to it
-    surv = renewal.survival_series(law, horizon)
-    pmf = law.pmf_vector(max(horizon, 1))[: horizon + 1]
+    surv = law.survival_vector(horizon)
+    pmf = law.pmf_vector(horizon)
     direct = renewal._rows_by_convolution(surv, pmf)
     for table in (renewal._rows_by_doubling(surv, pmf),
                   renewal.state_table(law, horizon).probs):
@@ -54,6 +55,12 @@ def test_state_table_doubling_matches_direct(law, horizon):
         # a relative check; entries at or below 1e-290 are checked for sign only
         normal = direct > 1e-290
         np.testing.assert_allclose(table[normal], direct[normal], rtol=1e-13, atol=0)
+
+
+def test_negative_horizon_is_a_parameter_error():
+    for build in (renewal.count_moments, renewal.state_table):
+        with pytest.raises(ParameterError, match="horizon must be >= 0, got -1"):
+            build(Geometric(0.5), -1)
 
 
 def test_state_table_geometric_is_binomial():

@@ -124,7 +124,7 @@ def test_divide_roundtrip():
 
 def _renewal_input(kind, param, n):
     law = Sibuya(param) if kind == "sibuya" else Geometric(param)
-    return series.delta_series(n - 1) - law.pmf_vector(max(n - 1, 1))[:n]
+    return series.delta_series(n - 1) - law.pmf_vector(n - 1)
 
 
 @settings(max_examples=60, deadline=None)

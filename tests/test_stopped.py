@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import state_polynomial
+from oracles import state_polynomial, stored_prefix_length
 
 from renewalk import renewal, stopped
 from renewalk.errors import ParameterError
@@ -153,6 +153,24 @@ def test_geometric_stop_immediate_kill_limit():
     assert summary.state_masses[0] == pytest.approx(0.3, abs=1e-6)
     assert summary.state_masses[1] == pytest.approx(0.7, abs=1e-6)
     assert float(summary.state_masses[2:].sum()) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [Geometric(0.7), Geometric(0.05), Sibuya(0.2), Sibuya(0.9), ShiftedPoisson(3.0),
+     Tabulated([0.0, 0.0, 1.0])],
+    ids=["geometric_0.7", "geometric_0.05", "sibuya_0.2", "sibuya_0.9", "poisson",
+         "tabulated"],
+)
+def test_geometric_stop_prefix_length_matches_the_loop(inner):
+    # the closed-form length against the step-by-step search, up to its cap
+    # of 200000 (Sibuya(0.9) near q = 1 reaches it)
+    for q in (1e-7, 0.1, 0.5, 0.8, 0.99, 0.999, 0.99999):
+        for defect in (1.0, 0.5):
+            summary = geometric_stop_asymptotics(inner, q, defect)
+            g = inner.gf(q)
+            want = stored_prefix_length(defect * (1.0 - g) / q, g)
+            assert len(summary.state_masses) == want + 1, (q, defect)
 
 
 def test_limit_masses_match_large_time_column():
