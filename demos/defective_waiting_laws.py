@@ -37,7 +37,7 @@ print("state table at t=512:     ", " ".join(f"{v:.4f}" for v in table.probs[:7,
 print()
 plb = PowerLawBernstein(0.5, 1.5)
 print(f"power-law family: total mass {plb.defect_mass:.6f} = zeta^-gamma")
-ok, witness = dcm_verify(plb.pmf(np.arange(1, 200)), n_max=8)
+ok, witness = dcm_verify(plb.pmf_vector(199)[1:], n_max=8)
 print(f"discrete complete monotonicity of its pmf up to order 8: {ok}")
 ok, witness = dcm_verify(np.arange(50.0), n_max=2)
 print(f"counterexample f(t) = t: {ok}, first violation (order, time) = {witness}")

@@ -344,7 +344,10 @@ def _cmd_mc(args) -> int:
         horizon=args.horizon,
         workers=args.workers,
     )
-    t_obs = INFINITY if args.t_obs in ("inf", "infinity") else int(args.t_obs)
+    try:
+        t_obs = INFINITY if args.t_obs in ("inf", "infinity") else int(args.t_obs)
+    except ValueError:
+        raise ParameterError(f"--t-obs must be an integer or 'inf', got {args.t_obs!r}") from None
     values = montecarlo.sample_stopped_value(spec, cfg, t_obs)
     support, counts = np.unique(values, return_counts=True)
     path = os.path.join(args.out, "mc_histogram.csv")
@@ -365,7 +368,8 @@ def _cmd_mc(args) -> int:
         exact = stopped.stopped_state_table(spec_t).column(int(t_obs))
         comp = montecarlo.compare_discrete(values, np.arange(len(exact)), exact)
         payload["tv_distance"] = comp.tv
-        payload["chisq_pvalue"] = comp.chisq_pvalue
+        # NaN (fewer than two pooled bins) is not JSON: write null
+        payload["chisq_pvalue"] = comp.chisq_pvalue if math.isfinite(comp.chisq_pvalue) else None
     _emit_summary(args, payload, "mc_summary", echo=args.summary)
     return 0
 

@@ -3,21 +3,22 @@
 A law carries a total mass ``defect_mass`` in (0, 1]; the deficit
 ``1 - defect_mass`` is probability sitting at infinity, so a draw may
 return the ``INFINITY`` sentinel.  ``has_full_mass`` is the one test of
-whether that deficit is below float resolution.  Each family exposes its
-pmf, a closed-form generating-function evaluation where one exists, a
-closed-form survival, and an exact sampler: CDF inversion (for geometric
-laws, of an exponential variate), except for Sibuya draws, which are
-geometric with a Beta-distributed success probability.  Laws without a
-defect skip the draw that decides between a finite time and infinity.
-The defective families are one construction (``_Thinned``): a base law
-whose pmf is scaled by ``defect``, with the rest of the mass at infinity
-and the base law's own finite draws.
+whether that deficit is below float resolution.  A law is a series window
+on t = 0..T: each family gives its pmf and survival there (``pmf_vector``,
+``survival_vector``), its generating function and an exact sampler of
+arrays of draws: CDF inversion (for geometric laws, of an exponential
+variate), except for Sibuya draws, which are geometric with a
+Beta-distributed success probability.  Laws without a defect skip the
+draw that decides between a finite time and infinity.  The defective
+families are one construction (``_Thinned``): a base law whose pmf is
+scaled by ``defect``, with the rest of the mass at infinity and the base
+law's own finite draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,6 +56,13 @@ def _window(horizon: int) -> int:
     return horizon
 
 
+def _series(horizon: int, at_zero: float, closed_form) -> np.ndarray:
+    """[at_zero, closed_form(t) for t = 1..T] on the window t = 0..T."""
+    out = np.full(_window(horizon) + 1, at_zero)
+    out[1:] = closed_form(np.arange(1, horizon + 1, dtype=float))
+    return out
+
+
 class WaitingLaw:
     """Base interface; concrete families override the closed forms."""
 
@@ -66,16 +74,9 @@ class WaitingLaw:
         """True when the mass at infinity is below float resolution."""
         return self.defect_mass >= 1.0 - _MASS_TOL
 
-    def pmf(self, t):
-        """Probability of waiting exactly ``t`` steps (vectorized, 0 for t < 1)."""
-        raise NotImplementedError
-
     def pmf_vector(self, horizon: int) -> np.ndarray:
         """Series [0, pmf(1), ..., pmf(horizon)], horizon >= 0; never renormalized."""
-        t = np.arange(_window(horizon) + 1)
-        out = np.asarray(self.pmf(t), dtype=float)
-        out[0] = 0.0
-        return out
+        raise NotImplementedError
 
     def survival_vector(self, horizon: int) -> np.ndarray:
         """P[waiting time > t] for t = 0..horizon; tends to 1 - defect_mass."""
@@ -89,16 +90,12 @@ class WaitingLaw:
         """Generating function sum_t pmf(t) u^t on [0, 1]; returns the mass at u=1."""
         raise NotImplementedError
 
-    def sample(self, rng, size=None):
-        """Draw waiting times; INFINITY (scalar) / np.inf (array) when defective."""
-        if size is None:
-            draw = float(self.sample(rng, 1)[0])
-            return INFINITY if draw == INFINITY else int(draw)
-        n = int(size)
+    def sample(self, rng, size: int) -> np.ndarray:
+        """``size`` waiting times as floats; np.inf where a defective law never arrives."""
         if self.defect_mass >= 1.0:
-            return self._sample_finite(rng, n)
-        out = np.full(n, np.inf)
-        finite = rng.random(n) < self.defect_mass
+            return self._sample_finite(rng, size)
+        out = np.full(size, np.inf)
+        finite = rng.random(size) < self.defect_mass
         k = int(finite.sum())
         if k:
             out[finite] = self._sample_finite(rng, k)
@@ -124,17 +121,12 @@ class Geometric(WaitingLaw):
         if not 0.0 < self.p <= 1.0:
             raise ParameterError(f"geometric p must be in (0, 1], got {self.p}")
 
-    defect_mass = 1.0
-
     @property
     def q(self) -> float:
         return 1.0 - self.p
 
-    def pmf(self, t):
-        t = np.asarray(t)
-        with np.errstate(invalid="ignore"):
-            vals = np.where(t >= 1, self.p * self.q ** np.maximum(t - 1, 0), 0.0)
-        return vals
+    def pmf_vector(self, horizon: int) -> np.ndarray:
+        return _series(horizon, 0.0, lambda t: self.p * self.q ** (t - 1.0))
 
     def survival_vector(self, horizon: int) -> np.ndarray:
         return self.q ** np.arange(_window(horizon) + 1, dtype=float)
@@ -157,34 +149,14 @@ class Sibuya(WaitingLaw):
         if not 0.0 < self.mu < 1.0:
             raise ParameterError(f"sibuya index must be in (0, 1), got {self.mu}")
 
-    defect_mass = 1.0
-
-    def pmf(self, t):
-        # mu * G(t - mu) / (G(1 - mu) G(t + 1)), stable for any t
-        from scipy.special import gammaln
-
-        t = np.asarray(t, dtype=float)
-        safe = np.maximum(t, 1.0)
-        logp = (
-            math.log(self.mu)
-            + gammaln(safe - self.mu)
-            - gammaln(1.0 - self.mu)
-            - gammaln(safe + 1.0)
-        )
-        return np.where(t >= 1, np.exp(logp), 0.0)
-
     def pmf_vector(self, horizon: int) -> np.ndarray:
         # pmf(t) = surv(t-1) mu / t
-        out = np.zeros(_window(horizon) + 1)
-        out[1:] = self.survival_vector(horizon)[:-1] * (self.mu / np.arange(1, horizon + 1))
-        return out
+        return _series(horizon, 0.0, lambda t: self.survival_vector(horizon)[:-1] * (self.mu / t))
 
     def survival_vector(self, horizon: int) -> np.ndarray:
         # (-1)^t C(mu-1, t) = prod_{s<=t} (1 - mu/s): one rounding per factor
         # keeps ~1e-15 relative, where exp of a gammaln difference loses 1e-12
-        out = np.ones(_window(horizon) + 1)
-        out[1:] = np.cumprod(1.0 - self.mu / np.arange(1, horizon + 1))
-        return out
+        return _series(horizon, 1.0, lambda t: np.cumprod(1.0 - self.mu / t))
 
     def gf(self, u: float) -> float:
         u = self._check_u(u)
@@ -214,23 +186,17 @@ class ShiftedPoisson(WaitingLaw):
         if not self.lam > 0.0:
             raise ParameterError(f"poisson rate must be positive, got {self.lam}")
 
-    defect_mass = 1.0
-
-    def pmf(self, t):
+    def pmf_vector(self, horizon: int) -> np.ndarray:
         from scipy.special import gammaln
 
-        t = np.asarray(t, dtype=float)
-        safe = np.maximum(t, 1.0)
-        logp = (safe - 1.0) * math.log(self.lam) - self.lam - gammaln(safe)
-        return np.where(t >= 1, np.exp(logp), 0.0)
+        log_lam = math.log(self.lam)
+        return _series(horizon, 0.0, lambda t: np.exp((t - 1.0) * log_lam - self.lam - gammaln(t)))
 
     def survival_vector(self, horizon: int) -> np.ndarray:
         # P[1 + Poisson > t] = P[Poisson >= t] = gammainc(t, lam) for t >= 1
         from scipy.special import gammainc
 
-        out = np.ones(_window(horizon) + 1)
-        out[1:] = gammainc(np.arange(1, horizon + 1, dtype=float), self.lam)
-        return out
+        return _series(horizon, 1.0, lambda t: gammainc(t, self.lam))
 
     def gf(self, u: float) -> float:
         u = self._check_u(u)
@@ -263,14 +229,9 @@ class PowerLawBernstein(WaitingLaw):
     def defect_mass(self) -> float:
         return self.zeta ** (-self.gamma)
 
-    def pmf(self, t):
-        t = np.asarray(t, dtype=float)
-        # t < 1 would put (t - 1 + zeta) near 0 and overflow the power
-        safe = np.maximum(t, 1.0)
-        vals = (safe - 1.0 + self.zeta) ** (-self.gamma) - (safe + self.zeta) ** (
-            -self.gamma
-        )
-        return np.where(t >= 1, vals, 0.0)
+    def pmf_vector(self, horizon: int) -> np.ndarray:
+        z, g = self.zeta, self.gamma
+        return _series(horizon, 0.0, lambda t: (t - 1.0 + z) ** -g - (t + z) ** -g)
 
     def survival_vector(self, horizon: int) -> np.ndarray:
         t = np.arange(_window(horizon) + 1, dtype=float)
@@ -290,7 +251,7 @@ class PowerLawBernstein(WaitingLaw):
         while u**cutoff * (cutoff + self.zeta) ** (-self.gamma) > 1e-14 and cutoff < 2**22:
             cutoff *= 2
         t = np.arange(1, cutoff + 1, dtype=float)
-        return float(np.sum(self.pmf(t) * u**t))
+        return float(np.sum(self.pmf_vector(cutoff)[1:] * u**t))
 
     def _sample_finite(self, rng, n):
         # Conditional survival zeta^gamma (t+zeta)^-gamma inverts in closed form.
@@ -303,12 +264,15 @@ class PowerLawBernstein(WaitingLaw):
 class Tabulated(WaitingLaw):
     """Law given by an explicit finite pmf table for t = 1..len(table)."""
 
-    table: np.ndarray = field(default_factory=lambda: np.array([1.0]))
+    table: np.ndarray
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=float).ravel().copy()
         if table.size == 0:
             raise ParameterError("tabulated pmf must be nonempty")
+        if not np.isfinite(table).all():
+            bad = table[~np.isfinite(table)][0]
+            raise ParameterError(f"tabulated pmf entries must be finite, got {bad}")
         if np.any(table < -_MASS_TOL):
             raise ParameterError("tabulated pmf has negative entries")
         table = np.clip(table, 0.0, None)
@@ -320,12 +284,9 @@ class Tabulated(WaitingLaw):
     def defect_mass(self) -> float:
         return float(min(self.table.sum(), 1.0))
 
-    def pmf(self, t):
-        t = np.asarray(t)
-        rounded = np.rint(t).astype(np.int64)
-        idx = np.clip(rounded - 1, 0, len(self.table) - 1)
-        inside = (t == rounded) & (rounded >= 1) & (rounded <= len(self.table))
-        return np.where(inside, self.table[idx], 0.0)
+    def pmf_vector(self, horizon: int) -> np.ndarray:
+        head = self.table[:horizon]
+        return np.concatenate([[0.0], head, np.zeros(_window(horizon) - head.size)])
 
     def gf(self, u: float) -> float:
         u = self._check_u(u)
@@ -355,9 +316,6 @@ class _Thinned(WaitingLaw):
     @property
     def defect_mass(self) -> float:
         return self.defect
-
-    def pmf(self, t):
-        return self.defect * self._base.pmf(t)
 
     def pmf_vector(self, horizon: int) -> np.ndarray:
         return self.defect * self._base.pmf_vector(horizon)

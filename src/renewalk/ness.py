@@ -293,11 +293,21 @@ class NessCurve:
         return float(np.trapezoid(self.density, self.y))
 
 
+def _displacement(a: float) -> float:
+    if a == 0.0 or not math.isfinite(a):
+        raise ParameterError(f"mean displacement must be finite and nonzero, got {a}")
+    return a
+
+
+def _msd(b: float) -> float:
+    if not 0.0 < b < math.inf:
+        raise ParameterError(f"mean squared displacement must be in (0, inf), got {b}")
+    return b
+
+
 def one_sided_exp_density(y, mean_displacement: float) -> np.ndarray:
     """(1/|A|) exp(-y/A) on the side of the bias, A the mean displacement."""
-    a = mean_displacement
-    if a == 0.0:
-        raise ParameterError("mean displacement must be nonzero")
+    a = _displacement(mean_displacement)
     y = np.asarray(y, dtype=float)
     ratio = y / a
     return np.where(ratio >= 0.0, np.exp(-np.clip(ratio, 0.0, None)) / abs(a), 0.0)
@@ -305,15 +315,14 @@ def one_sided_exp_density(y, mean_displacement: float) -> np.ndarray:
 
 def laplace_density(y, msd: float) -> np.ndarray:
     """exp(-|y| sqrt(2/B)) / sqrt(2B), B the per-count mean squared step."""
-    if not msd > 0.0:
-        raise ParameterError("mean squared displacement must be positive")
+    msd = _msd(msd)
     y = np.asarray(y, dtype=float)
     return np.exp(-np.abs(y) * math.sqrt(2.0 / msd)) / math.sqrt(2.0 * msd)
 
 
 def one_sided_exp_curve(mean_displacement: float, y=None) -> NessCurve:
     if y is None:
-        top = 14.0 * abs(mean_displacement)
+        top = 14.0 * abs(_displacement(mean_displacement))
         y = np.linspace(0.0, top, 1401) * math.copysign(1.0, mean_displacement)
         y = np.sort(y)
     y = np.asarray(y, dtype=float)
@@ -322,7 +331,7 @@ def one_sided_exp_curve(mean_displacement: float, y=None) -> NessCurve:
 
 def laplace_curve(msd: float, y=None) -> NessCurve:
     if y is None:
-        top = 14.0 * math.sqrt(msd)
+        top = 14.0 * math.sqrt(_msd(msd))
         y = np.linspace(-top, top, 2001)
     y = np.asarray(y, dtype=float)
     return NessCurve(y, laplace_density(y, msd))

@@ -66,13 +66,7 @@ def stopped_state_table(spec: StoppedSpec) -> StateTable:
     partial sum the paths frozen at r.  Columns sum to one for every finite t
     whatever the stopping-law defect.
     """
-    horizon = spec.horizon
-    inner = renewal.state_table(spec.inner, horizon)
-    stop_pmf = spec.stop.pmf_vector(horizon)
-    stop_surv = spec.stop.survival_vector(horizon)
-    frozen = np.cumsum(inner.probs * stop_pmf[None, :], axis=1)
-    probs = inner.probs * stop_surv[None, :] + frozen
-    return StateTable(probs)
+    return StateTable(_frozen(spec.stop, renewal.state_table(spec.inner, spec.horizon).probs))
 
 
 def stopped_moments(spec: StoppedSpec, order: int) -> np.ndarray:
@@ -84,12 +78,16 @@ def stopped_moments(spec: StoppedSpec, order: int) -> np.ndarray:
 
 def _moment_pair(spec: StoppedSpec) -> tuple[np.ndarray, np.ndarray]:
     """E M(t) and E M^2(t) on [0, horizon] from one ``count_moments`` call."""
-    stop_pmf = spec.stop.pmf_vector(spec.horizon)
-    stop_surv = spec.stop.survival_vector(spec.horizon)
-    return tuple(
-        stop_surv * inner + np.cumsum(stop_pmf * inner)
-        for inner in renewal.count_moments(spec.inner, spec.horizon)
-    )
+    return tuple(_frozen(spec.stop, m) for m in renewal.count_moments(spec.inner, spec.horizon))
+
+
+def _frozen(stop: WaitingLaw, series: np.ndarray) -> np.ndarray:
+    """X(min(t, S)) = surv_S(t) X(t) + sum_{r<=t} pmf_S(r) X(r) along the last axis."""
+    horizon = series.shape[-1] - 1
+    # the running sum first: numpy then adds it into the product's temporary;
+    # the product first would hold one more table-sized array at the peak
+    frozen = np.cumsum(stop.pmf_vector(horizon) * series, axis=-1)
+    return frozen + stop.survival_vector(horizon) * series
 
 
 @dataclass(frozen=True)
@@ -298,7 +296,7 @@ def discounted_inner_law(inner: WaitingLaw, q: float, horizon: int) -> Tabulated
     if not 0.0 < q < 1.0:
         raise ParameterError("discount factor q must be in (0, 1)")
     t = np.arange(1, horizon + 1, dtype=float)
-    return Tabulated(np.asarray(inner.pmf(t)) * q**t)
+    return Tabulated(inner.pmf_vector(horizon)[1:] * q**t)
 
 
 def brute_force_stopped_table(spec: StoppedSpec) -> StateTable:

@@ -356,6 +356,50 @@ def test_ness_rejects_bad_grid_flags(tmp_path, capsys, grid, flag):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "kind, scale", [("one-sided-exp", "nan"), ("one-sided-exp", "inf"), ("laplace", "inf")]
+)
+def test_ness_rejects_non_finite_scale(tmp_path, capsys, kind, scale):
+    assert run(["ness", "--kind", kind, "--scale", scale, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("renewalk: error:") and f"got {scale}\n" in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_tabulated_law_rejects_non_finite_entries(tmp_path, capsys):
+    argv = ["renewal", "--law", "tabulated:pmf=nan;0.5", "--horizon", "4"]
+    assert run([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err == "renewalk: error: tabulated pmf entries must be finite, got nan\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_mc_pvalue_without_two_bins_is_null(tmp_path):
+    # at t_obs = 0 the whole law is one bin, so no chi-square test exists
+    code = run(
+        ["mc", "--inner", "geometric:p=0.7", "--stop", "geometric:p=0.2",
+         "--t-obs", "0", "--replicas", "1000", "--horizon", "16", "--out", str(tmp_path)]
+    )
+    assert code == 0
+
+    def reject(token):  # NaN and Infinity are not JSON
+        raise ValueError(f"{token} in mc_summary.json")
+
+    payload = json.loads((tmp_path / "mc_summary.json").read_text(), parse_constant=reject)
+    assert payload["chisq_pvalue"] is None
+    assert payload["tv_distance"] == 0.0
+
+
+def test_mc_t_obs_names_its_flag(tmp_path, capsys):
+    code = run(
+        ["mc", "--inner", "geometric:p=0.7", "--stop", "geometric:p=0.2",
+         "--t-obs", "abc", "--out", str(tmp_path)]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err == "renewalk: error: --t-obs must be an integer or 'inf', got 'abc'\n"
+
+
 def _reference_csv(header, columns):
     """Cell-by-cell formatter: integers as str(int), other values as %.12g."""
     lines = [",".join(header)]

@@ -39,16 +39,16 @@ ALL_PRESETS = [
 
 
 def test_pmf_worked_values():
-    sib = Sibuya(0.5)
-    assert sib.pmf(1) == pytest.approx(0.5, abs=1e-15)
-    assert sib.pmf(2) == pytest.approx(0.125, abs=1e-15)
-    dg = DefectiveGeometric(0.5, 0.7)
-    assert dg.pmf(1) == pytest.approx(0.35, abs=1e-15)
-    assert dg.pmf(2) == pytest.approx(0.105, abs=1e-15)
-    plb = PowerLawBernstein(1.0, 1.0)
+    sib = Sibuya(0.5).pmf_vector(2)
+    assert sib[1] == pytest.approx(0.5, abs=1e-15)
+    assert sib[2] == pytest.approx(0.125, abs=1e-15)
+    dg = DefectiveGeometric(0.5, 0.7).pmf_vector(2)
+    assert dg[1] == pytest.approx(0.35, abs=1e-15)
+    assert dg[2] == pytest.approx(0.105, abs=1e-15)
+    plb = PowerLawBernstein(1.0, 1.0).pmf_vector(11)
     t = np.arange(1, 12)
-    np.testing.assert_allclose(plb.pmf(t), 1.0 / (t * (t + 1.0)), atol=1e-15)
-    assert plb.pmf(1) == pytest.approx(0.5, abs=0)
+    np.testing.assert_allclose(plb[1:], 1.0 / (t * (t + 1.0)), atol=1e-15)
+    assert plb[1] == pytest.approx(0.5, abs=0)
 
 
 def test_pmf_vector_layout():
@@ -90,7 +90,7 @@ def test_gf_matches_truncated_series():
     t = np.arange(1, 6001, dtype=float)
     for law in ALL_PRESETS:
         for u in (0.2, 0.5, 0.9, 0.99):
-            truncated = float(np.sum(law.pmf(t) * u**t))
+            truncated = float(np.sum(law.pmf_vector(6000)[1:] * u**t))
             assert law.gf(u) == pytest.approx(truncated, abs=1e-8), type(law)
 
 
@@ -126,10 +126,8 @@ def test_power_law_pmf_vector_steep_and_barely_defective():
 
 def test_sampling_degenerate_cases():
     rng = np.random.default_rng(0)
-    never = DefectiveGeometric(0.0, 0.7)
-    assert all(never.sample(rng) == INFINITY for _ in range(50))
-    sure = Geometric(1.0)
-    assert all(sure.sample(rng) == 1 for _ in range(50))
+    assert (DefectiveGeometric(0.0, 0.7).sample(rng, 50) == INFINITY).all()
+    assert (Geometric(1.0).sample(rng, 50) == 1).all()
 
 
 def test_geometric_sample_mean():
@@ -167,7 +165,7 @@ def test_sampling_matches_pmf_in_total_variation(law):
     finite = draws[np.isfinite(draws)]
     edges = np.concatenate([np.arange(1, 34), 32 * 2.0 ** np.arange(1, 16)])
     atoms = np.arange(1, int(edges[-1]) + 1)
-    mass = np.asarray(law.pmf(atoms)) / law.defect_mass
+    mass = law.pmf_vector(atoms[-1])[1:] / law.defect_mass
     exact, _ = np.histogram(atoms, bins=edges, weights=mass)
     emp, _ = np.histogram(finite, bins=edges)
     emp = emp / finite.size
@@ -338,7 +336,7 @@ def test_dcm_verify_cases():
     ok, witness = dcm_verify(np.exp(-0.3 * t), n_max=6)
     assert ok and witness is None
 
-    pmf_tail = PowerLawBernstein(0.5, 1.5).pmf(np.arange(1, 66))
+    pmf_tail = PowerLawBernstein(0.5, 1.5).pmf_vector(65)[1:]
     ok, witness = dcm_verify(pmf_tail, n_max=6)
     assert ok and witness is None
 
@@ -366,11 +364,7 @@ def test_parse_law_round_trip():
         assert laws.law_config(law) == text
         again = parse_law(laws.law_config(law))
         assert type(again) is type(law)
-        np.testing.assert_allclose(
-            np.asarray(again.pmf(np.arange(1, 20))),
-            np.asarray(law.pmf(np.arange(1, 20))),
-            atol=0,
-        )
+        np.testing.assert_allclose(again.pmf_vector(19), law.pmf_vector(19), atol=0)
 
 
 @pytest.mark.parametrize("text", _CONFIGS)
@@ -382,6 +376,17 @@ def test_vectors_on_the_one_term_window(text):
     for vector in (law.pmf_vector, law.survival_vector):
         with pytest.raises(ParameterError, match="horizon must be >= 0, got -1"):
             vector(-1)
+
+
+@pytest.mark.parametrize("text", _CONFIGS + ("geometric:p=1",))
+def test_shorter_windows_are_bitwise_prefixes(text):
+    # callers take the window they need, so a series must not depend on where
+    # it is cut; the table of 3 is cut below, at and above its length
+    law = parse_law(text)
+    pmf, surv = law.pmf_vector(64), law.survival_vector(64)
+    for horizon in (0, 1, 2, 3, 4, 40, 63):
+        assert law.pmf_vector(horizon).tobytes() == pmf[: horizon + 1].tobytes()
+        assert law.survival_vector(horizon).tobytes() == surv[: horizon + 1].tobytes()
 
 
 def test_configs_cover_every_law_kind():
@@ -427,13 +432,14 @@ def test_thinned_law_is_defect_times_base(defect, share, u, sibuya):
         law, base = DefectiveGeometric(defect, share), Geometric(share)
         t = np.arange(1, 60)
         np.testing.assert_allclose(
-            law.pmf(t), defect * (share * (1.0 - share) ** (t - 1)), rtol=1e-13, atol=0
+            law.pmf_vector(59)[1:],
+            defect * (share * (1.0 - share) ** (t - 1)),
+            rtol=1e-13,
+            atol=0,
         )
         assert law.gf(u) == pytest.approx(
             defect * share * u / (1.0 - (1.0 - share) * u), rel=1e-14, abs=1e-300
         )
-    t = np.arange(-2, 60)
-    np.testing.assert_array_equal(law.pmf(t), defect * base.pmf(t))
     np.testing.assert_array_equal(law.pmf_vector(59), defect * base.pmf_vector(59))
     np.testing.assert_array_equal(
         law.survival_vector(59), (1.0 - defect) + defect * base.survival_vector(59)
