@@ -100,7 +100,7 @@ def _write_csv(path: str, header, columns) -> None:
 
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -124,11 +124,18 @@ def validate_summary(payload: dict) -> None:
             raise ValueError("summary keys must be strings")
 
 
-def _emit_summary(args, payload: dict, stem: str, echo: bool = False) -> None:
-    payload = {"schema_version": SCHEMA_VERSION, **payload}
+def _json_value(value):
+    """JSON has no NaN or infinity: a non-finite float is written as null."""
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _emit_summary(args, payload: dict) -> None:
+    """Write ``<command>_summary.json`` and echo it under ``--summary``."""
+    payload = {"schema_version": SCHEMA_VERSION, "command": args.command, **payload}
+    payload = {key: _json_value(value) for key, value in payload.items()}
     validate_summary(payload)
-    _write_json(os.path.join(args.out, f"{stem}.json"), payload)
-    if echo:
+    _write_json(os.path.join(args.out, f"{args.command}_summary.json"), payload)
+    if args.summary:
         print(json.dumps(payload, indent=2, sort_keys=True))
 
 
@@ -148,21 +155,32 @@ def _cmd_renewal(args) -> int:
     _emit_summary(
         args,
         {
-            "command": "renewal",
             "law": law_config(law),
             "defect_mass": law.defect_mass,
             "classification": label,
             "limit_state": [float(v) for v in masses],
             "horizon": args.horizon,
         },
-        "renewal_summary",
-        echo=args.summary,
     )
     return 0
 
 
-def _stop_asymptotics(spec):
-    """Closed-form infinite-time block where one exists, else None."""
+def _stopped_spec(args):
+    """The spec of --inner, --stop and --horizon, and its summary fields."""
+    spec = stopped.StoppedSpec(parse_law(args.inner), parse_law(args.stop), args.horizon)
+    laws = {"inner": law_config(spec.inner), "stop": law_config(spec.stop)}
+    return spec, {**laws, "horizon": args.horizon}
+
+
+def _exact_column(spec, t: int) -> np.ndarray:
+    """P[M(t) = n] for n = 0..t, from the stopped table of ``spec``'s laws."""
+    # column t depends on no later time, so the table stops at t
+    spec_t = stopped.StoppedSpec(spec.inner, spec.stop, t)
+    return stopped.stopped_state_table(spec_t).column(t)
+
+
+def _stop_asymptotics(spec) -> dict:
+    """Closed-form infinite-time block where one exists, else empty."""
     stop = spec.stop
     if isinstance(stop, (Geometric, DefectiveGeometric)):
         summary = stopped.geometric_stop_asymptotics(
@@ -171,7 +189,7 @@ def _stop_asymptotics(spec):
     elif isinstance(stop, ShiftedPoisson) and isinstance(spec.inner, Geometric):
         summary = stopped.poisson_stop(spec.inner.p, stop.lam)
     else:
-        return None
+        return {}
     return {
         "mean_inf": summary.mean,
         "second_inf": summary.second_moment,
@@ -181,9 +199,7 @@ def _stop_asymptotics(spec):
 
 
 def _cmd_stopped(args) -> int:
-    spec = stopped.StoppedSpec(
-        parse_law(args.inner), parse_law(args.stop), args.horizon
-    )
+    spec, fields = _stopped_spec(args)
     _write_state_table(args, stopped.stopped_state_table(spec), "stopped_state")
     mean, second = stopped._moment_pair(spec)
     _write_csv(
@@ -192,19 +208,14 @@ def _cmd_stopped(args) -> int:
         [np.arange(len(mean)), mean, second, second - mean**2],
     )
     payload = {
-        "command": "stopped",
-        "inner": law_config(spec.inner),
-        "stop": law_config(spec.stop),
-        "horizon": args.horizon,
+        **fields,
         "never_stop_prob": stopped.never_stop_prob(spec),
         "classification": stopped.classify(spec),
         "mean_at_horizon": float(mean[-1]),
         "variance_at_horizon": float(second[-1] - mean[-1] ** 2),
+        **_stop_asymptotics(spec),
     }
-    closed = _stop_asymptotics(spec)
-    if closed is not None:
-        payload.update(closed)
-    _emit_summary(args, payload, "stopped_summary", echo=args.summary)
+    _emit_summary(args, payload)
     return 0
 
 
@@ -231,9 +242,7 @@ def _write_grid(path: str, grid: walks.PropagatorGrid) -> None:
 
 
 def _cmd_walk(args) -> int:
-    spec = stopped.StoppedSpec(
-        parse_law(args.inner), parse_law(args.stop), args.horizon
-    )
+    spec, fields = _stopped_spec(args)
     step = parse_steps(args.steps)
     mean, second = stopped._moment_pair(spec)
     moments = walks.walk_moments(step, mean, second)
@@ -246,19 +255,15 @@ def _cmd_walk(args) -> int:
     if args.propagator_time is not None:
         t = args.propagator_time
         if not 0 <= t <= args.horizon:
-            raise ParameterError("propagator time must be within the horizon")
-        # column t depends on no later time, so the table stops at t
-        spec_t = stopped.StoppedSpec(spec.inner, spec.stop, t)
-        table = stopped.stopped_state_table(spec_t)
-        grid = walks.propagator(step, table.column(t), args.box)
+            raise ParameterError(
+                f"--propagator-time must be in [0, horizon={args.horizon}], got {t}"
+            )
+        grid = walks.propagator(step, _exact_column(spec, t), args.box)
         _write_grid(os.path.join(args.out, f"walk_propagator_t{t}.csv"), grid)
     horizon = args.horizon
     payload = {
-        "command": "walk",
         "steps": args.steps,
-        "inner": law_config(spec.inner),
-        "stop": law_config(spec.stop),
-        "horizon": horizon,
+        **fields,
         "never_stop_prob": stopped.never_stop_prob(spec),
         "mean_step": [float(v) for v in step.mean_step],
         "step_second_moment": [float(v) for v in step.second_moment],
@@ -266,7 +271,7 @@ def _cmd_walk(args) -> int:
         "msd_over_t": float(moments.msd[-1] / horizon) if horizon else None,
         "msd_over_t2": float(moments.msd[-1] / horizon**2) if horizon else None,
     }
-    _emit_summary(args, payload, "walk_summary", echo=args.summary)
+    _emit_summary(args, payload)
     return 0
 
 
@@ -280,7 +285,6 @@ def _cmd_ness(args) -> int:
         grid = ness.lattice_ness(step, spec_inner, args.q, args.box)
         _write_grid(os.path.join(args.out, "ness_lattice.csv"), grid)
         payload = {
-            "command": "ness",
             "kind": "lattice",
             "steps": args.steps,
             "inner": law_config(spec_inner),
@@ -290,7 +294,7 @@ def _cmd_ness(args) -> int:
             "origin_mass": grid.prob([0] * step.dim),
             "rescale_length": ness.ness_scale(spec_inner, args.q),
         }
-        _emit_summary(args, payload, "ness_summary", echo=args.summary)
+        _emit_summary(args, payload)
         return 0
     if (args.y_min is None) != (args.y_max is None):
         raise ParameterError("--y-min and --y-max must be given together")
@@ -311,7 +315,7 @@ def _cmd_ness(args) -> int:
     elif args.kind == "laplace":
         curve = ness.laplace_curve(args.scale, y=y)
         params["msd"] = args.scale
-    elif args.kind == "stable-mixture":
+    else:
         infinite_at_zero = args.theta == 0.0 and 0.0 < args.alpha <= 1.0
         if infinite_at_zero and y is not None and (y == 0.0).any():
             raise ParameterError(
@@ -320,24 +324,15 @@ def _cmd_ness(args) -> int:
             )
         curve = ness.stable_mixture_curve(args.alpha, args.theta, y=y)
         params.update({"alpha": args.alpha, "theta": args.theta})
-    else:
-        raise ParameterError(f"unknown ness kind {args.kind!r}")
     path = os.path.join(args.out, "ness_curve.csv")
     _write_csv(path, ["y", "density"], [curve.y, curve.density])
-    payload = {
-        "command": "ness",
-        "kind": args.kind,
-        "trapezoid_mass": curve.trapezoid_mass(),
-        **params,
-    }
-    _emit_summary(args, payload, "ness_summary", echo=args.summary)
+    payload = {"kind": args.kind, "trapezoid_mass": curve.trapezoid_mass(), **params}
+    _emit_summary(args, payload)
     return 0
 
 
 def _cmd_mc(args) -> int:
-    spec = stopped.StoppedSpec(
-        parse_law(args.inner), parse_law(args.stop), args.horizon
-    )
+    spec, fields = _stopped_spec(args)
     cfg = montecarlo.SimConfig(
         seed=args.seed,
         replicas=args.replicas,
@@ -353,24 +348,19 @@ def _cmd_mc(args) -> int:
     path = os.path.join(args.out, "mc_histogram.csv")
     _write_csv(path, ["value", "count"], [support, counts])
     payload = {
-        "command": "mc",
-        "inner": law_config(spec.inner),
-        "stop": law_config(spec.stop),
-        "t_obs": "inf" if t_obs == INFINITY else int(t_obs),
+        **fields,
+        "t_obs": "inf" if t_obs == INFINITY else t_obs,
         "seed": args.seed,
         "replicas": args.replicas,
-        "horizon": args.horizon,
         "mean": float(values.mean()),
         "variance": float(values.var()),
     }
     if t_obs != INFINITY and t_obs <= 2048:
-        spec_t = stopped.StoppedSpec(spec.inner, spec.stop, int(t_obs))
-        exact = stopped.stopped_state_table(spec_t).column(int(t_obs))
+        exact = _exact_column(spec, t_obs)
         comp = montecarlo.compare_discrete(values, np.arange(len(exact)), exact)
-        payload["tv_distance"] = comp.tv
-        # NaN (fewer than two pooled bins) is not JSON: write null
-        payload["chisq_pvalue"] = comp.chisq_pvalue if math.isfinite(comp.chisq_pvalue) else None
-    _emit_summary(args, payload, "mc_summary", echo=args.summary)
+        # the p-value is NaN, written null, with fewer than two pooled bins
+        payload.update(tv_distance=comp.tv, chisq_pvalue=comp.chisq_pvalue)
+    _emit_summary(args, payload)
     return 0
 
 
@@ -438,12 +428,7 @@ def _cmd_figures(args) -> int:
     for key in keys:
         header, columns = _FIGURES[key]()
         _write_csv(os.path.join(args.out, f"{key}.csv"), header, columns)
-    _emit_summary(
-        args,
-        {"command": "figures", "keys": keys},
-        "figures_summary",
-        echo=args.summary,
-    )
+    _emit_summary(args, {"keys": keys})
     return 0
 
 
@@ -472,33 +457,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, laws_needed=False):
-        p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
+    def command(name, func, help, horizon=False, laws=False):
+        """A subcommand with --out, --summary and --config; --horizon with
+        ``horizon``, and --horizon, --inner and --stop with ``laws``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        if horizon or laws:
+            p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
         p.add_argument("--out", default=".")
         p.add_argument("--summary", action="store_true", help="echo the JSON summary")
         p.add_argument("--config", help="key = value file supplying these options")
-        if laws_needed:
+        if laws:
             p.add_argument("--inner", required=True, help="inner waiting-law config")
             p.add_argument("--stop", required=True, help="stopping waiting-law config")
+        return p
 
-    p_renewal = sub.add_parser("renewal", help="single renewal process laws")
-    common(p_renewal)
+    p_renewal = command("renewal", _cmd_renewal, "single renewal process laws", horizon=True)
     p_renewal.add_argument("--law", required=True, help="waiting-law config")
-    p_renewal.set_defaults(func=_cmd_renewal)
 
-    p_stopped = sub.add_parser("stopped", help="stopped-process laws and moments")
-    common(p_stopped, laws_needed=True)
-    p_stopped.set_defaults(func=_cmd_stopped)
+    command("stopped", _cmd_stopped, "stopped-process laws and moments", laws=True)
 
-    p_walk = sub.add_parser("walk", help="time-changed lattice walk moments")
-    common(p_walk, laws_needed=True)
+    p_walk = command("walk", _cmd_walk, "time-changed lattice walk moments", laws=True)
     p_walk.add_argument("--steps", required=True, help="step-law config")
     p_walk.add_argument("--propagator-time", type=int, default=None)
     p_walk.add_argument("--box", type=int, default=64)
-    p_walk.set_defaults(func=_cmd_walk)
 
-    p_ness = sub.add_parser("ness", help="stationary laws of stopped walks")
-    common(p_ness)
+    p_ness = command("ness", _cmd_ness, "stationary laws of stopped walks")
     p_ness.add_argument(
         "--kind",
         required=True,
@@ -515,50 +499,40 @@ def build_parser() -> argparse.ArgumentParser:
     p_ness.add_argument("--y-min", type=float, default=None)
     p_ness.add_argument("--y-max", type=float, default=None)
     p_ness.add_argument("--points", type=int, default=201)
-    p_ness.set_defaults(func=_cmd_ness)
 
-    p_mc = sub.add_parser("mc", help="Monte Carlo histograms and statistics")
-    common(p_mc, laws_needed=True)
+    p_mc = command("mc", _cmd_mc, "Monte Carlo histograms and statistics", laws=True)
     p_mc.add_argument("--seed", type=int, default=12345)
     p_mc.add_argument("--replicas", type=int, default=100_000)
     p_mc.add_argument("--workers", type=int, default=1)
     p_mc.add_argument("--t-obs", default="inf", help="observation time or 'inf'")
-    p_mc.set_defaults(func=_cmd_mc)
 
-    p_fig = sub.add_parser("figures", help="regenerate figure datasets")
-    common(p_fig)
+    p_fig = command("figures", _cmd_figures, "regenerate figure datasets")
     p_fig.add_argument("key", choices=[*_FIGURES, "all"])
-    p_fig.set_defaults(func=_cmd_figures)
     return parser
+
+
+def _splice_config(argv: list) -> list:
+    """argv with ``--config FILE`` replaced by the file's options, which go
+    right after the subcommand so that explicit options override them."""
+    idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise ParameterError("--config needs a file")
+    tokens = _read_config_tokens(argv[idx + 1])
+    argv = argv[:idx] + argv[idx + 2 :]
+    return argv[:1] + tokens + argv[1:]
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    if not argv:
-        parser.print_usage(sys.stderr)
-        return 2
-    # a --config FILE anywhere injects its tokens before the explicit options
     if "--config" in argv:
-        idx = argv.index("--config")
         try:
-            path = argv[idx + 1]
-        except IndexError:
-            parser.print_usage(sys.stderr)
-            return 2
-        try:
-            tokens = _read_config_tokens(path)
+            argv = _splice_config(argv)
         except (OSError, ParameterError) as exc:
             print(f"renewalk: config error: {exc}", file=sys.stderr)
             return 2
-        argv = argv[: idx] + argv[idx + 2 :]
-        if not argv:
-            parser.print_usage(sys.stderr)
-            return 2
-        argv = [argv[0]] + tokens + argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     os.makedirs(args.out, exist_ok=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, QuadratureError
 
 #: Distinguished value for a waiting time that never arrives.  Kept as the
 #: IEEE infinity, never as a large integer, so defective sampling is exact.
@@ -183,8 +183,8 @@ class ShiftedPoisson(WaitingLaw):
     lam: float
 
     def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ParameterError(f"poisson rate must be positive, got {self.lam}")
+        if not 0.0 < self.lam < math.inf:
+            raise ParameterError(f"poisson rate must be in (0, inf), got {self.lam}")
 
     def pmf_vector(self, horizon: int) -> np.ndarray:
         from scipy.special import gammaln
@@ -220,10 +220,10 @@ class PowerLawBernstein(WaitingLaw):
     zeta: float
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
-        if not self.zeta >= 1.0:
-            raise ParameterError(f"zeta must be >= 1, got {self.zeta}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ParameterError(f"gamma must be in (0, inf), got {self.gamma}")
+        if not 1.0 <= self.zeta < math.inf:
+            raise ParameterError(f"zeta must be in [1, inf), got {self.zeta}")
 
     @property
     def defect_mass(self) -> float:
@@ -243,12 +243,12 @@ class PowerLawBernstein(WaitingLaw):
     def gf(self, u: float) -> float:
         # No closed form: truncated sum with tail bound u^T (T+zeta)^-gamma.
         u = self._check_u(u)
-        if u == 0.0:
-            return 0.0
-        if u >= 1.0 - _MASS_TOL:
+        if u == 1.0:
             return self.defect_mass
         cutoff = 64
-        while u**cutoff * (cutoff + self.zeta) ** (-self.gamma) > 1e-14 and cutoff < 2**22:
+        while (bound := u**cutoff * (cutoff + self.zeta) ** (-self.gamma)) > 1e-14:
+            if cutoff == 2**22:
+                raise QuadratureError(f"gf({u}): tail bound {bound:.2g} > 1e-14 at 2**22 terms")
             cutoff *= 2
         t = np.arange(1, cutoff + 1, dtype=float)
         return float(np.sum(self.pmf_vector(cutoff)[1:] * u**t))

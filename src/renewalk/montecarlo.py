@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconclusiveRunError, ParameterError
-from .laws import INFINITY, WaitingLaw
+from .laws import INFINITY, WaitingLaw, _window
 from .stopped import StoppedSpec
 from .walks import StepLaw
 
@@ -39,11 +39,10 @@ class SimConfig:
 
     def __post_init__(self):
         if self.replicas < 1:
-            raise ParameterError("replicas must be >= 1")
-        if self.horizon < 0:
-            raise ParameterError("horizon must be >= 0")
+            raise ParameterError(f"replicas must be >= 1, got {self.replicas}")
+        _window(self.horizon)
         if self.workers < 1:
-            raise ParameterError("workers must be >= 1")
+            raise ParameterError(f"workers must be >= 1, got {self.workers}")
 
 
 def _chunk_layout(cfg: SimConfig):
@@ -104,7 +103,9 @@ def _capped_runs(spec: StoppedSpec, cfg: SimConfig, t_obs, count, unfrozen: str)
     """
     infinite = t_obs == INFINITY
     if not infinite and (t_obs < 0 or t_obs > cfg.horizon):
-        raise ParameterError("t_obs must be in [0, horizon] or INFINITY")
+        raise ParameterError(
+            f"t_obs must be in [0, horizon={cfg.horizon}] or INFINITY, got {t_obs}"
+        )
     cap = float(cfg.horizon if infinite else t_obs)
 
     def worker(rng, size):

@@ -172,7 +172,7 @@ def lattice_ness(
     and n^d over the dense-grid cap raises ParameterError.
     """
     if not 0.0 < q < 1.0:
-        raise ParameterError("q must be in (0, 1)")
+        raise ParameterError(f"q must be in (0, 1), got {q}")
     if half_width < 0:
         raise ParameterError(f"half_width={half_width} must be >= 0")
     if not inner.has_full_mass:

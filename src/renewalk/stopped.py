@@ -16,7 +16,7 @@ import numpy as np
 
 from . import renewal
 from .errors import ParameterError
-from .laws import INFINITY, Tabulated, WaitingLaw
+from .laws import INFINITY, Tabulated, WaitingLaw, _window
 from .renewal import INTERMEDIATE, TYPE_I, TYPE_II, StateTable
 
 #: float-safe boundary for the never-stop probability and the stop mass Q_S
@@ -39,8 +39,7 @@ class StoppedSpec:
             )
         if not 0.0 <= self.stop.defect_mass <= 1.0:
             raise ParameterError("stopping law mass outside [0, 1]")
-        if self.horizon < 0:
-            raise ParameterError("horizon must be >= 0")
+        _window(self.horizon)
 
 
 def never_stop_prob(spec: StoppedSpec) -> float:

@@ -25,7 +25,7 @@ class StepLaw:
 
     ``displacements`` holds one integer row per step in lattice coordinates;
     ``basis`` columns are the lattice vectors in Cartesian coordinates.  The
-    Cartesian first and second moments are cached at construction.
+    Cartesian first and second moments are properties, computed on each access.
     """
 
     displacements: np.ndarray

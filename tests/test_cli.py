@@ -390,6 +390,83 @@ def test_mc_pvalue_without_two_bins_is_null(tmp_path):
     assert payload["tv_distance"] == 0.0
 
 
+def _reject_constant(token):  # NaN and Infinity are not JSON
+    raise ValueError(f"{token} in a summary")
+
+
+_GEO = ["--inner", "geometric:p=0.7", "--stop", "geometric:p=0.2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["renewal", "--law", "power_law_bernstein:gamma=0.5,zeta=1.5", "--horizon", "16"],
+     ["stopped", "--inner", "geometric:p=0.7", "--stop",
+      "defective_geometric:defect=0.5,p=0.035", "--horizon", "16"],
+     ["walk", *_GEO, "--steps", "line", "--horizon", "0", "--propagator-time", "0"],
+     ["ness", "--kind", "laplace", "--points", "1", "--y-min", "0", "--y-max", "1"],
+     ["ness", "--kind", "lattice", "--inner", "geometric:p=0.7", "--steps", "line",
+      "--q", "0.8", "--box", "8"],
+     ["mc", *_GEO, "--t-obs", "0", "--replicas", "100", "--horizon", "4"],
+     ["figures", "fig9"]],
+    ids=["renewal", "stopped", "walk", "ness-curve", "ness-lattice", "mc", "figures"],
+)
+def test_every_summary_is_strict_json(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path), "--summary"]) == 0
+    text = (tmp_path / f"{argv[0]}_summary.json").read_text()
+    payload = json.loads(text, parse_constant=_reject_constant)
+    assert json.loads(capsys.readouterr().out, parse_constant=_reject_constant) == payload
+    cli.validate_summary(payload)
+    if argv[0] == "stopped":
+        # a defective stop leaves the limit moments infinite: written null
+        assert [payload[k] for k in ("mean_inf", "second_inf", "variance_inf")] == [None] * 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ness", "--kind", "laplace"], ["figures", "fig2"]], ids=["ness", "figures"],
+)
+def test_horizon_belongs_to_the_series_commands(tmp_path, argv):
+    assert run([*argv, "--horizon", "5", "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_config_file_before_the_subcommand(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("inner = geometric:p=0.7\nstop = geometric:p=0.2\nhorizon = 8\n")
+    assert run(["--config", str(cfg), "stopped", "--out", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "stopped_summary.json").read_text())
+    assert payload["horizon"] == 8
+
+
+def test_config_flag_without_a_file_is_usage_error(tmp_path, capsys):
+    assert run(["stopped", *_GEO, "--out", str(tmp_path), "--config"]) == 2
+    assert capsys.readouterr().err == "renewalk: config error: --config needs a file\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize(
+    "argv, bad",
+    [(["walk", *_GEO, "--steps", "line", "--horizon", "10", "--propagator-time", "11"],
+      "got 11"),
+     (["mc", *_GEO, "--replicas", "0"], "got 0"),
+     (["mc", *_GEO, "--workers", "0"], "got 0"),
+     (["stopped", *_GEO, "--horizon", "-1"], "horizon must be >= 0, got -1"),
+     (["mc", *_GEO, "--horizon", "50", "--t-obs", "60"], "horizon=50] or INFINITY, got 60"),
+     (["ness", "--kind", "lattice", "--inner", "geometric:p=0.7", "--steps", "line",
+       "--q", "1.5"], "got 1.5"),
+     (["stopped", "--inner", "power_law_bernstein:gamma=0.3,zeta=1", "--stop",
+       "geometric:p=1e-8", "--horizon", "8"], "gf(0.99999999)"),
+     (["renewal", "--law", "shifted_poisson:lam=inf", "--horizon", "4"], "got inf")],
+    ids=["propagator-time", "replicas", "workers", "horizon", "t-obs", "q",
+         "power-law-gf", "poisson-rate"],
+)
+def test_computation_errors_name_the_bad_value(tmp_path, capsys, argv, bad):
+    assert run([*argv, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("renewalk: error:") and bad in err
+    assert not list(tmp_path.glob("*_summary.json"))
+
+
 def test_mc_t_obs_names_its_flag(tmp_path, capsys):
     code = run(
         ["mc", "--inner", "geometric:p=0.7", "--stop", "geometric:p=0.2",

@@ -1,6 +1,7 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +10,7 @@ from scipy.special import gamma, poch
 from scipy.stats import binom
 
 from renewalk import laws
-from renewalk.errors import ParameterError
+from renewalk.errors import ParameterError, QuadratureError
 from renewalk.laws import (
     INFINITY,
     DefectiveGeometric,
@@ -92,6 +93,31 @@ def test_gf_matches_truncated_series():
         for u in (0.2, 0.5, 0.9, 0.99):
             truncated = float(np.sum(law.pmf_vector(6000)[1:] * u**t))
             assert law.gf(u) == pytest.approx(truncated, abs=1e-8), type(law)
+
+
+@pytest.mark.parametrize("gamma, zeta", [(0.3, 2.0), (0.5, 1.0), (1.5, 1.0)])
+def test_power_law_gf_matches_lerch_reference(gamma, zeta):
+    # sum_t pmf(t) u^t = zeta^-gamma - (1-u) Phi(u, gamma, zeta), Phi the Lerch transcendent
+    with mpmath.workdps(30):
+        u = mpmath.mpf(0.999)
+        reference = mpmath.mpf(zeta) ** -gamma - (1 - u) * mpmath.lerchphi(u, gamma, zeta)
+    assert PowerLawBernstein(gamma, zeta).gf(0.999) == pytest.approx(float(reference), abs=1e-13)
+
+
+def test_power_law_gf_refuses_to_truncate_its_tail():
+    # at u = 1 - 1e-8 the tail bound is still about 1e-2 after 2**22 terms
+    with pytest.raises(QuadratureError, match=r"gf\(0\.99999999\): tail bound"):
+        PowerLawBernstein(0.3, 2.0).gf(1.0 - 1e-8)
+
+
+@pytest.mark.parametrize(
+    "config",
+    ["shifted_poisson:lam=inf", "power_law_bernstein:gamma=inf,zeta=1",
+     "power_law_bernstein:gamma=0.5,zeta=inf"],
+)
+def test_non_finite_law_parameters_are_rejected(config):
+    with pytest.raises(ParameterError, match="got inf"):
+        parse_law(config)
 
 
 def test_gf_domain_error():
