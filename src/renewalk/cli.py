@@ -512,8 +512,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _splice_config(argv: list) -> list:
-    """argv with ``--config FILE`` replaced by the file's options, which go
-    right after the subcommand so that explicit options override them."""
+    """argv with ``--config FILE`` or ``--config=FILE`` replaced by the file's options right
+    after the subcommand, so that explicit options override them; one file at most."""
+    argv = [part for tok in argv
+            for part in (tok.split("=", 1) if tok.startswith("--config=") else [tok])]
+    if argv.count("--config") > 1:
+        raise ParameterError("--config is repeated; give one file")
+    if "--config" not in argv:
+        return argv
     idx = argv.index("--config")
     if idx + 1 == len(argv):
         raise ParameterError("--config needs a file")
@@ -525,12 +531,11 @@ def _splice_config(argv: list) -> list:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if "--config" in argv:
-        try:
-            argv = _splice_config(argv)
-        except (OSError, ParameterError) as exc:
-            print(f"renewalk: config error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        argv = _splice_config(argv)
+    except (OSError, ParameterError) as exc:
+        print(f"renewalk: config error: {exc}", file=sys.stderr)
+        return 2
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -254,10 +254,16 @@ class PowerLawBernstein(WaitingLaw):
         return float(np.sum(self.pmf_vector(cutoff)[1:] * u**t))
 
     def _sample_finite(self, rng, n):
-        # Conditional survival zeta^gamma (t+zeta)^-gamma inverts in closed form.
-        u = rng.random(n)
-        t = np.ceil(self.zeta * (u ** (-1.0 / self.gamma) - 1.0))
-        return np.maximum(t, 1.0)
+        """Conditional survival zeta^gamma (t+zeta)^-gamma inverted: zeta expm1(-log(u)/gamma).
+        Draws beyond the float range (most of them for gamma near 0) are
+        clipped to the largest float: infinity means "never arrives"."""
+        t = rng.random(n)
+        with np.errstate(divide="ignore", over="ignore"):
+            np.log(t, out=t)
+            t /= -self.gamma
+            np.expm1(t, out=t)
+            t *= self.zeta
+        return np.clip(np.ceil(t, out=t), 1.0, np.finfo(float).max, out=t)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ that does not oscillate,
 
 with a = alpha/2 (Linnik) or a = alpha (Mittag-Leffler).  The stable
 densities themselves (``stable_density``) are Zolotarev's integral, which
-does not oscillate either (see ``_stable_point``).  Every density value from
-a quadrature carries its error estimate, and one above 1e-11 relative, or a
-failure that ``quad`` reports, raises ``QuadratureError``.
+does not oscillate either (see ``_stable_points``).  One adaptive sweep of
+QUADPACK's 21-point Gauss-Kronrod rule integrates every point of a call at
+once (``_sweep``); an error estimate above 1e-11 relative, or a point that
+needs more than 400 intervals, raises ``QuadratureError``.
 """
 
 from __future__ import annotations
@@ -40,50 +41,91 @@ from .laws import WaitingLaw
 from .walks import _MEMORY_CAP, PropagatorGrid, StepLaw
 
 
-def quad(*args, **kwargs):
-    """``scipy.integrate.quad``, imported on the first call.
-
-    The import takes about 0.3 s, which every CLI start would pay although
-    only the stationary-law quadratures need it.  The first call rebinds
-    this module's ``quad`` to scipy's, so later calls go straight to it.
-    """
-    global quad
-    from scipy.integrate import quad
-
-    return quad(*args, **kwargs)
-
-
 # relative tolerance of one density value
 _RTOL = 1e-11
 # mass the lattice torus may alias onto the box
 _ALIAS_TOL = 1e-9
 # breakpoints where x = e^k in an integrand x e^(-x): it is flat below the
 # first turn and negligible above the last
-_TURNS = (-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0)
+_TURNS = np.array([-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0])
+# QUADPACK's qk21 rule (Piessens, de Doncker-Kapenga, Ueberhuber & Kahaner,
+# QUADPACK, Springer 1983) as doubles: each node x >= 0 of the 21-point
+# Kronrod rule on [-1, 1], its weight, and its 10-point Gauss weight; -x mirrors x
+_NODES, _KRONROD, _GAUSS = np.array([
+    (0.9956571630258081, 0.011694638867371874, 0.0),
+    (0.9739065285171717, 0.032558162307964725, 0.06667134430868814),
+    (0.9301574913557082, 0.054755896574351995, 0.0),
+    (0.8650633666889845, 0.07503967481091996, 0.1494513491505806),
+    (0.7808177265864169, 0.0931254545836976, 0.0),
+    (0.6794095682990244, 0.10938715880229764, 0.21908636251598204),
+    (0.5627571346686047, 0.12349197626206584, 0.0),
+    (0.4333953941292472, 0.13470921731147334, 0.26926671930999635),
+    (0.2943928627014602, 0.14277593857706009, 0.0),
+    (0.14887433898163122, 0.14773910490133849, 0.29552422471475287),
+    (0.0, 0.1494455540029169, 0.0),
+]).T
+_NODES, _KRONROD, _GAUSS = (np.concatenate([z, sign * z[-2::-1]])
+                            for z, sign in ((_NODES, -1.0), (_KRONROD, 1.0), (_GAUSS, 1.0)))
+# intervals one density value may use
+_LIMIT = 400
 
 
-def _integrate(f, top, points, floor):
-    """(value, error) of int_0^top f; a failure quad reports is an infinite error."""
-    val, est, *info = quad(
-        f, 0.0, top, points=sorted(p for p in points if 0.0 < p < top) or None,
-        epsabs=0.5 * _RTOL * floor, epsrel=0.5 * _RTOL, limit=400, full_output=1,
-    )
-    return val, est if len(info) < 2 else math.inf
+def _sweep(f, cuts: np.ndarray, top: float, owner: np.ndarray):
+    """Each point's (total, error) of the integrals of f(t, k) over [0, top],
+    piece k cut at row k of ``cuts`` and added into point owner[k].
+
+    Each round applies qk21, with its error estimate and 50 eps floor, to
+    every new interval as one (intervals, 21) node array.  A point whose
+    summed error is above 0.5e-11 of its total bisects each interval whose
+    error is above its share, that bound over its interval count; a point
+    past _LIMIT intervals gets an infinite error while the others go on.
+    """
+    edges = np.sort(np.clip(np.pad(cuts, ((0, 0), (1, 1)), constant_values=(0.0, top)), 0.0, top))
+    new = edges[:, 1:] > edges[:, :-1]
+    lo, hi, piece = edges[:, :-1][new], edges[:, 1:][new], np.nonzero(new)[0]
+    n = int(owner.max()) + 1
+    kept = [lo[:0]] * 4 + [piece[:0]]
+    with np.errstate(all="ignore"):
+        while lo.size:
+            mid, half = (lo + hi) / 2.0, (hi - lo) / 2.0
+            fx = f(mid[:, None] + half[:, None] * _NODES, piece[:, None])
+            kronrod = fx @ _KRONROD
+            asc = np.abs(fx - kronrod[:, None] / 2.0) @ _KRONROD * half
+            err = np.abs(kronrod - fx @ _GAUSS) * half
+            err = np.where(asc > 0.0, asc * np.minimum(1.0, (200.0 * err / asc) ** 1.5), err)
+            err = np.maximum(err, 50.0 * np.finfo(float).eps * (np.abs(fx) @ _KRONROD) * half)
+            lo, hi, val, err, piece = (np.concatenate(z) for z in zip(
+                kept, (lo, hi, kronrod * half, err, piece)))
+            p = owner[piece]
+            total, error, count = (np.bincount(p, w, n) for w in (val, err, None))
+            target = 0.5 * _RTOL * np.abs(total)
+            split = ((error > target) & (count <= _LIMIT))[p] & (err * count[p] > target[p])
+            kept = [z[~split] for z in (lo, hi, val, err, piece)]
+            mid = (lo[split] + hi[split]) / 2.0
+            lo, hi = np.concatenate([lo[split], mid]), np.concatenate([mid, hi[split]])
+            piece = np.concatenate([piece[split]] * 2)
+    return total, np.where(count > _LIMIT, np.inf, error)
 
 
-def _checked(total: float, err: float, what: str) -> float:
-    if not err <= _RTOL * total:
-        raise QuadratureError(
-            f"{what}: quadrature error estimate {err:.3g} exceeds {_RTOL:g} of {total:.6g}"
-        )
+def _checked(total: np.ndarray, err: np.ndarray, what: str, y: np.ndarray) -> np.ndarray:
+    """``total``, unless some error estimate is above 1e-11 of its total."""
+    i = np.argmin(err <= _RTOL * total)  # the first failure, if any
+    if not err[i] <= _RTOL * total[i]:
+        raise QuadratureError(f"{what}, y={float(y[i])}: quadrature error estimate "
+                              f"{err[i]:.3g} exceeds {_RTOL:g} of {total[i]:.6g}")
     return total
 
 
-def _per_magnitude(point, y: np.ndarray, one_sided: bool) -> np.ndarray:
-    """``point`` once per distinct |y|; y <= 0 maps to 0 when one-sided."""
+def _per_magnitude(points, at_zero, y: np.ndarray, one_sided: bool) -> np.ndarray:
+    """``points`` at the distinct nonzero |y| at once, ``at_zero()`` at 0; one-sided: 0 at y<=0."""
     mags = np.clip(y, 0.0, None) if one_sided else np.abs(y)
     uniq, inverse = np.unique(mags, return_inverse=True)
-    return np.array([point(float(m)) for m in uniq])[inverse].reshape(y.shape)
+    out = np.zeros(uniq.shape)
+    if 0.0 in uniq and not one_sided:
+        out[uniq == 0.0] = at_zero()
+    if (uniq != 0.0).any():
+        out[uniq != 0.0] = points(uniq[uniq != 0.0])
+    return out[inverse].reshape(y.shape)
 
 
 def ness_scale(inner: WaitingLaw, q: float) -> float:
@@ -205,7 +247,7 @@ def stable_density(y, alpha: float, theta: float = 0.0) -> np.ndarray:
     combinations are rejected rather than guessed.  Closed-form members:
     alpha=2 Gaussian (variance 2), alpha=1 Cauchy, alpha=1/2 with theta=1
     the one-sided 1/(2 sqrt(pi)) y^(-3/2) exp(-1/(4y)).  Other points come
-    from one quadrature each (``_stable_point``) whose error estimate must
+    from one quadrature each (``_stable_points``) whose error estimate must
     stay below 1e-11 relative, else QuadratureError.
     """
     if theta == 0.0:
@@ -222,12 +264,13 @@ def stable_density(y, alpha: float, theta: float = 0.0) -> np.ndarray:
     elif alpha == 1.0:
         out = 1.0 / (math.pi * (1.0 + y_arr**2))
     else:
-        out = _per_magnitude(lambda m: _stable_point(m, alpha, theta), y_arr, theta == 1.0)
+        out = _per_magnitude(lambda m: _stable_points(m, alpha, theta),
+                             lambda: math.gamma(1.0 + 1.0 / alpha) / math.pi, y_arr, theta == 1.0)
     return out if np.ndim(y) else float(out[0])
 
 
-def _stable_point(y: float, alpha: float, theta: float) -> float:
-    """Stable density at y >= 0, alpha != 1, 2, by Zolotarev's integral
+def _stable_points(y: np.ndarray, alpha: float, theta: float) -> np.ndarray:
+    """Stable density at y > 0, alpha != 1, 2, by Zolotarev's integral
 
         f(y) = alpha / (pi |alpha-1| y) int_0^(pi (1+theta)/2) g e^(-g) dw,
         g = (y sin w / sin(c + alpha w))^(alpha/(alpha-1)) sin(c + (alpha-1) w) / sin w,
@@ -237,49 +280,48 @@ def _stable_point(y: float, alpha: float, theta: float) -> float:
     half of the range is integrated in the distance from its own end, where
     the sines keep every digit; from the far end, v, they are sin(e + v),
     sin(alpha v) and sin(e + (1-alpha) v) with e = pi (1-theta)/2.  Breakpoints
-    sit where g = e^k (k in _TURNS) and at octaves towards an end where g is
-    not smooth: c 2^j on the near half (a layer w ~ c, thin as c -> 0) and,
-    for theta = 0 and alpha < 1/2, on the far half (g ~ v^(alpha/(1-alpha))).
+    sit where g = e^k (k in _TURNS), found by bisection in log w, and at
+    octaves towards an end where g is not smooth: c 2^j on the near half (a
+    layer w ~ c, thin as c -> 0) and, for theta = 0 and alpha < 1/2, on the
+    far half (g ~ v^(alpha/(1-alpha))).
     """
-    if y == 0.0:
-        return 0.0 if theta == 1.0 else math.gamma(1.0 + 1.0 / alpha) / math.pi
-    from scipy.optimize import brentq
-
     c = math.pi * (1.0 - alpha * (1.0 + theta) / 2.0)
     e = math.pi * (1.0 - theta) / 2.0
     half = math.pi * (1.0 + theta) / 4.0
     power = alpha / (alpha - 1.0)
-    what = f"stable density alpha={alpha}, theta={theta}, y={y}"
+    what = f"stable density alpha={alpha}, theta={theta}"
     # g carries the sines' rounding times |power|; the error it leaves in f
     # measures below eps |power|, so 16 eps |power| is its estimate
-    _checked(1.0, 16.0 * np.finfo(float).eps * abs(power), what)
-    ends = (
-        (lambda w: (math.sin(w), math.sin(c + alpha * w), math.sin(c + (alpha - 1.0) * w)),
-         [c * 2.0**j for j in range(64)]),
-        (lambda v: (math.sin(e + v), math.sin(alpha * v), math.sin(e + (1.0 - alpha) * v)),
-         [half * 2.0**-j for j in range(1, 48)] if theta == 0.0 and alpha < 0.5 else []),
-    )
-    total = err = 0.0
-    for sines, points in ends:
+    _checked(np.ones(1), np.array([16.0 * np.finfo(float).eps * abs(power)]), what, y)
+    # piece 2i is the near half of y_i and piece 2i + 1 its far half; the
+    # sines of a piece are sin(o_a + t), sin(o_b + alpha t), sin(o_d + m t)
+    far = np.arange(2 * y.size) % 2
+    pieces = np.array([np.repeat(np.log(y), 2), *(np.array(z)[far] for z in (
+        (0.0, e), (c, 0.0), (c, e), (alpha - 1.0, 1.0 - alpha)))])
 
-        def log_g(t, sines=sines):
-            a, b, d = sines(t)
-            return power * (math.log(y) + math.log(a / b)) + math.log(d / a)
+    def log_g(t, log_y, o_a, o_b, o_d, m):
+        a = np.sin(o_a + t)
+        return (power * (log_y + np.log(a / np.sin(o_b + alpha * t)))
+                + np.log(np.sin(o_d + m * t) / a))
 
-        def integrand(t):
-            x = log_g(t)
-            return math.exp(x - math.exp(x)) if x < 700.0 else 0.0
+    def integrand(t, k):
+        x = log_g(t, *pieces[:, k])
+        return np.where(x >= 700.0, 0.0, np.exp(x - np.exp(x)))
 
-        edge, mid = log_g(1e-200), log_g(half)
-        points = points + [
-            math.exp(brentq(lambda s: log_g(math.exp(s)) - k, math.log(1e-200), math.log(half)))
-            for k in _TURNS
-            if (edge - k) * (mid - k) < 0.0
-        ]
-        val, est = _integrate(integrand, half, points, total)
-        total += val
-        err += est
-    return alpha / (math.pi * abs(alpha - 1.0) * y) * _checked(total, err, what)
+    edge, mid = log_g(1e-200, *pieces[..., None]), log_g(half, *pieces[..., None])
+    # bisection in log w: step towards the turn while g is still on the edge's side
+    s, step = np.full((far.size, _TURNS.size), math.log(1e-200)), math.log(half / 1e-200)
+    for _ in range(26):
+        step /= 2.0
+        ahead = (log_g(np.exp(s + step), *pieces[..., None]) - _TURNS) * (edge - _TURNS) > 0.0
+        s = np.where(ahead, s + step, s)
+    octaves = np.zeros((far.size, 64))
+    octaves[0::2] = c * 2.0 ** np.arange(64)
+    if theta == 0.0 and alpha < 0.5:
+        octaves[1::2, :47] = half * 2.0 ** -np.arange(1, 48)
+    turns = np.where((edge - _TURNS) * (mid - _TURNS) < 0.0, np.exp(s), 0.0)
+    total, err = _sweep(integrand, np.hstack([turns, octaves]), half, np.arange(far.size) // 2)
+    return alpha / (math.pi * abs(alpha - 1.0) * y) * _checked(total, err, what, y)
 
 
 @dataclass(frozen=True)
@@ -337,8 +379,8 @@ def laplace_curve(msd: float, y=None) -> NessCurve:
     return NessCurve(y, laplace_density(y, msd))
 
 
-def _mixture_point(y: float, alpha: float, theta: float) -> float:
-    """Linnik (theta = 0) or Mittag-Leffler (theta = 1) density at y >= 0.
+def _mixture_points(y: np.ndarray, alpha: float, theta: float) -> np.ndarray:
+    """Linnik (theta = 0) or Mittag-Leffler (theta = 1) density at y > 0.
 
     The substitution r^alpha = sin(u)/sin(pi a - u) turns the module's
     integral into (1/(alpha pi)) int_0^(pi a) r e^(-ry) du: the factor that
@@ -348,40 +390,33 @@ def _mixture_point(y: float, alpha: float, theta: float) -> float:
     where e^(-ry) turns over (ry = e^k) and, for a > 1/2, at
     r^(+-alpha) = 1 - 2^-j, grading the end layers of width ~sin(pi a).
     """
-    if y == 0.0:
-        if theta == 1.0:
-            return 0.0
-        # (1/pi) int_0^inf dk / (1 + k^alpha), infinite for alpha <= 1
-        return 1.0 / (alpha * math.sin(math.pi / alpha)) if alpha > 1.0 else math.inf
     a = alpha / 2.0 if theta == 0.0 else alpha
     top = math.pi * a
     if a > 0.5:
         # sin(pi a - w) from the exact complement 1 - a, not from pi a rounded near pi
         shift = math.pi * (1.0 - a)
         s_top, c_top = math.sin(shift), -math.cos(shift)
-        far = lambda w: math.sin(w + shift)
+        far = lambda w: np.sin(w + shift)
         layers = [1.0 - 0.5**j for j in range(1, 60) if 0.5**j > s_top]
     else:
         s_top, c_top = math.sin(top), math.cos(top)
-        far = lambda w: math.sin(top - w)
+        far = lambda w: np.sin(top - w)
         layers = []
-    turns = [(math.exp(k) / y) ** alpha for k in _TURNS]
-    total = err = 0.0
-    # side +1 is r < 1, side -1 is r > 1; the half where e^(-ry) turns over
-    # goes first, so the other one gets an absolute target
-    for side in (1.0, -1.0) if y >= 1.0 else (-1.0, 1.0):
-        ratios = [t**side for t in turns if t**side < 1.0] + layers
-        pts = {math.atan2(p * s_top, 1.0 + p * c_top) for p in ratios}
+    # piece 2i is the r < 1 half of y_i (side +1), piece 2i + 1 its r > 1 half
+    side, ys = np.tile([1.0, -1.0], y.size), np.repeat(y, 2)
+    with np.errstate(over="ignore"):
+        ratios = (np.exp(_TURNS) / ys[:, None]) ** (alpha * side[:, None])
+    ratios = np.hstack([np.where(ratios < 1.0, ratios, 0.0),
+                        np.broadcast_to(layers, (ys.size, len(layers)))])
 
-        def integrand(w, side=side):
-            log_r = side * math.log(math.sin(w) / far(w)) / alpha
-            return math.exp(log_r - y * math.exp(log_r)) if log_r < 700.0 else 0.0
+    def integrand(w, k):
+        log_r = side[k] * np.log(np.sin(w) / far(w)) / alpha
+        return np.where(log_r >= 700.0, 0.0, np.exp(log_r - ys[k] * np.exp(log_r)))
 
-        val, est = _integrate(integrand, top / 2.0, pts, total)
-        total += val
-        err += est
-    what = f"stable mixture alpha={alpha}, theta={theta}, y={y}"
-    return _checked(total, err, what) / (alpha * math.pi)
+    cuts = np.arctan2(ratios * s_top, 1.0 + ratios * c_top)
+    total, err = _sweep(integrand, cuts, top / 2.0, np.arange(ys.size) // 2)
+    what = f"stable mixture alpha={alpha}, theta={theta}"
+    return _checked(total, err, what, y) / (alpha * math.pi)
 
 
 def stable_mixture_density(y, alpha: float, theta: float = 0.0):
@@ -393,7 +428,7 @@ def stable_mixture_density(y, alpha: float, theta: float = 0.0):
     the density is 1/(alpha sin(pi/alpha)), infinite for alpha <= 1.
     theta = 1, alpha in (0, 1]: the Mittag-Leffler law, Laplace transform
     1/(1+s^alpha), zero for y <= 0; alpha = 1 is the unit exponential.
-    Other points come from one quadrature each (``_mixture_point``) whose
+    Other points come from one quadrature each (``_mixture_points``) whose
     error estimate must stay below 1e-11 relative, else QuadratureError.
     """
     if theta == 0.0:
@@ -410,7 +445,10 @@ def stable_mixture_density(y, alpha: float, theta: float = 0.0):
     elif theta == 1.0 and alpha == 1.0:
         out = one_sided_exp_density(y_arr, 1.0)
     else:
-        out = _per_magnitude(lambda m: _mixture_point(m, alpha, theta), y_arr, theta == 1.0)
+        # at 0: (1/pi) int_0^inf dk / (1 + k^alpha), infinite for alpha <= 1
+        at_zero = lambda: 1.0 / (alpha * math.sin(math.pi / alpha)) if alpha > 1.0 else math.inf
+        out = _per_magnitude(lambda m: _mixture_points(m, alpha, theta), at_zero, y_arr,
+                             theta == 1.0)
     return out if np.ndim(y) else float(out[0])
 
 

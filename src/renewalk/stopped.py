@@ -107,15 +107,6 @@ class AsymptoticSummary:
     tail_ratio: float | None = None
     state_mass_total: float = 1.0
 
-    def state_mass(self, m: int) -> float:
-        """P[M(infinity) = m] from the stored prefix or the analytic tail."""
-        if self.state_masses is None:
-            raise ParameterError("no state-mass representation for this summary")
-        if m < len(self.state_masses):
-            return float(self.state_masses[m])
-        last = len(self.state_masses) - 1
-        return float(self.state_masses[last] * self.tail_ratio ** (m - last))
-
     def state_mass_sum(self) -> float:
         """Exact sum over all m: stored prefix plus geometric tail."""
         if self.state_masses is None:

@@ -438,6 +438,26 @@ def test_config_file_before_the_subcommand(tmp_path):
     assert payload["horizon"] == 8
 
 
+def test_config_file_in_the_equals_form(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("horizon = 8\n")
+    assert run(["stopped", *_GEO, "--out", str(tmp_path), f"--config={cfg}"]) == 0
+    payload = json.loads((tmp_path / "stopped_summary.json").read_text())
+    assert payload["horizon"] == 8
+
+
+def test_second_config_file_is_usage_error(tmp_path, capsys):
+    first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+    first.write_text("horizon = 8\n")
+    second.write_text("horizon = 16\n")
+    argv = ["stopped", *_GEO, "--out", str(tmp_path / "out"),
+            "--config", str(first), f"--config={second}"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("renewalk: config error:") and "--config is repeated" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_flag_without_a_file_is_usage_error(tmp_path, capsys):
     assert run(["stopped", *_GEO, "--out", str(tmp_path), "--config"]) == 2
     assert capsys.readouterr().err == "renewalk: config error: --config needs a file\n"

@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 
 import mpmath
 import numpy as np
@@ -333,6 +334,16 @@ def test_shifted_poisson_sampler_survival_property(lam, seed):
 @given(gamma=st.floats(0.1, 4.0), zeta=st.floats(1.0, 4.0), seed=_SEED)
 def test_power_law_bernstein_sampler_survival_property(gamma, zeta, seed):
     _assert_sampler_survival(PowerLawBernstein(gamma, zeta), seed)
+
+
+@pytest.mark.parametrize("gamma", [1e-9, 1e-6])
+def test_power_law_bernstein_sampler_stays_finite_at_tiny_gamma(gamma):
+    # full mass, yet u^(-1/gamma) overflows for nearly every draw; draws
+    # beyond the float range are clipped, since infinity means "never"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        draws = PowerLawBernstein(gamma, 1.0).sample(np.random.default_rng(7), 200_000)
+    assert np.isfinite(draws).all() and (draws >= 1.0).all()
 
 
 @settings(max_examples=12, deadline=None)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import mpmath as mp
@@ -182,8 +185,20 @@ def test_stable_density_is_continuous_through_cauchy():
             stable_density(0.5, alpha)
 
 
+def report_error_of_one_in_a_million(monkeypatch):
+    """Make the quadrature sweep return its values with an error estimate of
+    1e-6 of each, far above the 1e-11 tolerance."""
+    sweep = ness._sweep
+
+    def noisy(*args):
+        total, _ = sweep(*args)
+        return total, 1e-6 * np.abs(total)
+
+    monkeypatch.setattr(ness, "_sweep", noisy)
+
+
 def test_stable_density_quadrature_error_is_reported(monkeypatch):
-    monkeypatch.setattr(ness, "quad", lambda *args, **kwargs: (1.0, 1e-6))
+    report_error_of_one_in_a_million(monkeypatch)
     with pytest.raises(QuadratureError, match="alpha=1.5, theta=0.0, y=2.0"):
         stable_density(2.0, 1.5)
 
@@ -657,9 +672,59 @@ def test_mixture_edges_approach_their_closed_forms():
 
 def test_mixture_quadrature_error_is_reported(monkeypatch):
     # an error estimate above the tolerance must not pass silently
-    monkeypatch.setattr(ness, "quad", lambda *args, **kwargs: (1.0, 1e-6))
+    report_error_of_one_in_a_million(monkeypatch)
     with pytest.raises(QuadratureError, match="alpha=1.5, theta=0.0, y=2.0"):
         stable_mixture_density(2.0, 1.5)
+
+
+def test_sweep_gives_up_on_one_point_past_its_interval_limit():
+    # 1/t is not integrable at 0: the error of the interval at 0 never
+    # shrinks, so that point stops past the limit with an infinite error,
+    # while the other point of the same sweep converges
+    f = lambda t, k: np.where(k == 0, np.cos(t), 1.0 / t)
+    total, err = ness._sweep(f, np.empty((2, 0)), 1.0, np.arange(2))
+    assert total[0] == pytest.approx(math.sin(1.0), rel=1e-14)
+    assert err[0] <= 1e-11 * total[0]
+    assert err[1] == math.inf
+
+
+def test_densities_leave_scipy_integrate_unloaded():
+    src = os.path.dirname(os.path.dirname(ness.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    code = ("import sys; from renewalk import ness; "
+            "ness.stable_mixture_density([0.5, 2.0], 1.5); "
+            "ness.stable_mixture_density(1.0, 0.5, 1.0); "
+            "ness.stable_density([0.5, 2.0], 1.5); ness.stable_density(1.0, 0.3, 1.0); "
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
+
+
+def mixture_mp(y, alpha, theta):
+    """The module's mixture integral in r at 30 digits, cut at r = 1, at the
+    edges of the peak there (width sqrt(2 (1 + cos(pi a)))/alpha, narrow as
+    a -> 1) and where e^(-ry) turns over."""
+    with mp.workdps(30):
+        y, al = mp.mpf(y), mp.mpf(alpha)
+        a = al / 2 if theta == 0.0 else al
+        gap = 2 * (1 + mp.cos(mp.pi * a))
+        width = mp.sqrt(gap) / al
+        cuts = ({mp.mpf(1)} | {1 + s * width * 4**k for s in (-1, 1) for k in range(-2, 8)}
+                | {mp.e**k / y for k in range(-4, 5)})
+        value = mp.quad(lambda r: r**al * mp.exp(-r * y) / ((1 - r**al) ** 2 + gap * r**al),
+                        [0] + sorted(c for c in cuts if c > 0) + [mp.inf])
+        return float(mp.sin(mp.pi * a) / mp.pi * value)
+
+
+@pytest.mark.parametrize(
+    "alpha,theta", [(0.01, 0.0), (0.5, 0.0), (1.5, 0.0), (1.9999, 0.0), (0.3, 1.0), (0.9999, 1.0)]
+)
+def test_mixture_matches_mpmath(alpha, theta):
+    y = np.array([1e-3, 1.0, 30.0])
+    want = [mixture_mp(v, alpha, theta) for v in y]
+    np.testing.assert_allclose(stable_mixture_density(y, alpha, theta), want, rtol=1e-12, atol=0)
 
 
 def test_mixture_rejects_bad_parameters():

