@@ -370,8 +370,9 @@ _P0, _Q = 0.7, 0.8
 
 
 def _stop_grid(value_of):
-    """Series over t = 0..200, one column per stopping mass (fig3, fig6, fig8)."""
-    columns = [value_of(qs) for qs in _QS_GRID]
+    """Series over t = 0..200, one column per stopping mass, each read off
+    that mass's ``dbp_stops_bernoulli`` summary (fig3, fig6, fig8)."""
+    columns = [value_of(_dbp(qs)) for qs in _QS_GRID]
     header = ["t"] + [f"stop_mass_{qs:g}" for qs in _QS_GRID]
     return header, [np.arange(len(columns[0])), *columns]
 
@@ -395,27 +396,22 @@ def _dbp(qs, horizon=_FIGURE_HORIZON):
     return stopped.dbp_stops_bernoulli(_P0, _Q, qs, horizon)
 
 
-def _triangular_msd(qs):
-    spec = stopped.StoppedSpec(
-        Geometric(_P0), DefectiveGeometric(qs, 1.0 - _Q), _FIGURE_HORIZON
-    )
-    return walks.triangular_msd("biased", *stopped._moment_pair(spec))
-
-
 #: figure key -> () -> (header, columns) of ``<key>.csv``
 _FIGURES = {
     "fig2": lambda: _moments_vs_stop(
         lambda p: stopped.bernoulli_stops_sibuya(0.2, p)
     ),
-    "fig3": lambda: _stop_grid(lambda qs: _dbp(qs).mean),
+    "fig3": lambda: _stop_grid(lambda dbp: dbp.mean),
     "fig5": lambda: _moments_vs_stop(
         lambda p: stopped.bernoulli_stops_bernoulli(0.6, p)
     ),
-    "fig6": lambda: _stop_grid(lambda qs: _dbp(qs).variance),
+    "fig6": lambda: _stop_grid(lambda dbp: dbp.variance),
     "fig7": lambda: (
         ["t", "lambda_max"], [np.arange(2, 1001), _dbp(0.5, 1000).lambda_max[2:]]
     ),
-    "fig8": lambda: _stop_grid(_triangular_msd),
+    "fig8": lambda: _stop_grid(
+        lambda dbp: walks.triangular_msd("biased", dbp.mean, dbp.second_moment)
+    ),
     "fig9": lambda: _profiles(
         np.linspace(0.0, 10.0, 401), ness.one_sided_exp_density, "scale"
     ),
@@ -453,20 +449,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="renewalk",
         description="Exact and Monte Carlo laws of stopped renewal processes "
-        "and the lattice walks they generate.",
+        "and the lattice walks they generate.  --config FILE, anywhere on the "
+        "command line, reads 'key = value' lines as options of the subcommand; "
+        "explicit options override them.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, help, horizon=False, laws=False):
-        """A subcommand with --out, --summary and --config; --horizon with
-        ``horizon``, and --horizon, --inner and --stop with ``laws``."""
+        """A subcommand with --out and --summary; --horizon with ``horizon``,
+        and --horizon, --inner and --stop with ``laws``."""
         p = sub.add_parser(name, help=help)
         p.set_defaults(func=func)
         if horizon or laws:
             p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
         p.add_argument("--out", default=".")
         p.add_argument("--summary", action="store_true", help="echo the JSON summary")
-        p.add_argument("--config", help="key = value file supplying these options")
         if laws:
             p.add_argument("--inner", required=True, help="inner waiting-law config")
             p.add_argument("--stop", required=True, help="stopping waiting-law config")

@@ -204,11 +204,11 @@ def unfrozen_fraction(spec: StoppedSpec, cfg: SimConfig, t: float) -> float:
 
 @dataclass(frozen=True)
 class EmpiricalComparison:
-    """Distances between a sample and an exact law; unset fields are None."""
+    """Total variation distance and chi-square p-value of a sample against an
+    exact integer law."""
 
-    tv: float | None = None
-    ks: float | None = None
-    chisq_pvalue: float | None = None
+    tv: float
+    chisq_pvalue: float
 
 
 def compare_discrete(samples, support, probs) -> EmpiricalComparison:
@@ -261,20 +261,3 @@ def compare_discrete(samples, support, probs) -> EmpiricalComparison:
         pvalue = float(chdtrc(len(exp_bins) - 1, stat))
     return EmpiricalComparison(tv=float(tv), chisq_pvalue=pvalue)
 
-
-def compare_continuous(samples, cdf) -> EmpiricalComparison:
-    """One-sample Kolmogorov-Smirnov distance against a CDF callable."""
-    from scipy import stats as sps
-
-    samples = np.asarray(samples, dtype=float).ravel()
-    if samples.size == 0:
-        raise ParameterError("empty sample")
-    ks = float(sps.kstest(samples, cdf).statistic)
-    return EmpiricalComparison(ks=ks)
-
-
-def ks_two_sample(a, b) -> float:
-    """Two-sample Kolmogorov-Smirnov distance."""
-    from scipy import stats as sps
-
-    return float(sps.ks_2samp(np.asarray(a).ravel(), np.asarray(b).ravel()).statistic)

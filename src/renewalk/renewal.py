@@ -184,32 +184,41 @@ def limit_state_law(law: WaitingLaw, n_max: int = 64):
     return masses, classify(law)
 
 
-def brute_force_state_table(law: WaitingLaw, horizon: int) -> StateTable:
-    """Independent oracle: exhaust all event-time subsets of {1..horizon}.
+def _event_paths(pmf: np.ndarray, surv: np.ndarray):
+    """Yield (N(t) for t = 0..T, probability) for every event path on {1..T}.
 
-    Each path is a strictly increasing tuple of event times with probability
-    prod pmf(gaps) times the probability that the next waiting time overshoots
-    the horizon.  Practical only for small horizons (exponential count).
+    A path is a strictly increasing tuple of event times; its probability is
+    prod pmf(gaps) times surv(T - last event), the chance that the next
+    waiting time overshoots the horizon.  Paths through a zero-probability
+    gap are skipped.  Depth first, each path before its extensions.
     """
-    if horizon > 20:
-        raise ParameterError("exhaustive enumeration is for horizons <= 20")
-    pmf = law.pmf_vector(horizon)
-    surv = law.survival_vector(horizon)
-    probs = np.zeros((horizon + 1, horizon + 1))
+    horizon = len(pmf) - 1
     t_axis = np.arange(horizon + 1)
 
-    def walk(events: list, weight: float) -> None:
+    def walk(events: list, weight: float):
         last = events[-1] if events else 0
-        tail = surv[horizon - last]
-        # the finished path contributes to N(t) = #events <= t at every t
-        n_of_t = np.searchsorted(events, t_axis, side="right")
-        probs[n_of_t, t_axis] += weight * tail
+        yield np.searchsorted(events, t_axis, side="right"), weight * surv[horizon - last]
         for nxt in range(last + 1, horizon + 1):
             w = weight * pmf[nxt - last]
             if w > 0.0:
                 events.append(nxt)
-                walk(events, w)
+                yield from walk(events, w)
                 events.pop()
 
-    walk([], 1.0)
+    return walk([], 1.0)
+
+
+def brute_force_state_table(law: WaitingLaw, horizon: int) -> StateTable:
+    """Independent oracle: exhaust all event-time subsets of {1..horizon}.
+
+    Each finished path contributes its probability to N(t) = #events <= t at
+    every t.  Practical only for small horizons (exponential count).
+    """
+    if horizon > 20:
+        raise ParameterError("exhaustive enumeration is for horizons <= 20")
+    probs = np.zeros((horizon + 1, horizon + 1))
+    t_axis = np.arange(horizon + 1)
+    paths = _event_paths(law.pmf_vector(horizon), law.survival_vector(horizon))
+    for n_of_t, weight in paths:
+        probs[n_of_t, t_axis] += weight
     return StateTable(probs)

@@ -6,10 +6,12 @@ horizon ``T``.  All identities in the package are checked coefficient-wise
 on that window, so truncation introduces no error for coefficients below
 the horizon.
 
-Both kernels fill their output ``_BLOCK`` coefficients at a time, with one
-or two direct ``np.convolve`` calls per block: only the kept half of a
-product is computed, no FFT is used, and a sum of nonnegative terms stays
-one, so tiny coefficients keep their relative accuracy.
+Both kernels fill their output block by block, with one or two direct
+``np.convolve`` calls per block: only the kept half of a product is
+computed, no FFT is used, and a sum of nonnegative terms stays one, so tiny
+coefficients keep their relative accuracy.  ``convolve`` blocks are
+``_BLOCK`` coefficients; ``reciprocal`` blocks double from 1 up to
+``_BLOCK``.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import HorizonMismatchError, SingularSeriesError
 
 DEFAULT_HORIZON = 512
-_BLOCK = 256  # output coefficients per np.convolve block
+_BLOCK = 256  # largest output block per np.convolve call
 
 
 def delta_series(horizon: int) -> np.ndarray:
@@ -57,19 +59,18 @@ def convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def reciprocal(a: np.ndarray) -> np.ndarray:
     """Series ``b`` with (a*b) = delta.
 
-    The first block comes from the division recursion
-    b[t] = -sum_{r>=1} a[r] b[t-r] / a[0].  That head is also the inverse of
-    the block's lower-triangular Toeplitz factor of ``a``, so each later
-    block is the head times minus the history of the blocks before it.
+    b[0] = 1/a[0]; then b[:s] inverts the lower-triangular Toeplitz factor of
+    a[:s], so block [s, e) with e <= 2s is b[:e-s] times minus the history of
+    the blocks before it.  Blocks double 1, 2, 4, ... up to ``_BLOCK`` and
+    then stay there; on delta - pmf every term is nonnegative.
     """
     if a[0] == 0.0:
         raise SingularSeriesError("cannot invert a series with zero constant term")
     b = np.zeros_like(a)
     b[0] = 1.0 / a[0]
-    for t in range(1, min(_BLOCK, len(a))):
-        b[t] = -np.dot(a[1 : t + 1], b[t - 1 :: -1]) / a[0]
-    head = b[:_BLOCK]
-    for s in range(_BLOCK, len(a), _BLOCK):
-        e = min(s + _BLOCK, len(a))
-        b[s:e] = np.convolve(head[: e - s], -_history(a, b, s, e))[: e - s]
+    s = 1
+    while s < len(a):
+        e = min(2 * s, s + _BLOCK, len(a))
+        b[s:e] = np.convolve(b[: e - s], -_history(a, b, s, e))[: e - s]
+        s = e
     return b

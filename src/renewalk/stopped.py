@@ -16,11 +16,8 @@ import numpy as np
 
 from . import renewal
 from .errors import ParameterError
-from .laws import INFINITY, Tabulated, WaitingLaw, _window
+from .laws import INFINITY, _MASS_TOL, Tabulated, WaitingLaw, _window
 from .renewal import INTERMEDIATE, TYPE_I, TYPE_II, StateTable
-
-#: float-safe boundary for the never-stop probability and the stop mass Q_S
-_FULL_MASS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -49,10 +46,9 @@ def never_stop_prob(spec: StoppedSpec) -> float:
 
 def classify(spec: StoppedSpec) -> str:
     """TYPE_I if stopped almost surely, TYPE_II if never, else INTERMEDIATE."""
-    lam = never_stop_prob(spec)
-    if lam <= _FULL_MASS_TOL:
+    if spec.stop.has_full_mass:
         return TYPE_I
-    if lam >= 1.0 - _FULL_MASS_TOL:
+    if spec.stop.defect_mass <= _MASS_TOL:
         return TYPE_II
     return INTERMEDIATE
 
@@ -150,7 +146,7 @@ def geometric_stop_asymptotics(
     masses = np.empty(m + 1)
     masses[0] = stop_defect * (q - g) / q
     masses[1:] = scale * g ** np.arange(1, m + 1)
-    if stop_defect >= 1.0 - _FULL_MASS_TOL:
+    if stop_defect >= 1.0 - _MASS_TOL:
         mean = g / (q * (1.0 - g))
         second = mean * (1.0 + g) / (1.0 - g)
         variance = g * (q - p * g) / (q**2 * (1.0 - g) ** 2)
@@ -199,8 +195,8 @@ def poisson_stop(p: float, lam: float) -> AsymptoticSummary:
     """Closed-form limits for a Bernoulli count with 1 + Poisson(lam) stop."""
     if not 0.0 < p <= 1.0:
         raise ParameterError("inner success probability must be in (0, 1]")
-    if not lam >= 0.0:
-        raise ParameterError("poisson rate must be >= 0")
+    if not 0.0 <= lam < math.inf:
+        raise ParameterError(f"poisson rate must be in [0, inf), got {lam}")
     q = 1.0 - p
     mean = p * (lam + 1.0)
     second = p * (p * (lam + 1.0) ** 2 + lam + q)
@@ -300,31 +296,20 @@ def brute_force_stopped_table(spec: StoppedSpec) -> StateTable:
     horizon = spec.horizon
     if horizon > 16:
         raise ParameterError("exhaustive enumeration is for horizons <= 16")
-    inner_pmf = spec.inner.pmf_vector(horizon)
-    inner_surv = spec.inner.survival_vector(horizon)
     stop_pmf = spec.stop.pmf_vector(horizon)
     beyond = spec.stop.survival_vector(horizon)[-1]
     probs = np.zeros((horizon + 1, horizon + 1))
     t_axis = np.arange(horizon + 1)
-
-    def walk(events: list, weight: float) -> None:
-        last = events[-1] if events else 0
-        w = weight * inner_surv[horizon - last]
-        n_of_t = np.searchsorted(events, t_axis, side="right")
+    paths = renewal._event_paths(
+        spec.inner.pmf_vector(horizon), spec.inner.survival_vector(horizon)
+    )
+    for n_of_t, w in paths:
         for r in range(1, horizon + 1):
             wr = w * stop_pmf[r]
             if wr > 0.0:
                 frozen = n_of_t[np.minimum(t_axis, r)]
                 np.add.at(probs, (frozen, t_axis), wr)
         np.add.at(probs, (n_of_t, t_axis), w * beyond)
-        for nxt in range(last + 1, horizon + 1):
-            w_next = weight * inner_pmf[nxt - last]
-            if w_next > 0.0:
-                events.append(nxt)
-                walk(events, w_next)
-                events.pop()
-
-    walk([], 1.0)
     return StateTable(probs)
 
 

@@ -464,6 +464,15 @@ def test_config_flag_without_a_file_is_usage_error(tmp_path, capsys):
     assert not list(tmp_path.iterdir())
 
 
+def test_config_abbreviation_is_usage_error(tmp_path, capsys):
+    # only the full --config names a file; argparse must not expand --conf
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("horizon = 8\n")
+    assert run(["stopped", *_GEO, "--conf", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    assert "unrecognized arguments: --conf" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv, bad",
     [(["walk", *_GEO, "--steps", "line", "--horizon", "10", "--propagator-time", "11"],

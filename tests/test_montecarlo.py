@@ -237,6 +237,8 @@ def test_compare_discrete_self_consistency():
     comp = mc.compare_discrete(draws, support, probs)
     assert comp.tv < 0.01
     assert comp.chisq_pvalue > 0.001
+    with pytest.raises(ParameterError):
+        mc.compare_discrete(np.array([]), np.arange(3), np.ones(3) / 3)
 
 
 def test_compare_discrete_pvalue_matches_scipy_chisquare():
@@ -284,28 +286,6 @@ def test_cli_import_leaves_scipy_stats_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60)
     assert out.stdout.strip() == "[]"
-
-
-def test_compare_continuous_and_two_sample():
-    rng = np.random.default_rng(59)
-    z = rng.standard_normal(20_000)
-    from scipy.stats import norm
-
-    comp = mc.compare_continuous(z, norm.cdf)
-    assert comp.ks < 0.015
-    other = rng.standard_normal(20_000)
-    assert mc.ks_two_sample(z, other) < 0.02
-
-
-def test_compare_continuous_uniform_and_empty_samples():
-    rng = np.random.default_rng(61)
-    z = rng.random(5000)
-    comp = mc.compare_continuous(z, lambda x: np.clip(x, 0, 1))
-    assert comp.ks is not None and comp.tv is None
-    with pytest.raises(ParameterError):
-        mc.compare_continuous(np.array([]), lambda x: np.clip(x, 0, 1))
-    with pytest.raises(ParameterError):
-        mc.compare_discrete(np.array([]), np.arange(3), np.ones(3) / 3)
 
 
 def test_exceedance_probability_against_simulation():

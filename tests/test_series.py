@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,8 +10,9 @@ from renewalk import series
 from renewalk.errors import HorizonMismatchError, SingularSeriesError
 from renewalk.laws import Geometric, Sibuya
 
-# 65 and below fit in one block; the rest cross block edges of series._BLOCK
-LENGTHS = (255, 256, 257, 1000)
+# reciprocal blocks double 1, 2, 4, ..., series._BLOCK and then stay there:
+# lengths at and next to those edges, and across the fixed blocks
+LENGTHS = (1, 2, 3, 4, 5, 8, 9, 17, 129, 255, 256, 257, 511, 512, 513, 1000)
 
 
 def _magnitude(a, b):
@@ -120,6 +122,19 @@ def test_divide_roundtrip():
         assert np.all(np.abs(back - num) <= bound)
         if n == 40:
             np.testing.assert_allclose(back, num, atol=1e-10)
+
+
+@pytest.mark.parametrize("mu", [0.05, 0.5, 0.95])
+def test_reciprocal_of_sibuya_renewal_input_is_the_binomial_series(mu):
+    # 1 / (1 - psi) = (1 - u)^-mu, coefficients Gamma(t + mu) / (Gamma(mu) t!)
+    horizon = 4096
+    rec = series.reciprocal(_renewal_input("sibuya", mu, horizon + 1))
+    with mpmath.workdps(30):
+        term, exact = mpmath.mpf(1), [1.0]
+        for t in range(1, horizon + 1):
+            term *= (t - 1 + mpmath.mpf(mu)) / t
+            exact.append(float(term))
+    np.testing.assert_allclose(rec, exact, rtol=3e-14, atol=0)
 
 
 def _renewal_input(kind, param, n):

@@ -78,6 +78,16 @@ def test_exhaustive_joint_enumeration_oracle(inner, stop):
     np.testing.assert_allclose(table.probs, oracle.probs, atol=1e-9)
 
 
+@pytest.mark.parametrize("inner", [Geometric(0.7), Sibuya(0.5), ShiftedPoisson(1.5)])
+def test_massless_stop_oracle_is_the_renewal_oracle(inner):
+    # a stop of mass 0 never fires, so the joint walk is the renewal walk
+    for horizon in range(9):
+        spec = StoppedSpec(inner, DefectiveGeometric(0.0, 0.5), horizon)
+        got = brute_force_stopped_table(spec).probs
+        want = renewal.brute_force_state_table(inner, horizon).probs
+        assert got.tobytes() == want.tobytes()
+
+
 def test_geometric_stop_state_closed_form():
     # frozen state law under a plain geometric stop, assembled directly
     p, q = 0.2, 0.8
@@ -216,6 +226,13 @@ def test_poisson_stop_values():
     tiny = poisson_stop(0.7, 1e-12)
     assert tiny.mean == pytest.approx(0.7, abs=1e-11)
     assert tiny.variance == pytest.approx(0.7 * 0.3, abs=1e-11)
+
+
+@pytest.mark.parametrize("lam", [math.inf, -1.0, math.nan])
+def test_poisson_stop_rejects_rates_outside_zero_to_inf(lam):
+    # an infinite rate is a stop that never comes, not a certain one
+    with pytest.raises(ParameterError, match=rf"in \[0, inf\), got {lam}$"):
+        poisson_stop(0.5, lam)
 
 
 def test_poisson_stop_against_finite_time_series():
