@@ -2,8 +2,8 @@
 independent oracle for every exact law in the package.
 
 Replicas are split into fixed-size chunks, each driven by its own
-counter-derived random stream, and chunk results are combined in index
-order.  Outputs therefore depend only on (seed, replicas, request), never
+counter-derived random stream, and each chunk fills its rows of one
+result.  Outputs therefore depend only on (seed, replicas, request), never
 on the worker count, which makes seeded runs byte-reproducible.
 
 Every sampler runs one event loop (``_events``): each pass draws one
@@ -38,34 +38,30 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.replicas < 1:
-            raise ParameterError(f"replicas must be >= 1, got {self.replicas}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ParameterError(f"seed must be an integer >= 0, got {self.seed}")
+        if not isinstance(self.replicas, (int, np.integer)) or self.replicas < 1:
+            raise ParameterError(f"replicas must be an integer >= 1, got {self.replicas}")
         _window(self.horizon)
         if self.workers < 1:
             raise ParameterError(f"workers must be >= 1, got {self.workers}")
 
 
-def _chunk_layout(cfg: SimConfig):
-    return [
-        (idx, min(_CHUNK, cfg.replicas - start))
+def _run_chunks(cfg: SimConfig, worker):
+    """Run ``worker(rng, rows)`` per chunk, returning results in chunk order.
+
+    ``rows`` is the chunk's slice of the replica axis and ``rng`` its
+    counter-derived stream, so a worker may fill its rows of a shared result.
+    """
+    chunks = [
+        (np.random.default_rng(np.random.SeedSequence((cfg.seed, idx))),
+         slice(start, min(start + _CHUNK, cfg.replicas)))
         for idx, start in enumerate(range(0, cfg.replicas, _CHUNK))
     ]
-
-
-def _chunk_rng(cfg: SimConfig, idx: int):
-    return np.random.default_rng(np.random.SeedSequence((cfg.seed, idx)))
-
-
-def _run_chunks(cfg: SimConfig, worker):
-    """Run ``worker(rng, size)`` per chunk, returning results in chunk order."""
-    layout = _chunk_layout(cfg)
-    if cfg.workers == 1 or len(layout) == 1:
-        return [worker(_chunk_rng(cfg, idx), size) for idx, size in layout]
+    if cfg.workers == 1 or len(chunks) == 1:
+        return [worker(rng, rows) for rng, rows in chunks]
     with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [
-            pool.submit(worker, _chunk_rng(cfg, idx), size) for idx, size in layout
-        ]
-        return [f.result() for f in futures]
+        return list(pool.map(worker, *zip(*chunks)))
 
 
 def _events(law: WaitingLaw, caps: np.ndarray, rng):
@@ -85,17 +81,16 @@ def _events(law: WaitingLaw, caps: np.ndarray, rng):
         active, times, caps = active[keep], times[keep], caps[keep]
 
 
-def _renewal_count(law: WaitingLaw, caps: np.ndarray, rng) -> np.ndarray:
-    """Events of a renewal stream with waiting law ``law`` within [0, caps]."""
-    counts = np.zeros(len(caps), dtype=np.int64)
+def _renewal_count(law: WaitingLaw, caps: np.ndarray, rng, counts: np.ndarray):
+    """Fill the zeroed ``counts`` with the events of a renewal stream with
+    waiting law ``law`` within [0, caps]."""
     # the replicas of pass k are those with at least k events
     for k, (active, _) in enumerate(_events(law, caps, rng), 1):
         counts[active] = k
-    return counts
 
 
 def _capped_runs(spec: StoppedSpec, cfg: SimConfig, t_obs, count, unfrozen: str):
-    """Run ``count(rng, caps)`` per chunk with caps = min(S, t_obs).
+    """Run ``count(rng, caps, rows)`` per chunk with caps = min(S, t_obs).
 
     At t_obs = INFINITY the stopping time S is capped at cfg.horizon; if
     more than one replica in a thousand hits the cap the run is
@@ -108,16 +103,14 @@ def _capped_runs(spec: StoppedSpec, cfg: SimConfig, t_obs, count, unfrozen: str)
         )
     cap = float(cfg.horizon if infinite else t_obs)
 
-    def worker(rng, size):
-        stop_times = spec.stop.sample(rng, size)
-        hits = int(np.count_nonzero(stop_times > cap)) if infinite else 0
-        return count(rng, np.minimum(stop_times, cap)), hits
+    def worker(rng, rows):
+        stop_times = spec.stop.sample(rng, rows.stop - rows.start)
+        count(rng, np.minimum(stop_times, cap), rows)
+        return int(np.count_nonzero(stop_times > cap)) if infinite else 0
 
-    results = _run_chunks(cfg, worker)
-    total_hits = sum(hits for _, hits in results)
+    total_hits = sum(_run_chunks(cfg, worker))
     if total_hits > 1e-3 * cfg.replicas:
         raise InconclusiveRunError(f"{total_hits} of {cfg.replicas} {unfrozen}")
-    return [r for r, _ in results]
 
 
 def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
@@ -128,15 +121,17 @@ def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
     an infinite stopping time never freezes the path.
     """
     horizon = min(spec.horizon, cfg.horizon)
+    paths = np.zeros((cfg.replicas, horizon + 1), dtype=np.int64)
 
-    def worker(rng, size):
-        caps = np.minimum(spec.stop.sample(rng, size), horizon)
-        paths = np.zeros((size, horizon + 1), dtype=np.int64)
+    def worker(rng, rows):
+        view = paths[rows]
+        caps = np.minimum(spec.stop.sample(rng, len(view)), horizon)
         for active, times in _events(spec.inner, caps, rng):
-            paths[active, times.astype(np.int64)] = 1
-        return np.cumsum(paths, axis=1, out=paths)
+            view[active, times.astype(np.int64)] = 1
+        np.cumsum(view, axis=1, out=view)
 
-    return np.vstack(_run_chunks(cfg, worker))
+    _run_chunks(cfg, worker)
+    return paths
 
 
 def sample_stopped_value(spec: StoppedSpec, cfg: SimConfig, t_obs) -> np.ndarray:
@@ -146,12 +141,14 @@ def sample_stopped_value(spec: StoppedSpec, cfg: SimConfig, t_obs) -> np.ndarray
     if more than one replica in a thousand hits the cap the run is
     inconclusive and raises instead of returning biased values.
     """
-    counts = _capped_runs(
-        spec, cfg, t_obs, lambda rng, caps: _renewal_count(spec.inner, caps, rng),
+    counts = np.zeros(cfg.replicas, dtype=np.int64)
+    _capped_runs(
+        spec, cfg, t_obs,
+        lambda rng, caps, rows: _renewal_count(spec.inner, caps, rng, counts[rows]),
         f"paths were still unfrozen at the horizon {cfg.horizon}; "
         "raise the horizon or fix the stopping law",
     )
-    return np.concatenate(counts)
+    return counts
 
 
 def sample_walk_endpoint(
@@ -163,13 +160,16 @@ def sample_walk_endpoint(
     :func:`sample_stopped_value`.  The sum of M IID steps depends on them
     only through how many of each kind were taken, which is multinomial.
     """
+    ends = np.empty((cfg.replicas, step.dim), dtype=np.int64)
 
-    def endpoint(rng, caps):
-        counts = _renewal_count(spec.inner, caps, rng)
-        return rng.multinomial(counts, step.probs) @ step.displacements
+    def endpoint(rng, caps, rows):
+        counts = np.zeros(len(caps), dtype=np.int64)
+        _renewal_count(spec.inner, caps, rng, counts)
+        ends[rows] = rng.multinomial(counts, step.probs) @ step.displacements
 
     unfrozen = f"walks were still unfrozen at the horizon {cfg.horizon}"
-    return np.vstack(_capped_runs(spec, cfg, t_obs, endpoint, unfrozen))
+    _capped_runs(spec, cfg, t_obs, endpoint, unfrozen)
+    return ends
 
 
 def dequantize(values, rng, one_sided: bool = False) -> np.ndarray:
@@ -196,8 +196,8 @@ def unfrozen_fraction(spec: StoppedSpec, cfg: SimConfig, t: float) -> float:
     probability as t grows.
     """
 
-    def worker(rng, size):
-        return int(np.count_nonzero(spec.stop.sample(rng, size) > t))
+    def worker(rng, rows):
+        return int(np.count_nonzero(spec.stop.sample(rng, rows.stop - rows.start) > t))
 
     return sum(_run_chunks(cfg, worker)) / cfg.replicas
 

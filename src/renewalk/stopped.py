@@ -35,7 +35,9 @@ class StoppedSpec:
                 f"(mass {self.inner.defect_mass}); only the stopping law may be"
             )
         if not 0.0 <= self.stop.defect_mass <= 1.0:
-            raise ParameterError("stopping law mass outside [0, 1]")
+            raise ParameterError(
+                f"stopping law mass must be in [0, 1], got {self.stop.defect_mass}"
+            )
         _window(self.horizon)
 
 
@@ -67,7 +69,7 @@ def stopped_state_table(spec: StoppedSpec) -> StateTable:
 def stopped_moments(spec: StoppedSpec, order: int) -> np.ndarray:
     """Series E M(t) (order 1) or E M^2(t) (order 2) on [0, horizon]."""
     if order not in (1, 2):
-        raise ParameterError("order must be 1 or 2")
+        raise ParameterError(f"order must be 1 or 2, got {order}")
     return _moment_pair(spec)[order - 1]
 
 
@@ -77,12 +79,17 @@ def _moment_pair(spec: StoppedSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _frozen(stop: WaitingLaw, series: np.ndarray) -> np.ndarray:
-    """X(min(t, S)) = surv_S(t) X(t) + sum_{r<=t} pmf_S(r) X(r) along the last axis."""
+    """X(min(t, S)) = surv_S(t) X(t) + sum_{r<=t} pmf_S(r) X(r) along the last axis.
+
+    Overwrites ``series``, so callers pass a fresh array; the result and
+    ``series`` are the only two series-sized arrays held at the peak.
+    """
     horizon = series.shape[-1] - 1
-    # the running sum first: numpy then adds it into the product's temporary;
-    # the product first would hold one more table-sized array at the peak
-    frozen = np.cumsum(stop.pmf_vector(horizon) * series, axis=-1)
-    return frozen + stop.survival_vector(horizon) * series
+    frozen = stop.pmf_vector(horizon) * series
+    np.cumsum(frozen, axis=-1, out=frozen)
+    series *= stop.survival_vector(horizon)
+    frozen += series
+    return frozen
 
 
 @dataclass(frozen=True)
@@ -106,7 +113,7 @@ class AsymptoticSummary:
     def state_mass_sum(self) -> float:
         """Exact sum over all m: stored prefix plus geometric tail."""
         if self.state_masses is None:
-            raise ParameterError("no state-mass representation for this summary")
+            raise ParameterError("state_mass_sum needs state_masses, got None")
         head = float(self.state_masses[:-1].sum())
         tail = float(self.state_masses[-1] / (1.0 - self.tail_ratio))
         return head + tail
@@ -133,9 +140,9 @@ def geometric_stop_asymptotics(
     if not 0.0 < q < 1.0:
         raise ParameterError(f"failure probability q must be in (0, 1), got {q}")
     if not 0.0 < stop_defect <= 1.0:
-        raise ParameterError("stop defect mass must be in (0, 1]")
+        raise ParameterError(f"stop defect mass must be in (0, 1], got {stop_defect}")
     if not inner.has_full_mass:
-        raise ParameterError("inner law must be non-defective")
+        raise ParameterError(f"inner law must be non-defective, got mass {inner.defect_mass}")
     p = 1.0 - q
     g = inner.gf(q)
     scale = stop_defect * (1.0 - g) / q
@@ -166,9 +173,9 @@ def geometric_stop_asymptotics(
 def bernoulli_stops_sibuya(mu: float, p: float) -> AsymptoticSummary:
     """Closed-form limits for a Sibuya count stopped by a Bernoulli process."""
     if not 0.0 < mu < 1.0:
-        raise ParameterError("sibuya index must be in (0, 1)")
+        raise ParameterError(f"sibuya index must be in (0, 1), got {mu}")
     if not 0.0 < p < 1.0:
-        raise ParameterError("stopping success probability must be in (0, 1)")
+        raise ParameterError(f"stopping success probability must be in (0, 1), got {p}")
     q = 1.0 - p
     pm = p**mu
     mean = (1.0 - pm) / (q * pm)
@@ -180,9 +187,9 @@ def bernoulli_stops_sibuya(mu: float, p: float) -> AsymptoticSummary:
 def bernoulli_stops_bernoulli(p: float, p_stop: float) -> AsymptoticSummary:
     """Closed-form limits for a Bernoulli count stopped by a Bernoulli process."""
     if not 0.0 < p <= 1.0:
-        raise ParameterError("inner success probability must be in (0, 1]")
+        raise ParameterError(f"inner success probability must be in (0, 1], got {p}")
     if not 0.0 < p_stop < 1.0:
-        raise ParameterError("stopping success probability must be in (0, 1)")
+        raise ParameterError(f"stopping success probability must be in (0, 1), got {p_stop}")
     q = 1.0 - p
     q_stop = 1.0 - p_stop
     mean = p / p_stop
@@ -194,7 +201,7 @@ def bernoulli_stops_bernoulli(p: float, p_stop: float) -> AsymptoticSummary:
 def poisson_stop(p: float, lam: float) -> AsymptoticSummary:
     """Closed-form limits for a Bernoulli count with 1 + Poisson(lam) stop."""
     if not 0.0 < p <= 1.0:
-        raise ParameterError("inner success probability must be in (0, 1]")
+        raise ParameterError(f"inner success probability must be in (0, 1], got {p}")
     if not 0.0 <= lam < math.inf:
         raise ParameterError(f"poisson rate must be in [0, inf), got {lam}")
     q = 1.0 - p
@@ -231,13 +238,13 @@ def dbp_stops_bernoulli(
     time-dependent value ``lambda_max`` which approaches 1/2.
     """
     if not 0.0 < p0 < 1.0:
-        raise ParameterError("inner success probability must be in (0, 1)")
+        raise ParameterError(f"inner success probability must be in (0, 1), got {p0}")
     if not 0.0 < q < 1.0:
-        raise ParameterError("stop failure probability must be in (0, 1)")
+        raise ParameterError(f"stop failure probability must be in (0, 1), got {q}")
     if not 0.0 <= stop_defect <= 1.0:
-        raise ParameterError("stop defect mass must be in [0, 1]")
+        raise ParameterError(f"stop defect mass must be in [0, 1], got {stop_defect}")
     if horizon < 2:
-        raise ParameterError("horizon must be >= 2 (lambda_max needs t >= 2)")
+        raise ParameterError(f"horizon must be >= 2 (lambda_max needs t >= 2), got {horizon}")
     p = 1.0 - q
     q0 = 1.0 - p0
     lam = 1.0 - stop_defect
@@ -280,7 +287,7 @@ def discounted_inner_law(inner: WaitingLaw, q: float, horizon: int) -> Tabulated
     geometrically stopped count; its total mass is inner_gf(q) < 1.
     """
     if not 0.0 < q < 1.0:
-        raise ParameterError("discount factor q must be in (0, 1)")
+        raise ParameterError(f"discount factor q must be in (0, 1), got {q}")
     t = np.arange(1, horizon + 1, dtype=float)
     return Tabulated(inner.pmf_vector(horizon)[1:] * q**t)
 
@@ -295,7 +302,7 @@ def brute_force_stopped_table(spec: StoppedSpec) -> StateTable:
     """
     horizon = spec.horizon
     if horizon > 16:
-        raise ParameterError("exhaustive enumeration is for horizons <= 16")
+        raise ParameterError(f"exhaustive enumeration is for horizons <= 16, got {horizon}")
     stop_pmf = spec.stop.pmf_vector(horizon)
     beyond = spec.stop.survival_vector(horizon)[-1]
     probs = np.zeros((horizon + 1, horizon + 1))
@@ -325,8 +332,11 @@ def renewal_equation_residual(values, zero_state, kernel, v) -> np.ndarray:
     zero_state = np.asarray(zero_state)
     kernel = np.asarray(kernel, dtype=float)
     if not (len(values) == len(zero_state) == len(kernel)):
-        raise ParameterError("series lengths differ")
+        raise ParameterError(
+            "series lengths differ: "
+            f"{len(values)} values, {len(zero_state)} zero_state, {len(kernel)} kernel"
+        )
     if kernel[0] != 0.0:
-        raise ParameterError("kernel must be a waiting pmf with kernel[0] = 0")
+        raise ParameterError(f"kernel must be a waiting pmf with kernel[0] = 0, got {kernel[0]}")
     conv = np.convolve(kernel, values)[: len(values)]
     return values - zero_state - v * conv

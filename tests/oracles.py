@@ -1,9 +1,22 @@
 """Direct methods and closed forms kept as test oracles: the double-sum
 product and division recursion behind the blocked series kernels, the
 characteristic functions and state polynomial of the walk and stop tests,
-and the step-by-step prefix length of the limiting stopped-count masses."""
+the step-by-step prefix length of the limiting stopped-count masses, and
+the traced peak memory of a call."""
+
+import tracemalloc
 
 import numpy as np
+
+
+def traced_peak(call):
+    """``call()`` and the peak bytes that ``tracemalloc`` saw while it ran;
+    numpy reports its array buffers to ``tracemalloc``."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def brute_convolve(a, b):

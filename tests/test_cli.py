@@ -30,6 +30,13 @@ def test_bad_law_is_computation_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_mc_names_a_negative_seed(tmp_path, capsys):
+    argv = ["mc", "--inner", "geometric:p=0.7", "--stop", "geometric:p=0.2",
+            "--t-obs", "0", "--replicas", "30", "--seed", "-1", "--out", str(tmp_path)]
+    assert run(argv) == 1
+    assert "seed must be an integer >= 0, got -1" in capsys.readouterr().err
+
+
 def test_stopped_summary_contains_limit_mean(tmp_path, capsys):
     code = run(
         ["stopped", "--inner", "geometric:p=0.7", "--stop", "geometric:p=0.2",

@@ -5,6 +5,7 @@ import sys
 
 import numpy as np
 import pytest
+from oracles import traced_peak
 
 import renewalk
 from renewalk import montecarlo as mc
@@ -23,6 +24,30 @@ def test_config_validation():
         SimConfig(seed=1, replicas=0)
     with pytest.raises(ParameterError):
         SimConfig(seed=1, replicas=10, workers=0)
+
+
+@pytest.mark.parametrize("seed, replicas, got", [
+    (-1, 10, "seed must be an integer >= 0, got -1"),
+    (1.5, 10, "seed must be an integer >= 0, got 1.5"),
+    (1, 10.5, "replicas must be an integer >= 1, got 10.5"),
+    (1, 0, "replicas must be an integer >= 1, got 0"),
+])
+def test_config_names_a_bad_seed_or_replica_count(seed, replicas, got):
+    # a negative seed used to reach numpy's SeedSequence and fail there
+    with pytest.raises(ParameterError, match=got):
+        SimConfig(seed, replicas)
+
+
+@pytest.mark.parametrize("replicas, horizon, workers", [
+    (20_000, 40, 1), (3 * mc._CHUNK + 1000, 20, 3),
+])
+def test_paths_hold_one_result_at_their_peak(replicas, horizon, workers):
+    # each chunk fills its own rows: no second, stacked copy of the result
+    spec = StoppedSpec(Geometric(0.7), Geometric(0.2), horizon)
+    cfg = SimConfig(seed=5, replicas=replicas, horizon=horizon, workers=workers)
+    mc.sample_stopped_path(spec, SimConfig(seed=5, replicas=10, horizon=horizon))
+    paths, peak = traced_peak(lambda: mc.sample_stopped_path(spec, cfg))
+    assert peak <= 1.5 * paths.nbytes
 
 
 def test_path_shape_invariants():
@@ -160,16 +185,26 @@ def test_sibuya_paths_match_state_table_columns():
 
 
 def test_samplers_identical_for_any_worker_count_over_many_chunks():
+    # three threads fill their rows of one shared result; a short switch
+    # interval interleaves them as often as the interpreter allows
     replicas = 3 * mc._CHUNK + 1000
     step = walks.triangular_walk(True)
     outs = []
-    for workers in (1, 3):
-        cfg = SimConfig(seed=89, replicas=replicas, horizon=128, workers=workers)
-        outs.append((
-            mc.sample_stopped_path(SPEC, cfg).tobytes(),
-            mc.sample_walk_endpoint(step, SPEC, cfg, 20).tobytes(),
-            mc.sample_walk_endpoint(step, SPEC, cfg, INFINITY).tobytes(),
-        ))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 3):
+            cfg = SimConfig(seed=89, replicas=replicas, horizon=128, workers=workers)
+            outs.append((
+                mc.sample_stopped_path(SPEC, cfg).tobytes(),
+                mc.sample_stopped_value(SPEC, cfg, 20).tobytes(),
+                mc.sample_stopped_value(SPEC, cfg, INFINITY).tobytes(),
+                mc.sample_walk_endpoint(step, SPEC, cfg, 20).tobytes(),
+                mc.sample_walk_endpoint(step, SPEC, cfg, INFINITY).tobytes(),
+                mc.unfrozen_fraction(SPEC, cfg, 10),
+            ))
+    finally:
+        sys.setswitchinterval(interval)
     assert outs[0] == outs[1]
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import state_polynomial, stored_prefix_length
+from oracles import state_polynomial, stored_prefix_length, traced_peak
 
 from renewalk import renewal, stopped
 from renewalk.errors import ParameterError
@@ -405,3 +405,49 @@ def test_state_table_columns_sum_to_one(inner, stop, horizon):
     )
     for table in tables:
         np.testing.assert_allclose(table.row_sums(), 1.0, rtol=0, atol=1e-12)
+
+
+def test_state_table_holds_at_most_two_tables_at_its_peak():
+    # the inner table and the frozen one, with no third table-sized temporary
+    spec = StoppedSpec(Geometric(0.7), DefectiveGeometric(0.5, 0.035), 768)
+    stopped_state_table(StoppedSpec(spec.inner, spec.stop, 8))
+    table, peak = traced_peak(lambda: stopped_state_table(spec))
+    assert peak <= 2.5 * table.probs.nbytes
+
+
+class _StopMass:
+    """A stand-in stopping law whose mass no real law can have."""
+
+    defect_mass = 1.5
+
+
+# every ParameterError of the module, each with the value it got
+BAD_CALLS = [
+    (StoppedSpec, (Geometric(0.5), _StopMass(), 4), r"\[0, 1\], got 1.5"),
+    (stopped_moments, (StoppedSpec(Geometric(0.5), Geometric(0.5), 4), 3), "2, got 3"),
+    (stopped.AsymptoticSummary.state_mass_sum, (bernoulli_stops_sibuya(0.5, 0.5),), "got None"),
+    (geometric_stop_asymptotics, (Geometric(0.5), 0.5, 0.0), r"\(0, 1\], got 0.0"),
+    (geometric_stop_asymptotics, (DefectiveGeometric(0.25, 0.5), 0.5), "got mass 0.25"),
+    (bernoulli_stops_sibuya, (1.2, 0.5), r"\(0, 1\), got 1.2"),
+    (bernoulli_stops_sibuya, (0.5, 1.0), r"\(0, 1\), got 1.0"),
+    (bernoulli_stops_bernoulli, (1.5, 0.5), r"\(0, 1\], got 1.5"),
+    (bernoulli_stops_bernoulli, (0.5, 0.0), r"\(0, 1\), got 0.0"),
+    (poisson_stop, (1.5, 2.0), r"\(0, 1\], got 1.5"),
+    (dbp_stops_bernoulli, (1.0, 0.5, 0.5, 10), r"\(0, 1\), got 1.0"),
+    (dbp_stops_bernoulli, (0.5, 0.0, 0.5, 10), r"\(0, 1\), got 0.0"),
+    (dbp_stops_bernoulli, (0.5, 0.5, 2.0, 10), r"\[0, 1\], got 2.0"),
+    (dbp_stops_bernoulli, (0.5, 0.5, 0.5, 1), ">= 2 .*, got 1"),
+    (discounted_inner_law, (Geometric(0.5), 1.5, 8), r"\(0, 1\), got 1.5"),
+    (brute_force_stopped_table, (StoppedSpec(Geometric(0.5), Geometric(0.5), 17),),
+     "<= 16, got 17"),
+    (renewal_equation_residual, (np.ones(4), np.ones(3), np.zeros(4), 0.5),
+     "4 values, 3 zero_state, 4 kernel"),
+    (renewal_equation_residual, (np.ones(4), np.ones(4), np.ones(4), 0.5),
+     r"kernel\[0\] = 0, got 1.0"),
+]
+
+
+@pytest.mark.parametrize("func, args, got", BAD_CALLS, ids=[f.__name__ for f, *_ in BAD_CALLS])
+def test_parameter_errors_name_the_value_and_the_limit(func, args, got):
+    with pytest.raises(ParameterError, match=got):
+        func(*args)
