@@ -49,8 +49,15 @@ def _geometric_draws(rng, n: int, p: float) -> np.ndarray:
     return np.clip(w, 1.0, np.finfo(float).max, out=w)
 
 
+def _is_int(value) -> bool:
+    """True for a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _window(horizon: int) -> int:
     """The horizon T of a series on t = 0..T; T = 0 is the one-term series."""
+    if not _is_int(horizon):
+        raise ParameterError(f"horizon must be an integer >= 0, got {horizon}")
     if horizon < 0:
         raise ParameterError(f"horizon must be >= 0, got {horizon}")
     return horizon

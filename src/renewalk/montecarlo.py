@@ -6,10 +6,10 @@ counter-derived random stream, and each chunk fills its rows of one
 result.  Outputs therefore depend only on (seed, replicas, request), never
 on the worker count, which makes seeded runs byte-reproducible.
 
-Every sampler runs one event loop (``_events``): each pass draws one
-waiting time from the inner law's own sampler for every replica whose
-next event still falls within its cap.  Paths mark their events and take
-a running sum; a walk draws the steps of its M events as one multinomial
+Every sampler runs one event loop (``_events``): each pass spends one
+inner waiting time from the budget (cap minus last event time) of every
+replica still within its cap.  Paths mark events in int32 rows and sum
+them in place; a walk draws the steps of its M events as one multinomial
 count per step kind, which is the sum of M IID steps in law.
 """
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconclusiveRunError, ParameterError
-from .laws import INFINITY, WaitingLaw, _window
+from .laws import INFINITY, WaitingLaw, _is_int, _window
 from .stopped import StoppedSpec
 from .walks import StepLaw
 
@@ -38,13 +38,15 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if not _is_int(self.seed) or self.seed < 0:
             raise ParameterError(f"seed must be an integer >= 0, got {self.seed}")
-        if not isinstance(self.replicas, (int, np.integer)) or self.replicas < 1:
+        if not _is_int(self.replicas) or self.replicas < 1:
             raise ParameterError(f"replicas must be an integer >= 1, got {self.replicas}")
-        _window(self.horizon)
-        if self.workers < 1:
-            raise ParameterError(f"workers must be >= 1, got {self.workers}")
+        # paths hold their counts, which never exceed the horizon, as int32
+        if _window(self.horizon) > np.iinfo(np.int32).max:
+            raise ParameterError(f"horizon must be <= 2**31 - 1, got {self.horizon}")
+        if not _is_int(self.workers) or self.workers < 1:
+            raise ParameterError(f"workers must be an integer >= 1, got {self.workers}")
 
 
 def _run_chunks(cfg: SimConfig, worker):
@@ -65,20 +67,20 @@ def _run_chunks(cfg: SimConfig, worker):
 
 
 def _events(law: WaitingLaw, caps: np.ndarray, rng):
-    """Yield ``(active, times)`` for each successive event at a time <= caps.
+    """Yield ``(active, left)`` for each successive event at a time <= caps.
 
     Pass k holds the k-th event of every replica that has one within its
-    cap: ``active`` indexes those replicas and ``times`` is where their
-    event falls.  Each pass draws one waiting time per active replica.
+    cap: ``active`` indexes those replicas and ``left`` = caps - event time
+    is their budget.  Each pass spends one waiting time per active replica.
     """
-    times = law.sample(rng, len(caps))
-    active = np.nonzero(times <= caps)[0]
-    times, caps = times[active], caps[active]
+    left = caps - law.sample(rng, len(caps))
+    active = np.nonzero(left >= 0)[0]
+    left = left[active]
     while active.size:
-        yield active, times
-        times += law.sample(rng, active.size)
-        keep = times <= caps
-        active, times, caps = active[keep], times[keep], caps[keep]
+        yield active, left
+        left -= law.sample(rng, active.size)
+        keep = left >= 0
+        active, left = active[keep], left[keep]
 
 
 def _renewal_count(law: WaitingLaw, caps: np.ndarray, rng, counts: np.ndarray):
@@ -114,21 +116,21 @@ def _capped_runs(spec: StoppedSpec, cfg: SimConfig, t_obs, count, unfrozen: str)
 
 
 def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
-    """Replica paths M(0..horizon) of the stopped count, one row per replica.
+    """Replica paths M(0..horizon) of the stopped count, one int32 row per replica.
 
     Each path draws one stopping time S and runs the inner renewal stream up
-    to min(S, horizon), so M(t) = N(min(t, S)) is the running event count;
-    an infinite stopping time never freezes the path.
+    to min(S, horizon): M(t) = N(min(t, S)), never frozen if S is infinite.
+    Cast to int64 before squaring counts above 46340, or int32 overflows.
     """
     horizon = min(spec.horizon, cfg.horizon)
-    paths = np.zeros((cfg.replicas, horizon + 1), dtype=np.int64)
+    paths = np.zeros((cfg.replicas, horizon + 1), dtype=np.int32)
 
     def worker(rng, rows):
         view = paths[rows]
         caps = np.minimum(spec.stop.sample(rng, len(view)), horizon)
-        for active, times in _events(spec.inner, caps, rng):
-            view[active, times.astype(np.int64)] = 1
-        np.cumsum(view, axis=1, out=view)
+        for active, left in _events(spec.inner, caps, rng):
+            view[active, (caps[active] - left).astype(np.intp)] = 1
+        np.cumsum(view, axis=1, dtype=view.dtype, out=view)
 
     _run_chunks(cfg, worker)
     return paths

@@ -38,15 +38,35 @@ def test_config_names_a_bad_seed_or_replica_count(seed, replicas, got):
         SimConfig(seed, replicas)
 
 
+@pytest.mark.parametrize("kwargs, got", [
+    (dict(horizon=10.5), "horizon must be an integer >= 0, got 10.5"),
+    (dict(horizon=2**31), r"horizon must be <= 2\*\*31 - 1, got 2147483648"),
+    (dict(workers=2.5), "workers must be an integer >= 1, got 2.5"),
+    (dict(workers=True), "workers must be an integer >= 1, got True"),
+    (dict(workers=0), "workers must be an integer >= 1, got 0"),
+])
+def test_config_names_a_bad_horizon_or_worker_count(kwargs, got):
+    # checked at construction, before any sampler allocates a path
+    with pytest.raises(ParameterError, match=got):
+        SimConfig(1, 1, **kwargs)
+
+
+def test_config_takes_python_and_numpy_integers():
+    cfg = SimConfig(np.int64(1), np.int32(10), horizon=np.int64(2**31 - 1), workers=np.int8(2))
+    assert (cfg.replicas, cfg.horizon, cfg.workers) == (10, 2**31 - 1, 2)
+
+
 @pytest.mark.parametrize("replicas, horizon, workers", [
     (20_000, 40, 1), (3 * mc._CHUNK + 1000, 20, 3),
 ])
 def test_paths_hold_one_result_at_their_peak(replicas, horizon, workers):
-    # each chunk fills its own rows: no second, stacked copy of the result
+    # each chunk fills its own rows: no second, stacked copy of the result,
+    # and the int32 running sum makes no int64 temporary
     spec = StoppedSpec(Geometric(0.7), Geometric(0.2), horizon)
     cfg = SimConfig(seed=5, replicas=replicas, horizon=horizon, workers=workers)
     mc.sample_stopped_path(spec, SimConfig(seed=5, replicas=10, horizon=horizon))
     paths, peak = traced_peak(lambda: mc.sample_stopped_path(spec, cfg))
+    assert paths.dtype == np.int32
     assert peak <= 1.5 * paths.nbytes
 
 
@@ -94,6 +114,19 @@ def test_stopped_value_agrees_with_paths():
     exact = stopped.stopped_state_table(SPEC).column(20)
     comp = mc.compare_discrete(values, np.arange(21), exact)
     assert comp.tv < 0.015
+
+
+@pytest.mark.parametrize("inner, stop, horizon", [
+    (Geometric(0.7), Geometric(0.2), 20),
+    (Sibuya(0.3), DefectiveGeometric(0.5, 0.1), 40),
+])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_path_end_is_the_stopped_value_draw_for_draw(inner, stop, horizon, workers):
+    # both draw S first, then the same events under the same caps min(S, T)
+    spec = StoppedSpec(inner, stop, horizon)
+    cfg = SimConfig(seed=97, replicas=3 * mc._CHUNK + 5, horizon=horizon, workers=workers)
+    ends = mc.sample_stopped_path(spec, cfg)[:, horizon]
+    assert np.array_equal(ends, mc.sample_stopped_value(spec, cfg, horizon))
 
 
 def test_frozen_value_mean_and_variance():

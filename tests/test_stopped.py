@@ -49,6 +49,13 @@ def test_spec_rejects_defective_inner():
         StoppedSpec(DefectiveGeometric(0.5, 0.7), Geometric(0.2), 16)
 
 
+def test_spec_names_a_non_integer_horizon():
+    # a float horizon used to fail later, inside numpy, without naming it
+    with pytest.raises(ParameterError, match="horizon must be an integer >= 0, got 10.5"):
+        StoppedSpec(Geometric(0.7), Geometric(0.2), 10.5)
+    assert StoppedSpec(Geometric(0.7), Geometric(0.2), np.int64(10)).horizon == 10
+
+
 def test_initial_condition():
     spec = StoppedSpec(Geometric(0.7), Geometric(0.2), 16)
     table = stopped_state_table(spec)
