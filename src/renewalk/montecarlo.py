@@ -6,10 +6,15 @@ counter-derived random stream, and each chunk fills its rows of one
 result.  Outputs therefore depend only on (seed, replicas, request), never
 on the worker count, which makes seeded runs byte-reproducible.
 
-Every sampler runs one event loop (``_events``): each pass spends one
-inner waiting time from the budget (cap minus last event time) of every
-replica still within its cap.  Paths mark events in int32 rows and sum
-them in place; a walk draws the steps of its M events as one multinomial
+A Geometric(p) inner stream is the Bernoulli(p) process, so its count
+within a cap c is one Binomial(c, p) draw, and given that count its events
+sit on a uniformly random subset of the steps 1..c, which paths place by
+selection sampling.  This is the one closed form used here, and no exact
+table uses it, so Monte Carlo stays independent of the series code.  Every
+other inner law runs one event loop (``_events``): each pass spends one
+waiting time from the budget (cap minus last event time) of every replica
+still within its cap, and paths mark those events in int32 rows and sum
+them in place.  A walk draws the steps of its M events as one multinomial
 count per step kind, which is the sum of M IID steps in law.
 """
 
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InconclusiveRunError, ParameterError
-from .laws import INFINITY, WaitingLaw, _is_int, _window
+from .laws import INFINITY, Geometric, WaitingLaw, _is_int, _window
 from .stopped import StoppedSpec
 from .walks import StepLaw
 
@@ -85,10 +90,41 @@ def _events(law: WaitingLaw, caps: np.ndarray, rng):
 
 def _renewal_count(law: WaitingLaw, caps: np.ndarray, rng, counts: np.ndarray):
     """Fill the zeroed ``counts`` with the events of a renewal stream with
-    waiting law ``law`` within [0, caps]."""
+    waiting law ``law`` within [0, caps].
+
+    A Geometric(p) stream has an event at each step independently with
+    chance p (Devroye 1986, X.2), so its count is one Binomial(cap, p) draw
+    per replica; any other law runs the event loop.
+    """
+    if type(law) is Geometric:
+        counts[:] = rng.binomial(caps.astype(np.int64), law.p)
+        return
     # the replicas of pass k are those with at least k events
     for k, (active, _) in enumerate(_events(law, caps, rng), 1):
         counts[active] = k
+
+
+def _place_events(view: np.ndarray, caps: np.ndarray, left: np.ndarray, rng):
+    """Running counts in ``view[:, 1:]`` of ``left[i]`` events placed on the
+    steps 1..caps[i] of row ``view[i]``, every such set of steps equally likely.
+
+    Selection sampling, one column at a time: step t is marked with chance
+    (events left) / (steps left), so row i reaches ``left[i]`` by its cap and
+    keeps it.  ``caps`` and ``left`` are float arrays, spent in place.
+    """
+    u = np.empty(len(view))
+    mark = np.empty(len(view), dtype=bool)
+    last = int(caps.max(initial=0))
+    for t in range(1, last + 1):
+        rng.random(out=u)
+        np.multiply(u, caps, out=u)
+        np.less(u, left, out=mark)
+        left -= mark
+        np.add(view[:, t - 1], mark, out=view[:, t])
+        # a row past its cap keeps one step and no events: u < 0 never marks
+        caps -= 1.0
+        np.maximum(caps, 1.0, out=caps)
+    view[:, last + 1:] = view[:, last, None]
 
 
 def _capped_runs(spec: StoppedSpec, cfg: SimConfig, t_obs, count, unfrozen: str):
@@ -120,7 +156,11 @@ def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
 
     Each path draws one stopping time S and runs the inner renewal stream up
     to min(S, horizon): M(t) = N(min(t, S)), never frozen if S is infinite.
-    Cast to int64 before squaring counts above 46340, or int32 overflows.
+    A Geometric inner law draws the count at the cap as
+    :func:`sample_stopped_value` does, then places those events on the
+    steps up to the cap; so the last column equals the values at the
+    horizon draw for draw.  Cast to int64 before squaring counts above
+    46340, or int32 overflows.
     """
     horizon = min(spec.horizon, cfg.horizon)
     paths = np.zeros((cfg.replicas, horizon + 1), dtype=np.int32)
@@ -128,6 +168,11 @@ def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
     def worker(rng, rows):
         view = paths[rows]
         caps = np.minimum(spec.stop.sample(rng, len(view)), horizon)
+        if type(spec.inner) is Geometric:
+            # the count that _renewal_count draws, then where its events fall
+            left = rng.binomial(caps.astype(np.int64), spec.inner.p).astype(float)
+            _place_events(view, caps, left, rng)
+            return
         for active, left in _events(spec.inner, caps, rng):
             view[active, (caps[active] - left).astype(np.intp)] = 1
         np.cumsum(view, axis=1, dtype=view.dtype, out=view)
@@ -158,9 +203,11 @@ def sample_walk_endpoint(
 ) -> np.ndarray:
     """Replica lattice positions of the walk at t_obs (or frozen, INFINITY).
 
-    The generator count M is simulated path-wise exactly as in
-    :func:`sample_stopped_value`.  The sum of M IID steps depends on them
-    only through how many of each kind were taken, which is multinomial.
+    The generator count M is drawn exactly as in
+    :func:`sample_stopped_value`: one binomial per replica for a Geometric
+    inner law, the event loop otherwise.  The sum of M IID steps depends on
+    them only through how many of each kind were taken, which is
+    multinomial.
     """
     ends = np.empty((cfg.replicas, step.dim), dtype=np.int64)
 

@@ -11,7 +11,9 @@ import renewalk
 from renewalk import montecarlo as mc
 from renewalk import ness, stopped, walks
 from renewalk.errors import InconclusiveRunError, ParameterError
-from renewalk.laws import INFINITY, DefectiveGeometric, Geometric, ShiftedPoisson, Sibuya
+from renewalk.laws import (
+    INFINITY, DefectiveGeometric, Geometric, ShiftedPoisson, Sibuya, Tabulated,
+)
 from renewalk.montecarlo import SimConfig
 from renewalk.stopped import StoppedSpec
 
@@ -206,15 +208,46 @@ def test_walk_endpoint_law_matches_propagator():
     assert comp.chisq_pvalue > 0.001
 
 
-def test_sibuya_paths_match_state_table_columns():
+@pytest.mark.parametrize("inner, stop", [
+    (Sibuya(0.5), DefectiveGeometric(0.5, 0.1)),
+    (Geometric(0.7), DefectiveGeometric(0.5, 0.1)),
+])
+def test_sibuya_paths_match_state_table_columns(inner, stop):
     # events marked up to min(S, horizon) and summed, for a fat-tailed inner
-    # law and a stop that never comes on half the paths
-    spec = StoppedSpec(Sibuya(0.5), DefectiveGeometric(0.5, 0.1), 40)
+    # law and a stop that never comes on half the paths; a geometric inner
+    # law places its binomial count, so its inner columns check the placing
+    spec = StoppedSpec(inner, stop, 40)
     paths = mc.sample_stopped_path(spec, SimConfig(seed=83, replicas=100_000, horizon=40))
     table = stopped.stopped_state_table(spec)
     for t in (3, 17, 40):
         comp = mc.compare_discrete(paths[:, t], np.arange(41), table.column(t))
         assert comp.chisq_pvalue > 0.001, t
+
+
+@pytest.mark.parametrize("inner", [
+    Geometric(0.6), Tabulated(np.append(Geometric(0.6).pmf_vector(12)[1:], 0.4**12)),
+])
+def test_binomial_counts_agree_with_the_event_loop(inner):
+    # a geometric inner law draws one Binomial(cap, p) count per replica; the
+    # same pmf as a table, with its tail mass moved to t = 13 where no cap
+    # reaches, runs the event loop.  Both must follow the exact law of the
+    # series code.
+    T = 12
+    stop = DefectiveGeometric(0.5, 0.15)
+    table = stopped.stopped_state_table(StoppedSpec(Geometric(0.6), stop, T))
+    spec = StoppedSpec(inner, stop, T)
+    cfg = SimConfig(seed=101, replicas=100_000, horizon=T)
+    step = walks.line_walk(0.7)
+    paths = mc.sample_stopped_path(spec, cfg)
+    counts = np.arange(T + 1)
+    for name, sample, support, probs in (
+        ("value", mc.sample_stopped_value(spec, cfg, T), counts, table.column(T)),
+        ("path t=4", paths[:, 4], counts, table.column(4)),
+        ("path t=9", paths[:, 9], counts, table.column(9)),
+        ("walk", mc.sample_walk_endpoint(step, spec, cfg, T)[:, 0], np.arange(-T, T + 1),
+         walks.propagator(step, table.column(T), T).values),
+    ):
+        assert mc.compare_discrete(sample, support, probs).chisq_pvalue > 0.001, name
 
 
 def test_samplers_identical_for_any_worker_count_over_many_chunks():
