@@ -9,6 +9,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
@@ -445,7 +446,9 @@ def _read_config_tokens(path: str) -> list:
     return tokens
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="renewalk",
         description="Exact and Monte Carlo laws of stopped renewal processes "

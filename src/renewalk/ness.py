@@ -5,9 +5,9 @@ On the lattice, in any dimension, the stationary law is a Fourier integral
 over the torus, computed by the trapezoid rule: one FFT of the step law
 gives the integrand at the nodes, one inverse FFT the sum at every site of
 the box.  Its only error, the aliased mass of images one period away, is
-held below 1e-9 by sizing the torus from a tail bound: the smaller of a
-step count and the exact two-sided geometric tails of the axis marginals,
-or the step count alone for steps longer than one site.
+bounded by the smaller of a step count and the exact two-sided geometric
+tails of the axis marginals, or the step count alone for steps longer than
+one site, and the torus is sized to hold it within 1e-12 (``lattice_ness``).
 
 In the scaling limit of a rarely stopped walk the rescaled endpoint density
 is an exponential mixture of alpha-stable laws.  The symmetric mixture is
@@ -43,8 +43,8 @@ from .walks import _MEMORY_CAP, PropagatorGrid, StepLaw
 
 # relative tolerance of one density value
 _RTOL = 1e-11
-# mass the lattice torus may alias onto the box
-_ALIAS_TOL = 1e-9
+# mass the default lattice torus may alias onto the box, and any torus
+_ALIAS_TARGET, _ALIAS_TOL = 1e-12, 1e-9
 # breakpoints where x = e^k in an integrand x e^(-x): it is flat below the
 # first turn and negligible above the last
 _TURNS = np.array([-32.0, -16.0, -8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0])
@@ -159,6 +159,21 @@ def _torus_grid(step: StepLaw, psibar: float, panels: int, half_width: int):
     return vals.real
 
 
+def _fast_len(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, a length the FFT transforms as fast as a
+    power of two."""
+    best = 1 << (n - 1).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:
+            # odd times the least power of two that takes it to n or more
+            best = min(best, odd << (-(-n // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _alias_bound(step: StepLaw, g: float, q: float, half_width: int, panels: int) -> float:
     """Bound on the mass an n-panel torus aliases onto the box, as a share of P.
 
@@ -209,9 +224,11 @@ def lattice_ness(
     n - L or more sites out along some axis, and ``_alias_bound`` bounds the
     mass P puts there by the smaller of a step count and the exact tails of
     the axis marginals, or by the step count alone for steps longer than one
-    site.  By default n is the least power of two above 2L whose bound is
-    within 1e-9; a given ``panels`` whose bound is not raises QuadratureError,
-    and n^d over the dense-grid cap raises ParameterError.
+    site.  By default n is the least 5-smooth count (a fast FFT length) above
+    2L whose bound is within 1e-12; where n^d passes the dense-grid cap first,
+    the largest one under the cap if its bound is within 1e-9.  A box that
+    needs more, or a given ``panels`` over the cap, raises ParameterError; a
+    given ``panels`` whose bound is over 1e-9 raises QuadratureError.
     """
     if not 0.0 < q < 1.0:
         raise ParameterError(f"q must be in (0, 1), got {q}")
@@ -223,9 +240,11 @@ def lattice_ness(
     aliased = partial(_alias_bound, step, psibar, q, half_width)
     given = panels is not None
     if not given:
-        panels = 1 << (2 * half_width).bit_length()
-        while aliased(panels) > _ALIAS_TOL and panels**step.dim <= _MEMORY_CAP:
-            panels *= 2
+        panels, fits = _fast_len(2 * half_width + 1), None
+        while panels**step.dim <= _MEMORY_CAP and aliased(panels) > _ALIAS_TARGET:
+            fits, panels = panels, _fast_len(panels + 1)
+        if panels**step.dim > _MEMORY_CAP and fits is not None and aliased(fits) <= _ALIAS_TOL:
+            panels = fits
     if panels**step.dim > _MEMORY_CAP:
         torus = (f"{panels} panels per axis in {step.dim} dimensions" if given else
                  f"box {half_width} at q={q} needs a torus of at least {panels} panels per axis")

@@ -16,7 +16,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import series
 from .errors import ParameterError
-from .laws import INFINITY, WaitingLaw
+from .laws import INFINITY, WaitingLaw, _window
 
 TYPE_I = "type_I"
 TYPE_II = "type_II"
@@ -28,6 +28,10 @@ _TOEPLITZ_BLOCK = 256
 #: below this horizon :func:`state_table` convolves row by row, which is
 #: faster than setting up the doubling's matrix products
 _DOUBLING_MIN_HORIZON = 20
+
+#: entries one state table may hold, 1 GiB of float64: T = 8192 (8193^2 is
+#: just over 2^26) fits, and a table the machine cannot hold is refused first
+_TABLE_CAP = 2**27
 
 
 @dataclass
@@ -72,8 +76,13 @@ def state_table(law: WaitingLaw, horizon: int) -> StateTable:
     doubling: with c = pmf^(*k), rows [k, 2k) are rows [0, k) times the
     upper-triangular Toeplitz matrix U[i, t] = c[t - i], one matrix product
     per doubling.  Every term is nonnegative, so each entry keeps its
-    relative accuracy.  Smaller tables are convolved row by row.
+    relative accuracy.  Smaller tables are convolved row by row.  A table
+    of more than ``_TABLE_CAP`` entries raises ParameterError.
     """
+    entries = (_window(horizon) + 1) ** 2
+    if entries > _TABLE_CAP:
+        raise ParameterError(f"a state table at horizon {horizon} needs {8 * entries} bytes, "
+                             f"over the cap of {_TABLE_CAP} entries ({8 * _TABLE_CAP} bytes)")
     surv = law.survival_vector(horizon)
     pmf = law.pmf_vector(horizon)
     if horizon < _DOUBLING_MIN_HORIZON:

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import renewal
 from .errors import ParameterError
-from .laws import INFINITY, _MASS_TOL, Tabulated, WaitingLaw, _window
+from .laws import INFINITY, _MASS_TOL, WaitingLaw, _window
 from .renewal import INTERMEDIATE, TYPE_I, TYPE_II, StateTable
 
 
@@ -280,18 +280,6 @@ def dbp_stops_bernoulli(
     )
 
 
-def discounted_inner_law(inner: WaitingLaw, q: float, horizon: int) -> Tabulated:
-    """Auxiliary defective waiting law pmf(t) = q^t inner_pmf(t).
-
-    This is the renewal process that governs the large-time behavior of a
-    geometrically stopped count; its total mass is inner_gf(q) < 1.
-    """
-    if not 0.0 < q < 1.0:
-        raise ParameterError(f"discount factor q must be in (0, 1), got {q}")
-    t = np.arange(1, horizon + 1, dtype=float)
-    return Tabulated(inner.pmf_vector(horizon)[1:] * q**t)
-
-
 def brute_force_stopped_table(spec: StoppedSpec) -> StateTable:
     """Independent oracle for :func:`stopped_state_table` on small horizons.
 
@@ -318,25 +306,3 @@ def brute_force_stopped_table(spec: StoppedSpec) -> StateTable:
                 np.add.at(probs, (frozen, t_axis), wr)
         np.add.at(probs, (n_of_t, t_axis), w * beyond)
     return StateTable(probs)
-
-
-def renewal_equation_residual(values, zero_state, kernel, v) -> np.ndarray:
-    """Residual of the renewal identity for a state polynomial sequence.
-
-    For a genuine renewal process with waiting pmf ``kernel`` the state
-    polynomial satisfies values[t] = zero_state[t] + v sum_{r<=t} kernel[r]
-    values[t-r]; the returned residual is zero.  The stopped process is not
-    a renewal process, so its polynomial leaves a visible residual.
-    """
-    values = np.asarray(values)
-    zero_state = np.asarray(zero_state)
-    kernel = np.asarray(kernel, dtype=float)
-    if not (len(values) == len(zero_state) == len(kernel)):
-        raise ParameterError(
-            "series lengths differ: "
-            f"{len(values)} values, {len(zero_state)} zero_state, {len(kernel)} kernel"
-        )
-    if kernel[0] != 0.0:
-        raise ParameterError(f"kernel must be a waiting pmf with kernel[0] = 0, got {kernel[0]}")
-    conv = np.convolve(kernel, values)[: len(values)]
-    return values - zero_state - v * conv

@@ -1,12 +1,16 @@
 """Direct methods and closed forms kept as test oracles: the double-sum
 product and division recursion behind the blocked series kernels, the
 characteristic functions and state polynomial of the walk and stop tests,
-the step-by-step prefix length of the limiting stopped-count masses, and
-the traced peak memory of a call."""
+the step-by-step prefix length of the limiting stopped-count masses, the
+discounted inner law and renewal-equation residual that show the stopped
+count is not a renewal process, and the traced peak memory of a call."""
 
 import tracemalloc
 
 import numpy as np
+
+from renewalk.errors import ParameterError
+from renewalk.laws import Tabulated
 
 
 def traced_peak(call):
@@ -76,3 +80,37 @@ def stored_prefix_length(scale, g):
     while scale * g**m > 1e-15 and m < 200_000:
         m += 1
     return m
+
+
+def discounted_inner_law(inner, q, horizon):
+    """Auxiliary defective waiting law pmf(t) = q^t inner_pmf(t).
+
+    This is the renewal process that governs the large-time behavior of a
+    geometrically stopped count; its total mass is inner_gf(q) < 1.
+    """
+    if not 0.0 < q < 1.0:
+        raise ParameterError(f"discount factor q must be in (0, 1), got {q}")
+    t = np.arange(1, horizon + 1, dtype=float)
+    return Tabulated(inner.pmf_vector(horizon)[1:] * q**t)
+
+
+def renewal_equation_residual(values, zero_state, kernel, v):
+    """Residual of the renewal identity for a state polynomial sequence.
+
+    For a genuine renewal process with waiting pmf ``kernel`` the state
+    polynomial satisfies values[t] = zero_state[t] + v sum_{r<=t} kernel[r]
+    values[t-r]; the returned residual is zero.  The stopped process is not
+    a renewal process, so its polynomial leaves a visible residual.
+    """
+    values = np.asarray(values)
+    zero_state = np.asarray(zero_state)
+    kernel = np.asarray(kernel, dtype=float)
+    if not (len(values) == len(zero_state) == len(kernel)):
+        raise ParameterError(
+            "series lengths differ: "
+            f"{len(values)} values, {len(zero_state)} zero_state, {len(kernel)} kernel"
+        )
+    if kernel[0] != 0.0:
+        raise ParameterError(f"kernel must be a waiting pmf with kernel[0] = 0, got {kernel[0]}")
+    conv = np.convolve(kernel, values)[: len(values)]
+    return values - zero_state - v * conv

@@ -7,6 +7,7 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
+from oracles import discounted_inner_law, renewal_equation_residual
 from scipy import stats as sps
 
 from renewalk import cli, montecarlo as mc, ness, renewal, stopped, walks
@@ -246,12 +247,12 @@ def test_criterion_09_renewal_equation_structure():
         q = 0.8
         horizon = 128
         inner = Geometric(0.7)
-        aux = stopped.discounted_inner_law(inner, q, horizon)
+        aux = discounted_inner_law(inner, q, horizon)
         aux_table = renewal.state_table(aux, horizon)
         kernel = aux.pmf_vector(horizon)
         v = 0.5
         poly = aux_table.polynomial(v)
-        residual = stopped.renewal_equation_residual(
+        residual = renewal_equation_residual(
             poly, aux_table.probs[0], kernel, v
         )
         assert np.max(np.abs(residual)) <= 1e-9
@@ -259,7 +260,7 @@ def test_criterion_09_renewal_equation_structure():
         spec = StoppedSpec(inner, Geometric(1.0 - q), horizon)
         table = stopped.stopped_state_table(spec)
         stopped_poly = table.polynomial(v)
-        bad = stopped.renewal_equation_residual(
+        bad = renewal_equation_residual(
             stopped_poly, table.probs[0], kernel, v
         )
         # documented witness: v = 0.5, t = 2

@@ -55,6 +55,19 @@ def test_stopped_summary_contains_limit_mean(tmp_path, capsys):
     assert len(moments) == 66
 
 
+def test_cached_parser_carries_nothing_to_the_next_call(tmp_path, capsys):
+    # main builds its parser once; a flag of one call must not reach the next
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["stopped", "--inner", "geometric:p=0.7", "--stop", "geometric:p=0.2",
+            "--out", str(tmp_path)]
+    assert run([*argv, "--horizon", "8", "--summary"]) == 0
+    assert json.loads(capsys.readouterr().out)["horizon"] == 8
+    assert run(argv) == 0
+    assert capsys.readouterr().out == ""
+    payload = json.loads((tmp_path / "stopped_summary.json").read_text())
+    assert payload["horizon"] == 512
+
+
 def test_summary_schema_validation():
     with pytest.raises(ValueError):
         cli.validate_summary({"command": "x"})
@@ -243,8 +256,9 @@ def test_ness_curve_and_lattice(tmp_path):
      "triangular-unbiased"],
 )
 def test_ness_lattice_at_default_q_and_box(tmp_path, steps):
-    # q = 0.99 and box 256 need a 1024-panel torus for every walk but the
-    # ballistic line-biased, which needs 2048
+    # q = 0.99 and box 256 need a 540-panel torus for the 2-d walks that
+    # return, 1080 for line:p=0.7, 1250 for triangular-biased and 2187 for
+    # the ballistic line-biased
     argv = ["ness", "--kind", "lattice", "--inner", "geometric:p=0.7",
             "--steps", steps, "--out", str(tmp_path)]
     assert run(argv) == 0

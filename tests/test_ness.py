@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from functools import partial
 
 import mpmath as mp
 import numpy as np
@@ -365,26 +366,89 @@ def test_lattice_ness_refinement_guard():
 @pytest.mark.parametrize(
     "step,inner,q,half_width,panels",
     [
-        (walks.line_walk(0.5), Geometric(0.5), 0.98, 256, 1024),
-        (walks.hypercubic_walk(2), Geometric(0.5), 0.96, 64, 256),
-        (walks.triangular_walk(True), Geometric(0.7), 0.99, 256, 1024),
-        # the step count alone, g^ceil(n - 60) <= 1e-9 q, needs n >= 129;
-        # the exact tails keep the 128 panels the box fits in
-        (walks.line_walk(0.5), Geometric(0.7), 0.8, 60, 128),
-        (walks.hypercubic_walk(3), ShiftedPoisson(1.0), 0.9, 16, 64),
+        (walks.line_walk(0.5), Geometric(0.5), 0.98, 256, 540),
+        (walks.hypercubic_walk(2), Geometric(0.5), 0.96, 64, 135),
+        (walks.triangular_walk(True), Geometric(0.7), 0.99, 256, 1250),
+        # the step count alone, g^ceil(n - 60) <= 1e-12 q, needs n >= 152;
+        # the exact tails keep the 125 panels the box fits in
+        (walks.line_walk(0.5), Geometric(0.7), 0.8, 60, 125),
+        (walks.hypercubic_walk(3), ShiftedPoisson(1.0), 0.9, 16, 45),
         # the drift sets the decay rate: the tails ask as much as the step
         # count does
-        (walks.line_walk(0.8), Geometric(0.7), 0.99, 256, 2048),
+        (walks.line_walk(0.8), Geometric(0.7), 0.99, 256, 1440),
     ],
     ids=["line", "square", "triangular_biased", "line_tail", "cubic", "line_biased"],
 )
 def test_lattice_ness_torus_size(monkeypatch, step, inner, q, half_width, panels):
-    # the least power of two above 2L whose alias bound is within 1e-9, once
+    # the least 5-smooth count above 2L whose alias bound is within 1e-12, once
     sizes = []
     grid = ness._torus_grid
     monkeypatch.setattr(ness, "_torus_grid", lambda *a: sizes.append(a[2]) or grid(*a))
     lattice_ness(step, inner, q, half_width)
     assert sizes == [panels]
+
+
+def _is_5_smooth(n):
+    for f in (2, 3, 5):
+        while n % f == 0:
+            n //= f
+    return n == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    step=st.sampled_from([walks.line_walk(0.5), walks.line_walk(0.8),
+                          walks.hypercubic_walk(2), walks.triangular_walk(True),
+                          walks.triangular_walk(False)]),
+    q=st.floats(0.5, 0.97),
+    half_width=st.integers(4, 48),
+    cap=st.none() | st.integers(9, 160),
+)
+def test_default_torus_is_the_least_5_smooth_size_within_1e_12(step, q, half_width, cap):
+    # ``cap`` stands in for the dense-grid cap, in panels per axis: the
+    # sizes under it are enumerated one by one, and where none meets 1e-12
+    # the largest serves if it meets 1e-9, else the box is refused
+    psibar = Geometric(0.7).gf(q)
+    grid, made = ness._torus_grid, []
+    with pytest.MonkeyPatch.context() as mp:
+        if cap is not None:
+            mp.setattr(ness, "_MEMORY_CAP", cap**step.dim)
+        mp.setattr(ness, "_torus_grid", lambda *a: made.append((a[2], grid(*a))) or made[-1][1])
+        try:
+            lattice_ness(step, Geometric(0.7), q, half_width)
+        except ParameterError:
+            made.append((None, None))
+    [(n, coarse)] = made
+    bound = partial(ness._alias_bound, step, psibar, q, half_width)
+    sizes = [m for m in range(2 * half_width + 1, (cap or n) + 1) if _is_5_smooth(m)]
+    within = [m for m in sizes if bound(m) <= 1e-12]
+    fallback = sizes[-1] if sizes and bound(sizes[-1]) <= 1e-9 else None
+    assert n == (within[0] if within else fallback)
+    if n is not None:
+        # images add nonnegative mass, so the torus exceeds the 4n one by less
+        # than q times the alias bound
+        fine = grid(step, psibar, 4 * n, half_width)
+        assert np.abs(coarse - fine).sum() <= q * bound(n) + 1e-13
+
+
+@pytest.mark.parametrize(
+    "step,half_width,panels",
+    [(walks.triangular_walk(True), 256, 4096), (walks.hypercubic_walk(3), 64, 256)],
+    ids=["triangular_biased", "cubic"],
+)
+def test_lattice_ness_at_the_cap_takes_the_largest_size_under_it(monkeypatch, step, half_width,
+                                                                 panels):
+    # at q = 0.998 no 5-smooth torus under the dense-grid cap meets 1e-12,
+    # so the largest one serves, as its bound is within 1e-9; the grid
+    # itself is replaced by zeros, as a 2^24-entry torus takes seconds
+    sizes = []
+    box = (2 * half_width + 1,) * step.dim
+    monkeypatch.setattr(ness, "_torus_grid", lambda *a: sizes.append(a[2]) or np.zeros(box))
+    grid = lattice_ness(step, Geometric(0.7), 0.998, half_width)
+    assert isinstance(grid, walks.PropagatorGrid) and grid.values.shape == box
+    assert sizes == [panels] and panels**step.dim == ness._MEMORY_CAP
+    bound = ness._alias_bound(step, Geometric(0.7).gf(0.998), 0.998, half_width, panels)
+    assert 1e-12 < bound <= 1e-9
 
 
 @pytest.mark.parametrize("p", [0.5, 0.7])
@@ -406,7 +470,7 @@ def test_lattice_ness_matches_two_sided_geometric(p, q):
 
 
 def test_lattice_ness_biased_triangular_near_one():
-    # the ballistic case at q = 0.99: a 1024-panel torus, most mass in the box
+    # the ballistic case at q = 0.99: a 1125-panel torus, most mass in the box
     step = walks.triangular_walk(True)
     grid = lattice_ness(step, Geometric(0.7), 0.99, 128)
     assert 0.97 < grid.mass_in_box <= 1.0

@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.polynomial import polyval
 from scipy.special import betainc
-from scipy.stats import binom
+from scipy.stats import binom, poisson
 
-from renewalk import renewal, series
+from renewalk import renewal, series, stopped
 from renewalk.cli import main
 from renewalk.errors import ParameterError
 from renewalk.laws import (
@@ -69,6 +70,57 @@ def test_state_table_geometric_is_binomial():
         np.testing.assert_allclose(
             table.probs[n], binom.pmf(n, np.arange(25), 0.7), atol=1e-12
         )
+
+
+# the per-cell relative tolerance of a state table stated in the README
+_CELL_RTOL = 5e-12
+
+
+def _assert_cells_match(table, want):
+    """Every cell above 1e-280 within _CELL_RTOL relative, and no zero cell
+    where the law is a normal double; below that the law is subnormal."""
+    cells = want > 1e-280
+    np.testing.assert_allclose(table[cells], want[cells], rtol=_CELL_RTOL, atol=0)
+    assert (table[want >= np.finfo(float).tiny] > 0.0).all()
+    assert (table[want == 0.0] == 0.0).all()
+
+
+@pytest.mark.parametrize("p", [0.3, 0.7, 0.02])
+def test_state_table_cells_are_binomial_at_a_large_horizon(p):
+    t = np.arange(2049)
+    table = renewal.state_table(Geometric(p), 2048).probs
+    _assert_cells_match(table, binom.pmf(t[:, None], t, p))
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
+def test_state_table_cells_are_shifted_poisson_at_a_large_horizon(lam):
+    # the n-fold sum of 1 + Poisson(lam) waits is n + Poisson(n lam), and
+    # P[N(t) = n] = sum_s P[S_n = s] P[W > t - s], a sum of nonnegative terms
+    t = np.arange(2049)
+    table = renewal.state_table(ShiftedPoisson(lam), 2048).probs
+    for n in (1, 2, 10, 100, 500, 1000):
+        want = np.convolve(poisson.pmf(t - n, n * lam), poisson.sf(t - 1, lam))[: t.size]
+        _assert_cells_match(table[n], want)
+
+
+@pytest.mark.parametrize("build", [
+    lambda horizon: renewal.state_table(Geometric(0.5), horizon),
+    lambda horizon: stopped.stopped_state_table(
+        stopped.StoppedSpec(Geometric(0.5), Geometric(0.5), horizon)),
+], ids=["renewal", "stopped"])
+@pytest.mark.parametrize("horizon,needs", [(11585, 1073883168), (10**6, 8000016000008)])
+def test_state_table_over_the_entry_cap_raises_before_allocating(build, horizon, needs):
+    # (8192 + 1)^2 entries fit under the cap; (11585 + 1)^2 do not
+    assert (8192 + 1) ** 2 <= renewal._TABLE_CAP < (11585 + 1) ** 2
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParameterError, match=f"horizon {horizon} needs {needs} bytes"):
+            build(horizon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one float64 series at this horizon would be more than 90 kB
+    assert peak < 1 << 16
 
 
 def test_state_table_defective_geometric_closed_form():

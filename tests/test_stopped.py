@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import state_polynomial, stored_prefix_length, traced_peak
+from oracles import (
+    discounted_inner_law,
+    renewal_equation_residual,
+    state_polynomial,
+    stored_prefix_length,
+    traced_peak,
+)
 
 from renewalk import renewal, stopped
 from renewalk.errors import ParameterError
@@ -24,10 +30,8 @@ from renewalk.stopped import (
     bernoulli_stops_sibuya,
     brute_force_stopped_table,
     dbp_stops_bernoulli,
-    discounted_inner_law,
     geometric_stop_asymptotics,
     poisson_stop,
-    renewal_equation_residual,
     stopped_moments,
     stopped_state_table,
 )
