@@ -13,9 +13,10 @@ selection sampling.  This is the one closed form used here, and no exact
 table uses it, so Monte Carlo stays independent of the series code.  Every
 other inner law runs one event loop (``_events``): each pass spends one
 waiting time from the budget (cap minus last event time) of every replica
-still within its cap, and paths mark those events in int32 rows and sum
-them in place.  A walk draws the steps of its M events as one multinomial
-count per step kind, which is the sum of M IID steps in law.
+still within its cap, and paths mark those events in one step-major int32
+buffer and sum it in place, one contiguous step row at a time.  A walk
+draws the steps of its M events as one multinomial count per step kind,
+which is the sum of M IID steps in law.
 """
 
 from __future__ import annotations
@@ -110,7 +111,8 @@ def _place_events(view: np.ndarray, caps: np.ndarray, left: np.ndarray, rng):
 
     Selection sampling, one column at a time: step t is marked with chance
     (events left) / (steps left), so row i reaches ``left[i]`` by its cap and
-    keeps it.  ``caps`` and ``left`` are float arrays, spent in place.
+    keeps it.  Each column of a step-major ``view`` is contiguous.  ``caps``
+    and ``left`` are float arrays, spent in place.
     """
     u = np.empty(len(view))
     mark = np.empty(len(view), dtype=bool)
@@ -161,9 +163,15 @@ def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
     steps up to the cap; so the last column equals the values at the
     horizon draw for draw.  Cast to int64 before squaring counts above
     46340, or int32 overflows.
+
+    The paths are filled step-major, so each per-step operation runs on a
+    contiguous row of replicas.  The result is the transposed
+    (Fortran-ordered) view of that buffer: its shape, values and
+    ``tobytes()`` are those of a C-ordered array, which
+    ``np.ascontiguousarray`` makes where one is needed.
     """
     horizon = min(spec.horizon, cfg.horizon)
-    paths = np.zeros((cfg.replicas, horizon + 1), dtype=np.int32)
+    paths = np.zeros((horizon + 1, cfg.replicas), dtype=np.int32).T
 
     def worker(rng, rows):
         view = paths[rows]
@@ -175,7 +183,8 @@ def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
             return
         for active, left in _events(spec.inner, caps, rng):
             view[active, (caps[active] - left).astype(np.intp)] = 1
-        np.cumsum(view, axis=1, dtype=view.dtype, out=view)
+        for t in range(1, horizon + 1):
+            np.add(view[:, t - 1], view[:, t], out=view[:, t])
 
     _run_chunks(cfg, worker)
     return paths

@@ -78,18 +78,26 @@ def _moment_pair(spec: StoppedSpec) -> tuple[np.ndarray, np.ndarray]:
     return tuple(_frozen(spec.stop, m) for m in renewal.count_moments(spec.inner, spec.horizon))
 
 
+_FREEZE_ROWS = 256
+
+
 def _frozen(stop: WaitingLaw, series: np.ndarray) -> np.ndarray:
     """X(min(t, S)) = surv_S(t) X(t) + sum_{r<=t} pmf_S(r) X(r) along the last axis.
 
-    Overwrites ``series``, so callers pass a fresh array; the result and
-    ``series`` are the only two series-sized arrays held at the peak.
+    Freezes the C-contiguous ``series`` in place and returns it, going
+    through its rows ``_FREEZE_ROWS`` at a time, so the only scratch is one
+    block of rows.
     """
     horizon = series.shape[-1] - 1
-    frozen = stop.pmf_vector(horizon) * series
-    np.cumsum(frozen, axis=-1, out=frozen)
-    series *= stop.survival_vector(horizon)
-    frozen += series
-    return frozen
+    pmf, surv = stop.pmf_vector(horizon), stop.survival_vector(horizon)
+    rows = series.reshape(-1, horizon + 1)
+    for start in range(0, len(rows), _FREEZE_ROWS):
+        block = rows[start:start + _FREEZE_ROWS]
+        frozen = pmf * block
+        np.cumsum(frozen, axis=-1, out=frozen)
+        block *= surv
+        block += frozen
+    return series
 
 
 @dataclass(frozen=True)

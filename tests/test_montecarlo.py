@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -58,18 +59,37 @@ def test_config_takes_python_and_numpy_integers():
     assert (cfg.replicas, cfg.horizon, cfg.workers) == (10, 2**31 - 1, 2)
 
 
-@pytest.mark.parametrize("replicas, horizon, workers", [
-    (20_000, 40, 1), (3 * mc._CHUNK + 1000, 20, 3),
+@pytest.mark.parametrize("inner, replicas, horizon, workers", [
+    pytest.param(Geometric(0.7), 20_000, 40, 1, id="20000-40-1"),
+    pytest.param(Geometric(0.7), 3 * mc._CHUNK + 1000, 20, 3, id=f"{3 * mc._CHUNK + 1000}-20-3"),
+    pytest.param(Sibuya(0.5), 3 * mc._CHUNK + 1000, 20, 3, id="sibuya"),
 ])
-def test_paths_hold_one_result_at_their_peak(replicas, horizon, workers):
+def test_paths_hold_one_result_at_their_peak(inner, replicas, horizon, workers):
     # each chunk fills its own rows: no second, stacked copy of the result,
-    # and the int32 running sum makes no int64 temporary
-    spec = StoppedSpec(Geometric(0.7), Geometric(0.2), horizon)
+    # and the int32 running sums (selection sampling for a geometric inner
+    # law, the event loop's row adds otherwise) make no int64 temporary
+    spec = StoppedSpec(inner, Geometric(0.2), horizon)
     cfg = SimConfig(seed=5, replicas=replicas, horizon=horizon, workers=workers)
     mc.sample_stopped_path(spec, SimConfig(seed=5, replicas=10, horizon=horizon))
     paths, peak = traced_peak(lambda: mc.sample_stopped_path(spec, cfg))
     assert paths.dtype == np.int32
     assert peak <= 1.5 * paths.nbytes
+
+
+@pytest.mark.parametrize("inner, digest", [
+    pytest.param(Geometric(0.7), "1b1ae9b5f87d456c0e9cc18cac6552101136d9103c968cc5a6f14f5258074a69",
+                 id="geometric"),
+    pytest.param(Sibuya(0.3), "5403d49ffbca847263d7fbdb025988b647ec62ecb89981733ade67c81e74a748",
+                 id="sibuya"),
+])
+@pytest.mark.parametrize("workers", [1, 3])
+def test_paths_keep_their_pinned_random_stream(inner, digest, workers):
+    # SHA-256 of the seeded paths, from selection sampling for a geometric
+    # inner law and the event loop otherwise: a reordered draw changes it
+    spec = StoppedSpec(inner, DefectiveGeometric(0.5, 0.1), 40)
+    cfg = SimConfig(seed=2203, replicas=3 * mc._CHUNK + 1000, horizon=40, workers=workers)
+    paths = mc.sample_stopped_path(spec, cfg)
+    assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
 
 
 def test_path_shape_invariants():

@@ -418,12 +418,24 @@ def test_state_table_columns_sum_to_one(inner, stop, horizon):
         np.testing.assert_allclose(table.row_sums(), 1.0, rtol=0, atol=1e-12)
 
 
-def test_state_table_holds_at_most_two_tables_at_its_peak():
-    # the inner table and the frozen one, with no third table-sized temporary
-    spec = StoppedSpec(Geometric(0.7), DefectiveGeometric(0.5, 0.035), 768)
+@pytest.mark.parametrize("horizon, tables", [(768, 2.5), (2048, 1.5)])
+def test_state_table_is_frozen_in_place(horizon, tables):
+    # the inner table is frozen block by block, so past building it the
+    # only scratch is one block of rows: about 1.25 tables at T = 2048
+    spec = StoppedSpec(Geometric(0.7), DefectiveGeometric(0.5, 0.035), horizon)
     stopped_state_table(StoppedSpec(spec.inner, spec.stop, 8))
     table, peak = traced_peak(lambda: stopped_state_table(spec))
-    assert peak <= 2.5 * table.probs.nbytes
+    assert peak <= tables * table.probs.nbytes
+
+
+@pytest.mark.parametrize("shape", [(2 * stopped._FREEZE_ROWS + 7, 40), (40,)])
+def test_frozen_blocks_repeat_the_whole_series_formula(shape):
+    # block by block, the same float operations in the same order, bit for bit
+    stop = DefectiveGeometric(0.5, 0.035)
+    series = np.random.default_rng(3).random(shape)
+    want = np.cumsum(stop.pmf_vector(39) * series, axis=-1) + stop.survival_vector(39) * series
+    got = stopped._frozen(stop, series)
+    assert got is series and got.tobytes() == want.tobytes()
 
 
 class _StopMass:
