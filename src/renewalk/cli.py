@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import math
 import os
@@ -36,67 +35,105 @@ SCHEMA_VERSION = 1
 _COMPUTE_ERRORS = (ValueError, RuntimeError, SingularSeriesError, OSError)
 
 
-#: rows are formatted in blocks of about this many cells: few enough that a
-#: block's Python numbers stay small whatever the column count, enough that
-#: slicing every column once per block costs little next to formatting
-_CSV_BLOCK_CELLS = 1 << 15
+#: cells per block of rows; the block's temporaries take under 400 bytes a cell
+_CSV_BLOCK_CELLS = 6144
+# A cell's text is 11 little-endian uint32 words, NUL-padded: separator and
+# sign, 3 of integer part, "." and 4 of fraction, 2 of exponent.  Digit group
+# g is word g of the word table, or word _TRAIL + g with trailing zeros NUL.
+_TRAIL, _E0 = 10_000, 330  # decade e of |x| is column e + _E0 of the decade table
 
 
-def _trailing_zero_run(columns, rows: int) -> np.ndarray:
-    """Per row, the number of trailing cells that hold +0 (printed ``0``).
+@functools.cache
+def _csv_tables():
+    """The word table, and per decade e: 10^k1, 10^k2 (k1 + k2 = 11 - e),
+    10^s and 10^(16 - s) for the s digits ``%.12g`` prints after the point,
+    masks of the integer part's digits in its 3 words, the exponent words."""
+    digits = np.arange(10_000)[:, None] // 10 ** np.arange(3, -1, -1) % 10
+    text = (digits + ord("0")).astype(np.uint8)
+    trail = text * np.logical_or.accumulate(digits[:, ::-1] > 0, axis=1)[:, ::-1]
+    e = np.arange(-_E0, _E0)
+    fixed = (e >= -4) & (e < 12)
+    k, s = 11 - e, np.where(fixed, 11 - e, 11)
+    pow10 = np.array([float(f"1e{j}") for j in range(-_E0, _E0)])  # correctly rounded
+    scales = pow10[_E0 + np.stack([k >> 1, k - (k >> 1), s, 16 - s])]
+    masks = (np.arange(12) >= 11 - np.where(fixed & (e >= 0), e, 0)[:, None]) * np.uint8(255)
+    expo = b"".join((b"e%+03d" % j).ljust(8, b"\0") for j in e.tolist())
+    expo = np.frombuffer(expo, "<u4").reshape(-1, 2) * ~fixed[:, None]
+    words = np.concatenate([text, trail]).view("<u4").ravel()
+    return words, np.vstack([scales, masks.view("<u4").T, expo.T])
 
-    -0.0 prints ``-0``, so it ends a run.
-    """
-    run = np.zeros(rows, dtype=np.int64)
-    alive = np.ones(rows, dtype=bool)
-    for c in reversed(columns):
-        alive &= c == 0
-        if np.issubdtype(c.dtype, np.floating):
-            alive &= ~np.signbit(c)
-        if not alive.any():
-            break
-        run += alive
-    return run
+
+def _cell_words(x, out) -> np.ndarray:
+    """Words 1-10 of ``'%.12g' % x`` for finite nonzero ``x`` into ``out``
+    (10, x.size); returns the mask of cells they may get wrong.  The digits,
+    rint(y) for y = |x| 10^k1 10^k2 within 6e-4 of exact, are right if y is
+    in [1e11, 1e12) (a wrong log10 decade is not) and not 1e-3 from a tie."""
+    words, table = _csv_tables()
+    a = np.abs(x)
+    t = np.take(table, np.floor(np.log10(a)).astype(np.intp) + _E0, axis=1)
+    out[8:] = t[7:]
+    masks = t[4:7].astype(np.uint32)
+    y = a * t[0] * t[1]
+    d = np.rint(y)
+    exact = (y >= 1e11) & (d < 1e12) & (np.abs(y - d) < 0.499)
+    d *= exact  # keeps the digit groups of the other cells in range
+    # integer part d // 10^s and fraction (d mod 10^s) 10^(16 - s), exact;
+    # row 3, the fraction over 10^16, is an integer (0) when it is empty
+    ipart = np.floor(d / t[2])
+    g = np.empty((8, x.size))
+    np.divide(ipart, [[1e8], [1e4], [1.0]], out=g[:3])
+    np.divide((d - ipart * t[2]) * t[3], [[1e16], [1e12], [1e8], [1e4], [1.0]], out=g[3:])
+    rest_zero = np.floor(g[3:]) == g[3:]  # no fraction digit after the group
+    # the group indices overwrite t, which is not read again
+    idx = np.floor(g, out=t[:8].view(np.intp), casting="unsafe")
+    idx[1:3] -= 10_000 * idx[:2]
+    idx[4:] -= 10_000 * idx[3:7]
+    np.add(idx[3:], _TRAIL, out=idx[3:], where=rest_zero)
+    np.take(words, idx, out=out[:8], mode="clip")  # "clip": unbuffered
+    out[3] = ~rest_zero[0] * np.uint32(ord("."))
+    out[:3] &= masks
+    return ~exact
 
 
 def _write_csv(path: str, header, columns) -> None:
-    """Write equal-length columns under ``header``, one format string per row.
-
-    Integer columns are written as ``%d``, every other column as ``%.12g``.
-    Each row's trailing run of +0 cells, such as the n > t triangle of a
-    state table, is appended as one ``",0" * run`` string, not formatted.
-    """
-    columns = [np.asarray(c) for c in columns]
-    rows = len(columns[0])
-    if any(len(c) != rows for c in columns):
+    """Write equal-length columns under ``header`` (a 2-D entry is a stack of
+    columns) as ``%d`` for integers, else ``%.12g``, byte for byte: numpy
+    formats what ``_cell_words`` proves exact, Python the rest."""
+    groups = [np.atleast_2d(c) for c in columns]
+    rows = groups[0].shape[1]
+    if any(g.shape[1] != rows for g in groups):
         raise ValueError(f"CSV columns for {path} differ in length")
-    ncols = len(columns)
-    cell_fmts = [
-        "%d" if np.issubdtype(c.dtype, np.integer) else "%.12g" for c in columns
-    ]
-    # every cell carries its leading comma; a line drops the first one
-    fmt = "".join("," + f for f in cell_fmts)
-    full = fmt[1:] + "\n"
-    # fmt[: ends[k]] formats the first k cells
-    ends = [0, *itertools.accumulate(len(f) + 1 for f in cell_fmts)]
-    zeros = ",0" * ncols
-
-    def line(k, row):
-        return (fmt[: ends[k]] % row[:k] + zeros[: 2 * (ncols - k)])[1:] + "\n"
-
-    kept = ncols - _trailing_zero_run(columns, rows)
+    cols = [c for g in groups for c in g]
+    fmts = ["%d" if g.dtype.kind in "iu" else "%.12g" for g in groups for _ in g]
+    ncols, is_int = len(cols), np.array(fmts) == "%d"
     block = max(1, _CSV_BLOCK_CELLS // ncols)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
+    buf = np.empty((min(block, rows), ncols))
+    sep = np.tile(np.where(np.arange(ncols), ord(","), ord("\n")), len(buf)).astype("<u4")
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode())
         for start in range(0, rows, block):
-            keep = kept[start : start + block].tolist()
-            # cells past the longest kept prefix are never converted
-            width = max(1, *keep)
-            cells = zip(*(c[start : start + block].tolist() for c in columns[:width]))
-            if min(keep) == ncols:  # no zero run: skip the per-row slicing
-                fh.writelines(full % row for row in cells)
-            else:
-                fh.writelines(map(line, keep, cells))
+            n = min(block, rows - start)
+            np.concatenate([g[:, start : start + n] for g in groups], out=buf[:n].T)
+            x = buf[:n].ravel()
+            zero = x == 0
+            size = 11 - 10 * zero
+            first = np.cumsum(size) - size  # each cell's first word
+            words = np.zeros(first[-1] + size[-1], "<u4")
+            # word 0: separator ("\n" before a row), "-" if the sign bit is set, "0" if zero
+            words[first] = (sep[: x.size] | np.signbit(x) * np.uint32(ord("-") << 8)
+                            | zero * np.uint32(ord("0") << 16))
+            slow = ~np.isfinite(x) | ((np.abs(buf[:n]) >= 1e12) & is_int).ravel()
+            calc = ~(zero | slow)
+            out = np.empty((10, np.count_nonzero(calc)), "<u4")
+            slow[calc] = _cell_words(x[calc], out)
+            words[first[calc] + np.arange(1, 11)[:, None]] = out
+            if (slow := np.flatnonzero(slow)).size:  # Python's text in all 11 words
+                text = "".join((",\n"[not j] + fmts[j] % cols[j][start + i]).ljust(44, "\0")
+                               for i, j in zip(*np.divmod(slow, ncols)))
+                slots = np.frombuffer(text.encode(), "<u4").reshape(-1, 11)
+                words[first[slow, None] + np.arange(11)] = slots
+            fh.write(words.tobytes().translate(None, b"\0"))
+        fh.write(b"\n")
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -109,7 +146,7 @@ def _write_state_table(args, table, stem: str) -> None:
     """Rows t, columns n0..nN of ``table.probs[n, t]``; no transposed copy."""
     header = ["t"] + [f"n{n}" for n in range(table.n_max + 1)]
     path = os.path.join(args.out, f"{stem}.csv")
-    _write_csv(path, header, [np.arange(table.horizon + 1), *table.probs])
+    _write_csv(path, header, [np.arange(table.horizon + 1), table.probs])
 
 
 def validate_summary(payload: dict) -> None:

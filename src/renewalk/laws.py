@@ -175,12 +175,15 @@ class Sibuya(WaitingLaw):
         # (Devroye 1993).  The geometric draw is floor(log(1-V)/log(1-U)) + 1.
         # U is kept above 0, where the ratio would be 0/0; U = 1 gives 1.
         # Draws beyond the float range are clamped, never made infinite:
-        # infinity means "never arrives" and this law has no defect.
-        u = np.maximum(rng.beta(self.mu, 1.0 - self.mu, n), np.finfo(float).tiny)
-        v = rng.random(n)
+        # infinity means "never arrives" and this law has no defect.  In place:
+        u = rng.beta(self.mu, 1.0 - self.mu, n)
+        t = rng.random(n)
         with np.errstate(divide="ignore", over="ignore"):
-            t = np.floor(np.log1p(-v) / np.log1p(-u)) + 1.0
-        return np.minimum(t, np.finfo(float).max)
+            np.log1p(np.negative(np.maximum(u, np.finfo(float).tiny, out=u), out=u), out=u)
+            np.log1p(np.negative(t, out=t), out=t)
+            np.floor(np.divide(t, u, out=t), out=t)
+        t += 1.0
+        return np.minimum(t, np.finfo(float).max, out=t)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import traced_peak
 
 from renewalk import cli, renewal, stopped
-from renewalk.laws import DefectiveGeometric, Geometric
+from renewalk.laws import DefectiveGeometric, Geometric, Sibuya
 
 
 def run(args):
@@ -569,3 +574,93 @@ def test_write_csv_matches_per_cell_formatting(tmp_path, monkeypatch, block_cell
     assert lines[1 + 23].endswith(",0,-0,0")
     with pytest.raises(ValueError):
         cli._write_csv(str(path), header, [x, values[:-1]])
+
+
+def _assert_cells_formatted(column):
+    """``_write_csv`` writes each cell of one column as ``%d`` (integer
+    dtype) or ``%.12g``, byte for byte."""
+    column = np.asarray(column)
+    fmt = "%d" if np.issubdtype(column.dtype, np.integer) else "%.12g"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cells.csv")
+        cli._write_csv(path, ["v"], [column])
+        with open(path, "rb") as fh:
+            data = fh.read()
+    assert data.split(b"\n") == [b"v", *((fmt % v).encode() for v in column.tolist()), b""]
+
+
+def _bits_to_float(bits):
+    return float(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(_bits_to_float)),
+                min_size=1, max_size=64))
+def test_cell_formatter_matches_python_on_any_double(values):
+    # raw 64-bit patterns cover every decade, subnormals and NaN payloads;
+    # st.floats adds +-0, +-inf and the float boundaries
+    _assert_cells_formatted(np.array(values))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(10**11, 10**12 - 1), st.integers(-335, 296),
+                          st.booleans()), min_size=1, max_size=64))
+def test_cell_formatter_matches_python_near_rounding_ties(cases):
+    # a 12-digit decimal plus half a unit in its last digit: the nearest
+    # double is within an ulp of the tie that %.12g must round
+    _assert_cells_formatted([float(f"{'-' * neg}{d}5e{e}") for d, e, neg in cases])
+
+
+def test_cell_formatter_matches_python_around_powers_of_ten():
+    p = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    # the 12-digit roundings just below each power end in ...9995 and ...9999
+    below = [p * (1.0 - j * 1e-13) for j in (1, 4, 5, 6, 9)]
+    column = np.concatenate([np.nextafter(p, 0), p, np.nextafter(p, np.inf), *below])
+    specials = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1e16, 0.5, 1e-5]
+    _assert_cells_formatted(np.concatenate([column, -column, specials]))
+
+
+def test_integer_cells_match_percent_d():
+    v = [10**12 - 1, -(10**12 - 1), 10**12, -(10**12), 2**62, -(2**62), 2**63 - 1,
+         -(2**63), 10**11, 0, 1, -1, 7]
+    _assert_cells_formatted(np.array(v, dtype=np.int64))
+
+
+_STATE_TABLES = [
+    pytest.param(["renewal", "--law", "sibuya:mu=0.5"], "renewal_state",
+                 lambda t: renewal.state_table(Sibuya(0.5), t), id="renewal-sibuya"),
+    pytest.param(["stopped", "--inner", "geometric:p=0.7",
+                  "--stop", "defective_geometric:defect=0.5,p=0.035"], "stopped_state",
+                 lambda t: stopped.stopped_state_table(stopped.StoppedSpec(
+                     Geometric(0.7), DefectiveGeometric(0.5, 0.035), t)),
+                 id="stopped-geometric"),
+]
+
+
+def _state_columns(table):
+    header = ["t"] + [f"n{n}" for n in range(table.n_max + 1)]
+    return header, [np.arange(table.horizon + 1), table.probs]
+
+
+@pytest.mark.parametrize("argv, stem, table_at", _STATE_TABLES)
+def test_state_table_csv_matches_per_cell_formatting(tmp_path, argv, stem, table_at):
+    # nonzero cells from 1 down to 6e-232 (Sibuya) and 5e-120 (stopped)
+    assert run([*argv, "--horizon", "768", "--out", str(tmp_path)]) == 0
+    header, (t, probs) = _state_columns(table_at(768))
+    got = (tmp_path / f"{stem}.csv").read_text().split("\n")
+    want = _reference_csv(header, [t, *probs]).split("\n")
+    # name the first differing line: a diff of two texts of megabytes takes minutes
+    bad = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert bad is None, f"line {bad}: {got[bad][:200]!r} != {want[bad][:200]!r}"
+    assert len(got) == len(want)
+
+
+@pytest.mark.parametrize("argv, stem, table_at", _STATE_TABLES)
+def test_write_csv_peak_memory_is_under_half_the_table(tmp_path, argv, stem, table_at):
+    # rows go out in blocks through one reused buffer: no copy of the table
+    table = table_at(768)
+    header, columns = _state_columns(table)
+    path = str(tmp_path / f"{stem}.csv")
+    cli._write_csv(path, header, columns)  # builds the formatter's cached tables
+    _, peak = traced_peak(lambda: cli._write_csv(path, header, columns))
+    assert peak <= table.probs.nbytes / 2
