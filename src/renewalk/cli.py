@@ -336,8 +336,11 @@ def _cmd_ness(args) -> int:
         return 0
     if (args.y_min is None) != (args.y_max is None):
         raise ParameterError("--y-min and --y-max must be given together")
-    if args.points < 1:
-        raise ParameterError(f"--points must be >= 1, got {args.points}")
+    if args.y_max is None and args.points is not None:
+        raise ParameterError(f"--points ({args.points}) needs --y-min and --y-max")
+    points = 201 if args.points is None else args.points
+    if points < 1:
+        raise ParameterError(f"--points must be >= 1, got {points}")
     y = None
     if args.y_max is not None:
         if not -math.inf < args.y_min < args.y_max < math.inf:
@@ -345,7 +348,7 @@ def _cmd_ness(args) -> int:
                 f"--y-min ({args.y_min}) must be below --y-max ({args.y_max}), "
                 "both finite"
             )
-        y = np.linspace(args.y_min, args.y_max, args.points)
+        y = np.linspace(args.y_min, args.y_max, points)
     params = {}
     if args.kind == "one-sided-exp":
         curve = ness.one_sided_exp_curve(args.scale, y=y)
@@ -354,14 +357,11 @@ def _cmd_ness(args) -> int:
         curve = ness.laplace_curve(args.scale, y=y)
         params["msd"] = args.scale
     else:
-        infinite_at_zero = args.theta == 0.0 and 0.0 < args.alpha <= 1.0
-        if infinite_at_zero and y is not None and (y == 0.0).any():
-            raise ParameterError(
-                f"--y-min/--y-max grid contains y = 0, where the symmetric mixture "
-                f"density is infinite for alpha={args.alpha} <= 1"
-            )
         curve = ness.stable_mixture_curve(args.alpha, args.theta, y=y)
         params.update({"alpha": args.alpha, "theta": args.theta})
+    if np.isinf(curve.density).any():
+        at = curve.y[np.isinf(curve.density)][0]
+        raise ParameterError(f"--y-min/--y-max grid has y = {at:g}, where the density is infinite")
     path = os.path.join(args.out, "ness_curve.csv")
     _write_csv(path, ["y", "density"], [curve.y, curve.density])
     payload = {"kind": args.kind, "trapezoid_mass": curve.trapezoid_mass(), **params}
@@ -535,7 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ness.add_argument("--theta", type=float, default=0.0)
     p_ness.add_argument("--y-min", type=float, default=None)
     p_ness.add_argument("--y-max", type=float, default=None)
-    p_ness.add_argument("--points", type=int, default=201)
+    p_ness.add_argument("--points", type=int, default=None)
 
     p_mc = command("mc", _cmd_mc, "Monte Carlo histograms and statistics", laws=True)
     p_mc.add_argument("--seed", type=int, default=12345)

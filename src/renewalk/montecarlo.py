@@ -4,7 +4,8 @@ independent oracle for every exact law in the package.
 Replicas are split into fixed-size chunks, each driven by its own
 counter-derived random stream, and each chunk fills its rows of one
 result.  Outputs therefore depend only on (seed, replicas, request), never
-on the worker count, which makes seeded runs byte-reproducible.
+on the worker count, which makes seeded runs byte-reproducible.  As M(t) =
+N(min(t, S)), one driver (``_capped_runs``) draws and caps every stopping time.
 
 A Geometric(p) inner stream is the Bernoulli(p) process, so its count
 within a cap c is one Binomial(c, p) draw, and given that count its events
@@ -129,12 +130,13 @@ def _place_events(view: np.ndarray, caps: np.ndarray, left: np.ndarray, rng):
     view[:, last + 1:] = view[:, last, None]
 
 
-def _capped_runs(spec: StoppedSpec, cfg: SimConfig, t_obs, count, unfrozen: str):
+def _capped_runs(spec: StoppedSpec, cfg: SimConfig, t_obs, count):
     """Run ``count(rng, caps, rows)`` per chunk with caps = min(S, t_obs).
 
-    At t_obs = INFINITY the stopping time S is capped at cfg.horizon; if
-    more than one replica in a thousand hits the cap the run is
-    inconclusive and raises, with ``unfrozen`` as the message.
+    The one place that draws the stopping times S, first in each chunk's
+    stream, for paths, values and walk endpoints alike.  At t_obs = INFINITY,
+    S is capped at cfg.horizon; if more than one replica in a thousand hits
+    the cap the run is inconclusive and raises.
     """
     infinite = t_obs == INFINITY
     if not infinite and (t_obs < 0 or t_obs > cfg.horizon):
@@ -150,19 +152,21 @@ def _capped_runs(spec: StoppedSpec, cfg: SimConfig, t_obs, count, unfrozen: str)
 
     total_hits = sum(_run_chunks(cfg, worker))
     if total_hits > 1e-3 * cfg.replicas:
-        raise InconclusiveRunError(f"{total_hits} of {cfg.replicas} {unfrozen}")
+        raise InconclusiveRunError(
+            f"{total_hits} of {cfg.replicas} replicas were still unfrozen at the "
+            f"horizon {cfg.horizon}; raise the horizon or fix the stopping law"
+        )
 
 
 def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
     """Replica paths M(0..horizon) of the stopped count, one int32 row per replica.
 
-    Each path draws one stopping time S and runs the inner renewal stream up
-    to min(S, horizon): M(t) = N(min(t, S)), never frozen if S is infinite.
-    A Geometric inner law draws the count at the cap as
-    :func:`sample_stopped_value` does, then places those events on the
-    steps up to the cap; so the last column equals the values at the
-    horizon draw for draw.  Cast to int64 before squaring counts above
-    46340, or int32 overflows.
+    Each path runs the inner renewal stream up to its cap min(S, horizon):
+    M(t) = N(min(t, S)), never frozen if S is infinite.  A Geometric inner
+    law draws the count at the cap as :func:`sample_stopped_value` does,
+    then places those events on the steps up to the cap; so the last column
+    equals the values at the horizon draw for draw.  Cast to int64 before
+    squaring counts above 46340, or int32 overflows.
 
     The paths are filled step-major, so each per-step operation runs on a
     contiguous row of replicas.  The result is the transposed
@@ -173,9 +177,8 @@ def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
     horizon = min(spec.horizon, cfg.horizon)
     paths = np.zeros((horizon + 1, cfg.replicas), dtype=np.int32).T
 
-    def worker(rng, rows):
+    def fill(rng, caps, rows):
         view = paths[rows]
-        caps = np.minimum(spec.stop.sample(rng, len(view)), horizon)
         if type(spec.inner) is Geometric:
             # the count that _renewal_count draws, then where its events fall
             left = rng.binomial(caps.astype(np.int64), spec.inner.p).astype(float)
@@ -186,23 +189,18 @@ def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
         for t in range(1, horizon + 1):
             np.add(view[:, t - 1], view[:, t], out=view[:, t])
 
-    _run_chunks(cfg, worker)
+    _capped_runs(spec, cfg, horizon, fill)
     return paths
 
 
 def sample_stopped_value(spec: StoppedSpec, cfg: SimConfig, t_obs) -> np.ndarray:
-    """Replica values of M(t_obs); t_obs = INFINITY means run until frozen.
-
-    At the infinite-time proxy the stopping time is capped at cfg.horizon;
-    if more than one replica in a thousand hits the cap the run is
-    inconclusive and raises instead of returning biased values.
-    """
+    """Replica values of M(t_obs); t_obs = INFINITY means run until frozen,
+    raising InconclusiveRunError, not biased values, if over one replica in a
+    thousand is still unfrozen at cfg.horizon."""
     counts = np.zeros(cfg.replicas, dtype=np.int64)
     _capped_runs(
         spec, cfg, t_obs,
         lambda rng, caps, rows: _renewal_count(spec.inner, caps, rng, counts[rows]),
-        f"paths were still unfrozen at the horizon {cfg.horizon}; "
-        "raise the horizon or fix the stopping law",
     )
     return counts
 
@@ -225,8 +223,7 @@ def sample_walk_endpoint(
         _renewal_count(spec.inner, caps, rng, counts)
         ends[rows] = rng.multinomial(counts, step.probs) @ step.displacements
 
-    unfrozen = f"walks were still unfrozen at the horizon {cfg.horizon}"
-    _capped_runs(spec, cfg, t_obs, endpoint, unfrozen)
+    _capped_runs(spec, cfg, t_obs, endpoint)
     return ends
 
 
@@ -244,20 +241,6 @@ def dequantize(values, rng, one_sided: bool = False) -> np.ndarray:
     if not one_sided:
         offset = offset - 0.5
     return values + offset
-
-
-def unfrozen_fraction(spec: StoppedSpec, cfg: SimConfig, t: float) -> float:
-    """Empirical probability that the stopped process is still running at t.
-
-    Only the stopping times need sampling: a path is unfrozen at t exactly
-    when its stopping time exceeds t.  Converges to the never-stop
-    probability as t grows.
-    """
-
-    def worker(rng, rows):
-        return int(np.count_nonzero(spec.stop.sample(rng, rows.stop - rows.start) > t))
-
-    return sum(_run_chunks(cfg, worker)) / cfg.replicas
 
 
 @dataclass(frozen=True)

@@ -373,6 +373,7 @@ def test_format_flag_is_rejected(tmp_path):
         (["--y-min", "3", "--y-max", "3"], "--y-min"),
         (["--y-min", "4", "--y-max", "3"], "--y-min"),
         (["--y-min=-inf", "--y-max", "3"], "--y-min"),
+        (["--points", "5"], "--points"),
     ],
 )
 def test_ness_rejects_bad_grid_flags(tmp_path, capsys, grid, flag):

@@ -159,18 +159,17 @@ def test_frozen_value_mean_and_variance():
     assert values.var() == pytest.approx(summary.variance, rel=0.02)
 
 
-def test_unfrozen_fraction_tracks_never_stop_probability():
-    spec = StoppedSpec(Geometric(0.7), DefectiveGeometric(0.25, 0.2), 10_000)
-    cfg = SimConfig(seed=23, replicas=100_000, horizon=10_000)
-    frac = mc.unfrozen_fraction(spec, cfg, 10_000)
-    assert frac == pytest.approx(0.75, abs=0.01)
-
-
-def test_infinite_proxy_rejects_defective_stop():
+@pytest.mark.parametrize("sample", [
+    mc.sample_stopped_value,
+    lambda spec, cfg, t_obs: mc.sample_walk_endpoint(walks.line_walk(0.5), spec, cfg, t_obs),
+], ids=["value", "endpoint"])
+def test_infinite_proxy_rejects_defective_stop(sample):
     spec = StoppedSpec(Geometric(0.7), DefectiveGeometric(0.25, 0.2), 500)
     cfg = SimConfig(seed=29, replicas=10_000, horizon=500)
-    with pytest.raises(InconclusiveRunError):
-        mc.sample_stopped_value(spec, cfg, INFINITY)
+    unfrozen = (r"of 10000 replicas were still unfrozen at the horizon 500; "
+                r"raise the horizon or fix the stopping law")
+    with pytest.raises(InconclusiveRunError, match=unfrozen):
+        sample(spec, cfg, INFINITY)
 
 
 def test_unstopped_generator_is_plain_renewal_count():
@@ -287,7 +286,6 @@ def test_samplers_identical_for_any_worker_count_over_many_chunks():
                 mc.sample_stopped_value(SPEC, cfg, INFINITY).tobytes(),
                 mc.sample_walk_endpoint(step, SPEC, cfg, 20).tobytes(),
                 mc.sample_walk_endpoint(step, SPEC, cfg, INFINITY).tobytes(),
-                mc.unfrozen_fraction(SPEC, cfg, 10),
             ))
     finally:
         sys.setswitchinterval(interval)
