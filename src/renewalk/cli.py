@@ -313,7 +313,25 @@ def _cmd_walk(args) -> int:
     return 0
 
 
+_CURVE_GRID = ("y_min", "y_max", "points")
+#: the ness flags each kind reads, with the default of each that has one
+_NESS_FLAGS = {
+    "lattice": {"inner": None, "steps": None, "q": 0.99, "box": 256},
+    "one-sided-exp": {"scale": 1.0, **dict.fromkeys(_CURVE_GRID)},
+    "laplace": {"scale": 1.0, **dict.fromkeys(_CURVE_GRID)},
+    "stable-mixture": {"alpha": 2.0, "theta": 0.0, **dict.fromkeys(_CURVE_GRID)},
+}
+
+
 def _cmd_ness(args) -> int:
+    reads = _NESS_FLAGS[args.kind]
+    others = {name for flags in _NESS_FLAGS.values() for name in flags} - reads.keys()
+    unread = sorted(f"--{n.replace('_', '-')}" for n in others if getattr(args, n) is not None)
+    if unread:
+        raise ParameterError(f"ness --kind {args.kind} does not read {', '.join(unread)}")
+    for name, default in reads.items():
+        if getattr(args, name) is None:
+            setattr(args, name, default)
     if args.kind == "lattice":
         for flag, value in (("--inner", args.inner), ("--steps", args.steps)):
             if value is None:
@@ -371,11 +389,9 @@ def _cmd_ness(args) -> int:
 
 def _cmd_mc(args) -> int:
     spec, fields = _stopped_spec(args)
+    workers = {} if args.workers is None else {"workers": args.workers}
     cfg = montecarlo.SimConfig(
-        seed=args.seed,
-        replicas=args.replicas,
-        horizon=args.horizon,
-        workers=args.workers,
+        seed=args.seed, replicas=args.replicas, horizon=args.horizon, **workers
     )
     try:
         t_obs = INFINITY if args.t_obs in ("inf", "infinity") else int(args.t_obs)
@@ -525,22 +541,25 @@ def build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["lattice", "one-sided-exp", "laplace", "stable-mixture"],
     )
+    # a flag the chosen kind does not read is an error, so none has a
+    # default here; _NESS_FLAGS holds the defaults of the kinds that read them
     p_ness.add_argument("--inner", help="inner waiting-law config (lattice kind)")
     p_ness.add_argument("--steps", help="step-law config (lattice kind)")
-    p_ness.add_argument("--q", type=float, default=0.99)
-    p_ness.add_argument("--box", type=int, default=256)
-    p_ness.add_argument("--scale", type=float, default=1.0,
-                        help="mean displacement (one-sided-exp) or msd (laplace)")
-    p_ness.add_argument("--alpha", type=float, default=2.0)
-    p_ness.add_argument("--theta", type=float, default=0.0)
-    p_ness.add_argument("--y-min", type=float, default=None)
-    p_ness.add_argument("--y-max", type=float, default=None)
-    p_ness.add_argument("--points", type=int, default=None)
+    p_ness.add_argument("--q", type=float, help="lattice kind (default 0.99)")
+    p_ness.add_argument("--box", type=int, help="lattice kind (default 256)")
+    p_ness.add_argument("--scale", type=float,
+                        help="mean displacement (one-sided-exp) or msd (laplace), default 1")
+    p_ness.add_argument("--alpha", type=float, help="stable-mixture kind (default 2)")
+    p_ness.add_argument("--theta", type=float, help="stable-mixture kind (default 0)")
+    p_ness.add_argument("--y-min", type=float, help="curve kinds, with --y-max")
+    p_ness.add_argument("--y-max", type=float, help="curve kinds, with --y-min")
+    p_ness.add_argument("--points", type=int, help="curve kinds (default 201)")
 
     p_mc = command("mc", _cmd_mc, "Monte Carlo histograms and statistics", laws=True)
     p_mc.add_argument("--seed", type=int, default=12345)
     p_mc.add_argument("--replicas", type=int, default=100_000)
-    p_mc.add_argument("--workers", type=int, default=1)
+    p_mc.add_argument("--workers", type=int,
+                      help="threads (default: the CPUs this process may run on)")
     p_mc.add_argument("--t-obs", default="inf", help="observation time or 'inf'")
 
     p_fig = command("figures", _cmd_figures, "regenerate figure datasets")

@@ -1,11 +1,13 @@
 """Path-level simulation of stopped counts and walks: the universal
 independent oracle for every exact law in the package.
 
-Replicas are split into fixed-size chunks, each driven by its own
-counter-derived random stream, and each chunk fills its rows of one
-result.  Outputs therefore depend only on (seed, replicas, request), never
-on the worker count, which makes seeded runs byte-reproducible.  As M(t) =
-N(min(t, S)), one driver (``_capped_runs``) draws and caps every stopping time.
+Replicas are split into the fewest equal chunks of at most 65536, each
+driven by its own counter-derived random stream, and each chunk fills its
+rows of one result.  Outputs therefore depend only on (seed, replicas,
+request), never on the worker count, which makes seeded runs
+byte-reproducible; by default the chunks run on every CPU the process may
+use.  As M(t) = N(min(t, S)), one driver (``_capped_runs``) draws and caps
+every stopping time.
 
 A Geometric(p) inner stream is the Bernoulli(p) process, so its count
 within a cap c is one Binomial(c, p) draw, and given that count its events
@@ -22,8 +24,9 @@ which is the sum of M IID steps in law.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,14 +38,22 @@ from .walks import StepLaw
 _CHUNK = 1 << 16
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Replica count, horizon cap, seed, and worker count for one experiment."""
+    """Replica count, horizon cap, seed, and worker count for one experiment;
+    the workers default to the CPUs the process may run on."""
 
     seed: int
     replicas: int
     horizon: int = 512
-    workers: int = 1
+    workers: int = field(default_factory=_available_cpus)
 
     def __post_init__(self):
         if not _is_int(self.seed) or self.seed < 0:
@@ -59,17 +70,22 @@ class SimConfig:
 def _run_chunks(cfg: SimConfig, worker):
     """Run ``worker(rng, rows)`` per chunk, returning results in chunk order.
 
-    ``rows`` is the chunk's slice of the replica axis and ``rng`` its
-    counter-derived stream, so a worker may fill its rows of a shared result.
+    R replicas make k = ceil(R / 65536) chunks of equal size (give or take
+    one): chunk i holds rows [R*i // k, R*(i+1) // k) and draws from the
+    counter-derived stream ``SeedSequence((seed, i))``, so a worker may fill
+    its rows of a shared result.  The chunks run on min(workers, k) threads.
     """
+    count = -(-cfg.replicas // _CHUNK)
+    bounds = [cfg.replicas * idx // count for idx in range(count + 1)]
     chunks = [
         (np.random.default_rng(np.random.SeedSequence((cfg.seed, idx))),
-         slice(start, min(start + _CHUNK, cfg.replicas)))
-        for idx, start in enumerate(range(0, cfg.replicas, _CHUNK))
+         slice(bounds[idx], bounds[idx + 1]))
+        for idx in range(count)
     ]
-    if cfg.workers == 1 or len(chunks) == 1:
+    threads = min(cfg.workers, count)
+    if threads == 1:
         return [worker(rng, rows) for rng, rows in chunks]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(worker, *zip(*chunks)))
 
 

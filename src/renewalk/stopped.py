@@ -70,7 +70,11 @@ def stopped_moments(spec: StoppedSpec, order: int) -> np.ndarray:
     """Series E M(t) (order 1) or E M^2(t) (order 2) on [0, horizon]."""
     if order not in (1, 2):
         raise ParameterError(f"order must be 1 or 2, got {order}")
-    return _moment_pair(spec)[order - 1]
+    if order == 1:
+        # E N is the running sum of the renewal density: no pair convolution
+        mean = np.cumsum(renewal._renewal_density(spec.inner, spec.horizon))
+        return _frozen(spec.stop, mean)
+    return _frozen(spec.stop, renewal.count_moments(spec.inner, spec.horizon)[1])
 
 
 def _moment_pair(spec: StoppedSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -363,21 +363,30 @@ def test_format_flag_is_rejected(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+_LAPLACE = ["--kind", "laplace"]
+
+
 @pytest.mark.parametrize(
     "grid, flag",
     [
-        (["--y-max", "3"], "--y-min"),
-        (["--y-min", "-3"], "--y-max"),
-        (["--y-min", "-3", "--y-max", "3", "--points", "0"], "--points"),
-        (["--y-min", "-3", "--y-max", "3", "--points", "-2"], "--points"),
-        (["--y-min", "3", "--y-max", "3"], "--y-min"),
-        (["--y-min", "4", "--y-max", "3"], "--y-min"),
-        (["--y-min=-inf", "--y-max", "3"], "--y-min"),
-        (["--points", "5"], "--points"),
+        ([*_LAPLACE, "--y-max", "3"], "--y-min"),
+        ([*_LAPLACE, "--y-min", "-3"], "--y-max"),
+        ([*_LAPLACE, "--y-min", "-3", "--y-max", "3", "--points", "0"], "--points"),
+        ([*_LAPLACE, "--y-min", "-3", "--y-max", "3", "--points", "-2"], "--points"),
+        ([*_LAPLACE, "--y-min", "3", "--y-max", "3"], "--y-min"),
+        ([*_LAPLACE, "--y-min", "4", "--y-max", "3"], "--y-min"),
+        ([*_LAPLACE, "--y-min=-inf", "--y-max", "3"], "--y-min"),
+        ([*_LAPLACE, "--points", "5"], "--points"),
+        # a flag that the chosen kind never reads
+        (["--kind", "lattice", "--inner", "geometric:p=0.7", "--steps", "line:p=0.5",
+          "--points", "5", "--y-min", "0", "--y-max", "1"],
+         "does not read --points, --y-max, --y-min"),
+        ([*_LAPLACE, "--inner", "geometric:p=0.7", "--box", "3"],
+         "does not read --box, --inner"),
     ],
 )
 def test_ness_rejects_bad_grid_flags(tmp_path, capsys, grid, flag):
-    assert run(["ness", "--kind", "laplace", *grid, "--out", str(tmp_path)]) == 1
+    assert run(["ness", *grid, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("renewalk: error:") and flag in err
     assert not list(tmp_path.iterdir())

@@ -77,9 +77,9 @@ def test_paths_hold_one_result_at_their_peak(inner, replicas, horizon, workers):
 
 
 @pytest.mark.parametrize("inner, digest", [
-    pytest.param(Geometric(0.7), "1b1ae9b5f87d456c0e9cc18cac6552101136d9103c968cc5a6f14f5258074a69",
+    pytest.param(Geometric(0.7), "0792b53268b5994fdb40b1f7c816db76b6109e61a088db276b2757abd233d7c5",
                  id="geometric"),
-    pytest.param(Sibuya(0.3), "5403d49ffbca847263d7fbdb025988b647ec62ecb89981733ade67c81e74a748",
+    pytest.param(Sibuya(0.3), "92734971fb8cc2be8c86ce15bea840e79a191be6ce6e9b0722ab213e3f461878",
                  id="sibuya"),
 ])
 @pytest.mark.parametrize("workers", [1, 3])
@@ -90,6 +90,27 @@ def test_paths_keep_their_pinned_random_stream(inner, digest, workers):
     cfg = SimConfig(seed=2203, replicas=3 * mc._CHUNK + 1000, horizon=40, workers=workers)
     paths = mc.sample_stopped_path(spec, cfg)
     assert hashlib.sha256(paths.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("replicas", [1, mc._CHUNK, mc._CHUNK + 1, 100_000, 3 * mc._CHUNK + 1000])
+def test_chunks_are_equal_and_the_same_for_any_worker_count(replicas):
+    # the fewest chunks of at most 65536 replicas, sizes within one of each
+    # other, tiling the replica axis in order whatever the worker count
+    plans = []
+    for workers in (1, 2, 3, 8):
+        cfg = SimConfig(seed=3, replicas=replicas, workers=workers)
+        plans.append(mc._run_chunks(cfg, lambda rng, rows: (rows.start, rows.stop)))
+    assert all(plan == plans[0] for plan in plans)
+    starts, stops = zip(*plans[0])
+    assert starts == (0, *stops[:-1]) and stops[-1] == replicas
+    sizes = np.subtract(stops, starts)
+    assert len(sizes) == math.ceil(replicas / mc._CHUNK)
+    assert sizes.max() - sizes.min() <= 1 and sizes.max() <= mc._CHUNK
+
+
+def test_default_workers_are_the_cpus_the_process_may_run_on():
+    want = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert SimConfig(seed=1, replicas=10).workers == want
 
 
 def test_path_shape_invariants():
@@ -270,16 +291,17 @@ def test_binomial_counts_agree_with_the_event_loop(inner):
 
 
 def test_samplers_identical_for_any_worker_count_over_many_chunks():
-    # three threads fill their rows of one shared result; a short switch
-    # interval interleaves them as often as the interpreter allows
+    # three threads, or the default of one per CPU, fill their rows of one
+    # shared result; a short switch interval interleaves them as often as
+    # the interpreter allows
     replicas = 3 * mc._CHUNK + 1000
     step = walks.triangular_walk(True)
     outs = []
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for workers in (1, 3):
-            cfg = SimConfig(seed=89, replicas=replicas, horizon=128, workers=workers)
+        for workers in ({"workers": 1}, {"workers": 3}, {}):
+            cfg = SimConfig(seed=89, replicas=replicas, horizon=128, **workers)
             outs.append((
                 mc.sample_stopped_path(SPEC, cfg).tobytes(),
                 mc.sample_stopped_value(SPEC, cfg, 20).tobytes(),
@@ -289,7 +311,7 @@ def test_samplers_identical_for_any_worker_count_over_many_chunks():
             ))
     finally:
         sys.setswitchinterval(interval)
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
 
 
 def test_lattice_ness_against_endpoint_histogram():

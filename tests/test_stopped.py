@@ -12,7 +12,7 @@ from oracles import (
     traced_peak,
 )
 
-from renewalk import renewal, stopped
+from renewalk import renewal, series, stopped
 from renewalk.errors import ParameterError
 from renewalk.laws import (
     INFINITY,
@@ -122,6 +122,16 @@ def test_moments_match_table(inner, stop):
         np.testing.assert_allclose(
             stopped_moments(spec, order), table.moment(order), atol=1e-9
         )
+
+
+@pytest.mark.parametrize("inner,stop", LAW_PAIRS[:5])
+def test_mean_skips_the_pair_convolution(inner, stop, monkeypatch):
+    # E M is the frozen running sum of the renewal density alone; the bytes
+    # are those of the mean that comes with E M^2
+    spec = StoppedSpec(inner, stop, 96)
+    want = stopped._moment_pair(spec)[0]
+    monkeypatch.setattr(series, "convolve", None)
+    assert stopped_moments(spec, 1).tobytes() == want.tobytes()
 
 
 def test_mean_bounded_by_time():
