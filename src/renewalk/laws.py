@@ -5,7 +5,9 @@ A law carries a total mass ``defect_mass`` in (0, 1]; the deficit
 return the ``INFINITY`` sentinel.  ``has_full_mass`` is the one test of
 whether that deficit is below float resolution.  A law is a series window
 on t = 0..T: each family gives its pmf and survival there (``pmf_vector``,
-``survival_vector``), its generating function and an exact sampler of
+``survival_vector``), its renewal and pair densities (``renewal_density``,
+``pair_density``: series by default, closed forms for Geometric and
+Sibuya), its generating function and an exact sampler of
 arrays of draws: CDF inversion (for geometric laws, of an exponential
 variate), except for Sibuya draws, which are geometric with a
 Beta-distributed success probability.  Laws without a defect skip the
@@ -22,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import series
 from .errors import ParameterError, QuadratureError
 
 #: Distinguished value for a waiting time that never arrives.  Kept as the
@@ -70,6 +73,14 @@ def _series(horizon: int, at_zero: float, closed_form) -> np.ndarray:
     return out
 
 
+def _rising_series(a: float, horizon: int) -> np.ndarray:
+    """(1 - u)^-a on t = 0..T: c(t) = a prod_{s=2..t} (1 - (1-a)/s), one rounding
+    per factor; the first is a itself, which 1 - (1-a) would round for small a."""
+    c = _series(horizon, 1.0, lambda t: 1.0 - (1.0 - a) / t)
+    c[1:2] = a
+    return np.cumprod(c, out=c)
+
+
 class WaitingLaw:
     """Base interface; concrete families override the closed forms."""
 
@@ -92,6 +103,16 @@ class WaitingLaw:
     def tail_mass(self, horizon: int) -> float:
         """Finite mass above the horizon: defect_mass - sum(pmf[1..horizon])."""
         return float(self.survival_vector(horizon)[-1] - (1.0 - self.defect_mass))
+
+    def renewal_density(self, horizon: int) -> np.ndarray:
+        """h(t) = P[an event at t] on [0, horizon], whose running sum is E N(t):
+        h = reciprocal(delta - pmf) - delta, as its generating function is gf / (1 - gf)."""
+        delta = series.delta_series(horizon)
+        return series.reciprocal(delta - self.pmf_vector(horizon)) - delta
+
+    def pair_density(self, density: np.ndarray) -> np.ndarray:
+        """h*h for this law's renewal density h: E #{event pairs s < s' = t}."""
+        return series.convolve(density, density)
 
     def gf(self, u: float) -> float:
         """Generating function sum_t pmf(t) u^t on [0, 1]; returns the mass at u=1."""
@@ -138,6 +159,14 @@ class Geometric(WaitingLaw):
     def survival_vector(self, horizon: int) -> np.ndarray:
         return self.q ** np.arange(_window(horizon) + 1, dtype=float)
 
+    def renewal_density(self, horizon: int) -> np.ndarray:
+        # 1 / (1 - gf) = (1 - qu) / (1 - u): an event at each step with chance p
+        return _series(horizon, 0.0, lambda t: self.p)
+
+    def pair_density(self, density: np.ndarray) -> np.ndarray:
+        # (h*h)(t) = p^2 #{0 < s < t}
+        return _series(len(density) - 1, 0.0, lambda t: self.p**2 * (t - 1.0))
+
     def gf(self, u: float) -> float:
         u = self._check_u(u)
         return self.p * u / (1.0 - self.q * u)
@@ -164,6 +193,19 @@ class Sibuya(WaitingLaw):
         # (-1)^t C(mu-1, t) = prod_{s<=t} (1 - mu/s): one rounding per factor
         # keeps ~1e-15 relative, where exp of a gammaln difference loses 1e-12
         return _series(horizon, 1.0, lambda t: np.cumprod(1.0 - self.mu / t))
+
+    def renewal_density(self, horizon: int) -> np.ndarray:
+        # 1 / (1 - gf) = (1 - u)^-mu
+        return _rising_series(self.mu, horizon) - series.delta_series(horizon)
+
+    def pair_density(self, density: np.ndarray) -> np.ndarray:
+        # g = h*h solves (1 - u) g' = 2 mu (g + h), as (1 - u) R' = mu R for R = 1 + h.
+        # Solved through c = (1 - u)^-2mu: g(t) = c(t) sum_{s<t} 2 mu h(s) / (c(s)
+        # (s + 2 mu)), nonnegative terms only, where c - 2 h - delta cancels.
+        a = 2.0 * self.mu
+        c = _rising_series(a, len(density) - 1)
+        terms = a * density[:-1] / (c[:-1] * (np.arange(len(c) - 1) + a))
+        return c * np.concatenate(([0.0], np.cumsum(terms)))
 
     def gf(self, u: float) -> float:
         u = self._check_u(u)

@@ -131,26 +131,16 @@ def _rows_by_doubling(surv: np.ndarray, pmf: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _renewal_density(law: WaitingLaw, horizon: int) -> np.ndarray:
-    """h(t) = P[an event at t] on [0, horizon]; E N(t) is its running sum.
-
-    h has generating function pmf_gf / (1 - pmf_gf), so
-    h = reciprocal(delta - pmf) - delta.
-    """
-    pmf = law.pmf_vector(horizon)
-    delta = series.delta_series(horizon)
-    return series.reciprocal(delta - pmf) - delta
-
-
 def count_moments(law: WaitingLaw, horizon: int):
     """Series of E N(t) and E N^2(t) on [0, horizon] from the renewal density.
 
     E N(t) = sum_{s<=t} h(s) for the renewal density h, and since
     N^2 = N + 2 #{event pairs s < s'} with E #pairs up to
-    t = sum_{s'<=t} (h*h)(s'), E N^2(t) = sum_{s<=t} (h + 2 h*h)(s).
+    t = sum_{s'<=t} (h*h)(s'), E N^2(t) = sum_{s<=t} (h + 2 h*h)(s).  The law
+    gives h and h*h: in closed form for Geometric and Sibuya, else as series.
     """
-    density = _renewal_density(law, horizon)
-    pairs = series.convolve(density, density)
+    density = law.renewal_density(horizon)
+    pairs = law.pair_density(density)
     return np.cumsum(density), np.cumsum(density + 2.0 * pairs)
 
 

@@ -67,13 +67,12 @@ def stopped_state_table(spec: StoppedSpec) -> StateTable:
 
 
 def stopped_moments(spec: StoppedSpec, order: int) -> np.ndarray:
-    """Series E M(t) (order 1) or E M^2(t) (order 2) on [0, horizon]."""
+    """Series E M(t) (order 1) or E M^2(t) (order 2) on [0, horizon]: the inner
+    law's ``count_moments`` frozen at S; order 1 skips its pair density."""
     if order not in (1, 2):
         raise ParameterError(f"order must be 1 or 2, got {order}")
     if order == 1:
-        # E N is the running sum of the renewal density: no pair convolution
-        mean = np.cumsum(renewal._renewal_density(spec.inner, spec.horizon))
-        return _frozen(spec.stop, mean)
+        return _frozen(spec.stop, np.cumsum(spec.inner.renewal_density(spec.horizon)))
     return _frozen(spec.stop, renewal.count_moments(spec.inner, spec.horizon)[1])
 
 

@@ -1,9 +1,12 @@
+import hashlib
 import math
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 from scipy.special import betainc
 from scipy.stats import binom, poisson
@@ -19,6 +22,7 @@ from renewalk.laws import (
     PowerLawBernstein,
     ShiftedPoisson,
     Sibuya,
+    WaitingLaw,
 )
 
 
@@ -208,6 +212,82 @@ def test_count_moments_cross_check_against_table():
         table = renewal.state_table(law, 128)
         np.testing.assert_allclose(mean, table.moment(1), atol=1e-8)
         np.testing.assert_allclose(second, table.moment(2), atol=1e-8)
+
+
+_CLOSED_FORM_LAWS = st.one_of(
+    st.floats(-9.0, 0.0).map(lambda e: Geometric(10.0**e)),
+    st.floats(1e-9, 1.0 - 1e-9).map(Sibuya),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(law=_CLOSED_FORM_LAWS, horizon=st.sampled_from([0, 1, 2, 64, 8192]))
+def test_closed_form_densities_match_the_series_path(law, horizon):
+    # the Geometric and Sibuya overrides against the base class's series
+    # reciprocal and convolution on the same law
+    density = law.renewal_density(horizon)
+    series_density = WaitingLaw.renewal_density(law, horizon)
+    for got, want in ((density, series_density),
+                      (law.pair_density(density),
+                       WaitingLaw.pair_density(law, series_density))):
+        assert got.shape == (horizon + 1,)
+        np.testing.assert_array_equal(got == 0.0, want == 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("mu", [1e-9, 1e-3, 0.5, 1.0 - 1e-6])
+def test_sibuya_densities_match_the_binomial_series(mu):
+    # h = c_mu - delta and h*h = c_2mu - 2 c_mu + delta, where c_a holds the
+    # coefficients of (1 - u)^-a; 40 digits absorb the cancellation
+    horizon = 8192
+    law = Sibuya(mu)
+    density = law.renewal_density(horizon)
+    pairs = law.pair_density(density)
+    with mpmath.workdps(40):
+        c = {a: [mpmath.mpf(1)] for a in (mpmath.mpf(mu), 2 * mpmath.mpf(mu))}
+        for t in range(1, horizon + 1):
+            for a, coef in c.items():
+                coef.append(coef[-1] * (t - 1 + a) / t)
+        c1, c2 = c.values()
+        want_h = [0.0] + [float(x) for x in c1[1:]]
+        want_g = [0.0, 0.0] + [float(c2[t] - 2 * c1[t]) for t in range(2, horizon + 1)]
+    np.testing.assert_allclose(density, want_h, rtol=3e-14, atol=0)
+    np.testing.assert_allclose(pairs, want_g, rtol=3e-14, atol=0)
+    assert density[0] == pairs[0] == pairs[1] == 0.0
+
+
+def test_closed_form_moments_need_no_series_kernel(monkeypatch):
+    horizon = 8192
+    t = np.arange(horizon + 1, dtype=float)
+    monkeypatch.setattr(series, "reciprocal", None)
+    monkeypatch.setattr(series, "convolve", None)
+    mean, second = renewal.count_moments(Geometric(0.3), horizon)
+    np.testing.assert_allclose(mean, 0.3 * t, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(second, (0.3 * t) ** 2 + 0.3 * 0.7 * t, rtol=1e-12, atol=0)
+    mean, _ = renewal.count_moments(Sibuya(0.5), horizon)
+    # E N(t) = Gamma(t + 1 + mu) / (Gamma(1 + mu) t!) - 1
+    for s in (1, 2, 64, 666, horizon):
+        with mpmath.workdps(30):
+            want = float(mpmath.rf(1.5, s) / mpmath.factorial(s) - 1)
+        assert mean[s] == pytest.approx(want, rel=1e-14)
+    for inner in (Geometric(0.3), Sibuya(0.5)):
+        spec = stopped.StoppedSpec(inner, Geometric(0.01), horizon)
+        for order in (1, 2):
+            assert np.isfinite(stopped.stopped_moments(spec, order)).all()
+
+
+@pytest.mark.parametrize("law, digest", [
+    (ShiftedPoisson(1.5), "963bd607557412c91a3b1766e53d21dfa9d6ffe448ade497366c195c72f1f6d7"),
+    (DefectiveSibuya(0.5, 0.5), "accc94acf4285cddaafc0aaa8f7fb822e50c8134f55171bb47b94c445e855fe6"),
+    (DefectiveGeometric(0.5, 0.7),
+     "dda9a09c4944d6a68056e2f48ce58d63461783b7533aaab59c72ee0dca8bc057"),
+    (PowerLawBernstein(0.5, 1.5),
+     "bc8b4a5f458395138e7a66337225854264819d13425588e4ef3d37d7daa51e68"),
+])
+def test_series_path_moments_keep_their_bytes(law, digest):
+    # laws without a closed form keep the reciprocal and convolution, bit for bit
+    mean, second = renewal.count_moments(law, 2048)
+    assert hashlib.sha256(mean.tobytes() + second.tobytes()).hexdigest() == digest
 
 
 def test_defective_sibuya_count_approaches_limit_with_power_rate():
