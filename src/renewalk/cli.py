@@ -37,6 +37,8 @@ _COMPUTE_ERRORS = (ValueError, RuntimeError, SingularSeriesError, OSError)
 
 #: cells per block of rows; the block's temporaries take under 400 bytes a cell
 _CSV_BLOCK_CELLS = 6144
+#: a CSV of this many cells or more is formatted in parts, one per CPU, of half as many at least
+_CSV_SPLIT_CELLS = 1 << 17
 # A cell's text is 11 little-endian uint32 words, NUL-padded: separator and
 # sign, 3 of integer part, "." and 4 of fraction, 2 of exponent.  Digit group
 # g is word g of the word table, or word _TRAIL + g with trailing zeros NUL.
@@ -95,44 +97,127 @@ def _cell_words(x, out) -> np.ndarray:
     return ~exact
 
 
-def _write_csv(path: str, header, columns) -> None:
-    """Write equal-length columns under ``header`` (a 2-D entry is a stack of
-    columns) as ``%d`` for integers, else ``%.12g``, byte for byte: numpy
-    formats what ``_cell_words`` proves exact, Python the rest."""
-    groups = [np.atleast_2d(c) for c in columns]
-    rows = groups[0].shape[1]
-    if any(g.shape[1] != rows for g in groups):
-        raise ValueError(f"CSV columns for {path} differ in length")
+def _format_rows(groups, lo: int, hi: int):
+    """Yield rows [lo, hi) of the columns in ``groups`` (2-D stacks of
+    columns) as CSV text, each row after its "\\n", one bytes object per block:
+    numpy formats what ``_cell_words`` proves exact, Python the rest."""
     cols = [c for g in groups for c in g]
     fmts = ["%d" if g.dtype.kind in "iu" else "%.12g" for g in groups for _ in g]
     ncols, is_int = len(cols), np.array(fmts) == "%d"
     block = max(1, _CSV_BLOCK_CELLS // ncols)
-    buf = np.empty((min(block, rows), ncols))
+    buf = np.empty((min(block, hi - lo), ncols))
     sep = np.tile(np.where(np.arange(ncols), ord(","), ord("\n")), len(buf)).astype("<u4")
+    for start in range(lo, hi, block):
+        n = min(block, hi - start)
+        np.concatenate([g[:, start : start + n] for g in groups], out=buf[:n].T)
+        x = buf[:n].ravel()
+        zero = x == 0
+        size = 11 - 10 * zero
+        first = np.cumsum(size) - size  # each cell's first word
+        words = np.zeros(first[-1] + size[-1], "<u4")
+        # word 0: separator ("\n" before a row), "-" if the sign bit is set, "0" if zero
+        words[first] = (sep[: x.size] | np.signbit(x) * np.uint32(ord("-") << 8)
+                        | zero * np.uint32(ord("0") << 16))
+        slow = ~np.isfinite(x) | ((np.abs(buf[:n]) >= 1e12) & is_int).ravel()
+        calc = ~(zero | slow)
+        out = np.empty((10, np.count_nonzero(calc)), "<u4")
+        slow[calc] = _cell_words(x[calc], out)
+        words[first[calc] + np.arange(1, 11)[:, None]] = out
+        if (slow := np.flatnonzero(slow)).size:  # Python's text in all 11 words
+            text = "".join((",\n"[not j] + fmts[j] % cols[j][start + i]).ljust(44, "\0")
+                           for i, j in zip(*np.divmod(slow, ncols)))
+            slots = np.frombuffer(text.encode(), "<u4").reshape(-1, 11)
+            words[first[slow, None] + np.arange(11)] = slots
+        yield words.tobytes().translate(None, b"\0")
+
+
+def _row_parts(groups, rows: int, parts: int) -> list:
+    """Bounds of ``parts`` contiguous row ranges of equal formatting cost,
+    give or take a row, where a zero cell costs a quarter of a nonzero one;
+    no mask of the count is over 2^16 cells."""
+    ncols = sum(len(g) for g in groups)
+    cost = np.full(rows, ncols)
+    step = max(1, (1 << 16) // rows)
+    for g in groups:
+        for i in range(0, len(g), step):
+            cost += 3 * np.count_nonzero(g[i : i + step], axis=0)
+    cum = np.cumsum(cost)
+    return [0, *np.searchsorted(cum, cum[-1] * np.arange(1, parts) / parts).tolist(), rows]
+
+
+def _write_parts(fh, path: str, groups, bounds: list) -> None:
+    """Format the first row range of ``bounds`` into ``fh`` and each later
+    one in a forked child, into an unlinked temporary file beside ``path``,
+    then append the children's files in order.  A range whose fork fails is
+    formatted here.  No child outlives the call: on an error the parent kills
+    and reaps them."""
+    import shutil
+    import tempfile
+
+    later, running = [], {}  # running: first row -> pid of a child not reaped
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            if lo == hi:
+                continue
+            tmp = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
+            later.append((lo, hi, tmp))
+            try:
+                pid = os.fork()
+            except OSError:
+                continue
+            if pid == 0:  # the child ends here, whatever happens
+                code = 1
+                try:
+                    tmp.writelines(_format_rows(groups, lo, hi))
+                    tmp.flush()
+                    code = 0
+                finally:
+                    os._exit(code)
+            running[lo] = pid
+        fh.writelines(_format_rows(groups, bounds[0], bounds[1]))
+        for lo, hi, tmp in later:
+            if lo not in running:
+                fh.writelines(_format_rows(groups, lo, hi))
+                continue
+            code = os.waitstatus_to_exitcode(os.waitpid(running[lo], 0)[1])
+            del running[lo]
+            if code:
+                raise RuntimeError(f"the process writing rows {lo}-{hi - 1} of {path} "
+                                   f"ended with exit code {code}")
+            tmp.seek(0)
+            shutil.copyfileobj(tmp, fh)
+    finally:
+        if running:
+            import signal
+
+            for pid in running.values():
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        for *_, tmp in later:
+            tmp.close()
+
+
+def _write_csv(path: str, header, columns) -> None:
+    """Write equal-length columns under ``header`` (a 2-D entry is a stack of
+    columns) as ``%d`` for integers, else ``%.12g``, byte for byte.  A file
+    of ``_CSV_SPLIT_CELLS`` or more cells is formatted in row ranges on the
+    available CPUs when this process may fork and runs no other thread; the
+    bytes are the same."""
+    import threading
+
+    groups = [np.atleast_2d(c) for c in columns]
+    rows = groups[0].shape[1]
+    if any(g.shape[1] != rows for g in groups):
+        raise ValueError(f"CSV columns for {path} differ in length")
+    # one part per CPU, and none of under half the threshold, so each fork pays
+    parts = min(2 * rows * sum(len(g) for g in groups) // _CSV_SPLIT_CELLS,
+                montecarlo._available_cpus())
+    bounds = [0, rows]
+    if parts > 1 and hasattr(os, "fork") and threading.active_count() == 1:
+        bounds = _row_parts(groups, rows, parts)
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode())
-        for start in range(0, rows, block):
-            n = min(block, rows - start)
-            np.concatenate([g[:, start : start + n] for g in groups], out=buf[:n].T)
-            x = buf[:n].ravel()
-            zero = x == 0
-            size = 11 - 10 * zero
-            first = np.cumsum(size) - size  # each cell's first word
-            words = np.zeros(first[-1] + size[-1], "<u4")
-            # word 0: separator ("\n" before a row), "-" if the sign bit is set, "0" if zero
-            words[first] = (sep[: x.size] | np.signbit(x) * np.uint32(ord("-") << 8)
-                            | zero * np.uint32(ord("0") << 16))
-            slow = ~np.isfinite(x) | ((np.abs(buf[:n]) >= 1e12) & is_int).ravel()
-            calc = ~(zero | slow)
-            out = np.empty((10, np.count_nonzero(calc)), "<u4")
-            slow[calc] = _cell_words(x[calc], out)
-            words[first[calc] + np.arange(1, 11)[:, None]] = out
-            if (slow := np.flatnonzero(slow)).size:  # Python's text in all 11 words
-                text = "".join((",\n"[not j] + fmts[j] % cols[j][start + i]).ljust(44, "\0")
-                               for i, j in zip(*np.divmod(slow, ncols)))
-                slots = np.frombuffer(text.encode(), "<u4").reshape(-1, 11)
-                words[first[slow, None] + np.arange(11)] = slots
-            fh.write(words.tobytes().translate(None, b"\0"))
+        _write_parts(fh, path, groups, bounds)
         fh.write(b"\n")
 
 
