@@ -365,8 +365,18 @@ def _write_grid(path: str, grid: walks.PropagatorGrid) -> None:
 
 
 def _cmd_walk(args) -> int:
+    t = args.propagator_time
+    if t is None:
+        if args.box is not None:
+            raise ParameterError(f"--box ({args.box}) needs --propagator-time")
+    elif not 0 <= t <= args.horizon:
+        raise ParameterError(f"--propagator-time must be in [0, horizon={args.horizon}], got {t}")
     spec, fields = _stopped_spec(args)
     step = parse_steps(args.steps)
+    if t is not None:
+        box = 64 if args.box is None else args.box
+        grid = walks.propagator(step, _exact_column(spec, t), box)
+        _write_grid(os.path.join(args.out, f"walk_propagator_t{t}.csv"), grid)
     mean, second = stopped._moment_pair(spec)
     moments = walks.walk_moments(step, mean, second)
     header = ["t", "count_mean", "count_second", "msd"]
@@ -375,14 +385,6 @@ def _cmd_walk(args) -> int:
         header += [f"mean_x{j}", f"second_x{j}"]
         columns += [moments.mean[:, j], moments.second[:, j]]
     _write_csv(os.path.join(args.out, "walk_moments.csv"), header, columns)
-    if args.propagator_time is not None:
-        t = args.propagator_time
-        if not 0 <= t <= args.horizon:
-            raise ParameterError(
-                f"--propagator-time must be in [0, horizon={args.horizon}], got {t}"
-            )
-        grid = walks.propagator(step, _exact_column(spec, t), args.box)
-        _write_grid(os.path.join(args.out, f"walk_propagator_t{t}.csv"), grid)
     horizon = args.horizon
     payload = {
         "steps": args.steps,
@@ -618,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_walk = command("walk", _cmd_walk, "time-changed lattice walk moments", laws=True)
     p_walk.add_argument("--steps", required=True, help="step-law config")
     p_walk.add_argument("--propagator-time", type=int, default=None)
-    p_walk.add_argument("--box", type=int, default=64)
+    p_walk.add_argument("--box", type=int, help="with --propagator-time (default 64)")
 
     p_ness = command("ness", _cmd_ness, "stationary laws of stopped walks")
     p_ness.add_argument(

@@ -332,7 +332,7 @@ class Tabulated(WaitingLaw):
             bad = table[~np.isfinite(table)][0]
             raise ParameterError(f"tabulated pmf entries must be finite, got {bad}")
         if np.any(table < -_MASS_TOL):
-            raise ParameterError("tabulated pmf has negative entries")
+            raise ParameterError(f"tabulated pmf has negative entries, got {table.min()}")
         table = np.clip(table, 0.0, None)
         if table.sum() > 1.0 + 1e-9:
             raise ParameterError(f"tabulated pmf mass {table.sum()} exceeds 1")
@@ -423,7 +423,8 @@ def dcm_verify(values, n_max: int, tol: float = 1e-12):
     g = np.asarray(values, dtype=float).copy()
     horizon = len(g) - 1
     if n_max > horizon:
-        raise ParameterError("n_max exceeds the series horizon")
+        raise ParameterError(f"n_max exceeds the series horizon, got n_max={n_max} "
+                             f"for horizon {horizon}")
     for n in range(n_max + 1):
         sign = 1.0 if n % 2 == 0 else -1.0
         bad = np.nonzero(sign * g[n:] < -tol)[0]

@@ -10,16 +10,15 @@ use.  As M(t) = N(min(t, S)), one driver (``_capped_runs``) draws and caps
 every stopping time.
 
 A Geometric(p) inner stream is the Bernoulli(p) process, so its count
-within a cap c is one Binomial(c, p) draw, and given that count its events
-sit on a uniformly random subset of the steps 1..c, which paths place by
-selection sampling.  This is the one closed form used here, and no exact
-table uses it, so Monte Carlo stays independent of the series code.  Every
-other inner law runs one event loop (``_events``): each pass spends one
-waiting time from the budget (cap minus last event time) of every replica
-still within its cap, and paths mark those events in one step-major int32
-buffer and sum it in place, one contiguous step row at a time.  A walk
-draws the steps of its M events as one multinomial count per step kind,
-which is the sum of M IID steps in law.
+within a cap c is one Binomial(c, p) draw, and its path marks each step
+1..c with an event independently with chance p.  This is the one closed
+form used here, and no exact table uses it, so Monte Carlo stays
+independent of the series code.  Every other inner law runs one event loop
+(``_events``): each pass spends one waiting time from the budget (cap minus
+last event time) of every replica still within its cap.  Paths write their
+event marks in one step-major int32 buffer and sum it in place, one
+contiguous step row at a time.  A walk draws the steps of its M events as
+one multinomial count per step kind, which is the sum of M IID steps in law.
 """
 
 from __future__ import annotations
@@ -122,30 +121,6 @@ def _renewal_count(law: WaitingLaw, caps: np.ndarray, rng, counts: np.ndarray):
         counts[active] = k
 
 
-def _place_events(view: np.ndarray, caps: np.ndarray, left: np.ndarray, rng):
-    """Running counts in ``view[:, 1:]`` of ``left[i]`` events placed on the
-    steps 1..caps[i] of row ``view[i]``, every such set of steps equally likely.
-
-    Selection sampling, one column at a time: step t is marked with chance
-    (events left) / (steps left), so row i reaches ``left[i]`` by its cap and
-    keeps it.  Each column of a step-major ``view`` is contiguous.  ``caps``
-    and ``left`` are float arrays, spent in place.
-    """
-    u = np.empty(len(view))
-    mark = np.empty(len(view), dtype=bool)
-    last = int(caps.max(initial=0))
-    for t in range(1, last + 1):
-        rng.random(out=u)
-        np.multiply(u, caps, out=u)
-        np.less(u, left, out=mark)
-        left -= mark
-        np.add(view[:, t - 1], mark, out=view[:, t])
-        # a row past its cap keeps one step and no events: u < 0 never marks
-        caps -= 1.0
-        np.maximum(caps, 1.0, out=caps)
-    view[:, last + 1:] = view[:, last, None]
-
-
 def _capped_runs(spec: StoppedSpec, cfg: SimConfig, t_obs, count):
     """Run ``count(rng, caps, rows)`` per chunk with caps = min(S, t_obs).
 
@@ -179,10 +154,10 @@ def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
 
     Each path runs the inner renewal stream up to its cap min(S, horizon):
     M(t) = N(min(t, S)), never frozen if S is infinite.  A Geometric inner
-    law draws the count at the cap as :func:`sample_stopped_value` does,
-    then places those events on the steps up to the cap; so the last column
-    equals the values at the horizon draw for draw.  Cast to int64 before
-    squaring counts above 46340, or int32 overflows.
+    law marks an event at each step up to the cap with chance p, so its
+    last column and :func:`sample_stopped_value` are two independent
+    samplers of one law.  Cast to int64 before squaring counts above 46340,
+    or int32 overflows.
 
     The paths are filled step-major, so each per-step operation runs on a
     contiguous row of replicas.  The result is the transposed
@@ -196,12 +171,13 @@ def sample_stopped_path(spec: StoppedSpec, cfg: SimConfig) -> np.ndarray:
     def fill(rng, caps, rows):
         view = paths[rows]
         if type(spec.inner) is Geometric:
-            # the count that _renewal_count draws, then where its events fall
-            left = rng.binomial(caps.astype(np.int64), spec.inner.p).astype(float)
-            _place_events(view, caps, left, rng)
-            return
-        for active, left in _events(spec.inner, caps, rng):
-            view[active, (caps[active] - left).astype(np.intp)] = 1
+            # the Bernoulli(p) process: a 0/1 mark with chance p at each step
+            # up to the cap, each step one contiguous row of the buffer
+            for t in range(1, int(caps.max(initial=0)) + 1):
+                view[:, t] = (rng.random(len(caps)) < spec.inner.p) & (caps >= t)
+        else:
+            for active, left in _events(spec.inner, caps, rng):
+                view[active, (caps[active] - left).astype(np.intp)] = 1
         for t in range(1, horizon + 1):
             np.add(view[:, t - 1], view[:, t], out=view[:, t])
 
@@ -281,7 +257,7 @@ def compare_discrete(samples, support, probs) -> EmpiricalComparison:
     support = np.asarray(support)
     probs = np.asarray(probs, dtype=float)
     if support.shape != probs.shape:
-        raise ParameterError("support and probs must align")
+        raise ParameterError(f"support and probs must align, got {support.shape} and {probs.shape}")
     n = samples.size
     # one sort of the samples, then a binary search per support value
     values, freq = np.unique(samples, return_counts=True)

@@ -263,18 +263,19 @@ def stable_density(y, alpha: float, theta: float = 0.0) -> np.ndarray:
 
     Admissible parameters are the symmetric family theta = 0 with alpha in
     (0, 2] and the one-sided family theta = 1 with alpha in (0, 1); other
-    combinations are rejected rather than guessed.  Closed-form members:
-    alpha=2 Gaussian (variance 2), alpha=1 Cauchy, alpha=1/2 with theta=1
-    the one-sided 1/(2 sqrt(pi)) y^(-3/2) exp(-1/(4y)).  Other points come
-    from one quadrature each (``_stable_points``) whose error estimate must
-    stay below 1e-11 relative, else QuadratureError.
+    combinations are rejected rather than guessed.  alpha=2 (Gaussian,
+    variance 2) and alpha=1 (Cauchy) are evaluated in closed form.  Every
+    other point comes from one quadrature (``_stable_points``) whose error
+    estimate must stay below 1e-11 relative, else QuadratureError; that
+    includes alpha=1/2 with theta=1, the one-sided
+    1/(2 sqrt(pi)) y^(-3/2) exp(-1/(4y)), a closed form the tests pin.
     """
     if theta == 0.0:
         if not 0.0 < alpha <= 2.0:
-            raise ParameterError("symmetric stable index must be in (0, 2]")
+            raise ParameterError(f"symmetric stable index must be in (0, 2], got {alpha}")
     elif theta == 1.0:
         if not 0.0 < alpha < 1.0:
-            raise ParameterError("one-sided stable index must be in (0, 1)")
+            raise ParameterError(f"one-sided stable index must be in (0, 1), got {alpha}")
     else:
         raise ParameterError(f"unsupported stable asymmetry parameter {theta}")
     y_arr = np.atleast_1d(np.asarray(y, dtype=float))

@@ -153,12 +153,12 @@ def exceedance_prob(law: WaitingLaw, n0: int, t) -> float:
     relative accuracy.
     """
     if n0 < 0:
-        raise ParameterError("n0 must be >= 0")
+        raise ParameterError(f"n0 must be >= 0, got {n0}")
     if t == INFINITY:
         return law.defect_mass ** (n0 + 1)
     t = int(t)
     if t < 0:
-        raise ParameterError("time must be >= 0")
+        raise ParameterError(f"time must be >= 0, got {t}")
     if n0 >= t:
         return 0.0
     square = law.pmf_vector(t)

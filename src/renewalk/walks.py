@@ -36,7 +36,8 @@ class StepLaw:
         disp = np.atleast_2d(np.asarray(self.displacements, dtype=np.int64))
         probs = np.asarray(self.probs, dtype=float).ravel()
         if disp.shape[0] != probs.shape[0]:
-            raise ParameterError("one probability per step is required")
+            raise ParameterError(f"one probability per step is required, got "
+                                 f"{probs.shape[0]} for {disp.shape[0]} steps")
         if np.any(probs <= 0.0):
             raise ParameterError("step probabilities must be positive")
         if abs(probs.sum() - 1.0) > 1e-12:
@@ -46,7 +47,8 @@ class StepLaw:
             basis = np.eye(disp.shape[1])
         basis = np.asarray(basis, dtype=float)
         if basis.shape != (disp.shape[1], disp.shape[1]):
-            raise ParameterError("basis must be a d x d matrix")
+            raise ParameterError(f"basis must be a d x d matrix, got shape {basis.shape} "
+                                 f"for d={disp.shape[1]}")
         object.__setattr__(self, "displacements", disp)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "basis", basis)
@@ -77,7 +79,7 @@ class StepLaw:
 def line_walk(p_right: float = 0.5) -> StepLaw:
     """Steps +-1 on the one-dimensional lattice; p_right = 1 keeps only +1."""
     if not 0.0 <= p_right <= 1.0:
-        raise ParameterError("p_right must be in [0, 1]")
+        raise ParameterError(f"p_right must be in [0, 1], got {p_right}")
     if p_right == 1.0:
         return StepLaw(np.array([[1]]), np.array([1.0]))
     if p_right == 0.0:
@@ -167,7 +169,7 @@ def propagator(step: StepLaw, count_pmf, half_width: int) -> PropagatorGrid:
     """
     count_pmf = np.asarray(count_pmf, dtype=float)
     if abs(count_pmf.sum() - 1.0) > 1e-9:
-        raise ParameterError("count pmf must sum to 1")
+        raise ParameterError(f"count pmf must sum to 1, got {count_pmf.sum()}")
     if half_width < 0:
         raise ParameterError(f"half_width={half_width} must be >= 0")
     shape = (2 * half_width + 1,) * step.dim

@@ -80,6 +80,29 @@ def test_summary_schema_validation():
     with pytest.raises(ValueError):
         cli.validate_summary({"schema_version": 1})
     cli.validate_summary({"schema_version": 1, "command": "x"})
+    with pytest.raises(ValueError, match="summary must be a JSON object"):
+        cli.validate_summary([("schema_version", 1), ("command", "x")])
+    with pytest.raises(ValueError, match="summary keys must be strings"):
+        cli.validate_summary({"schema_version": 1, "command": "x", 2: "y"})
+
+
+def test_poisson_stop_of_a_geometric_inner_law_has_closed_limits(tmp_path):
+    argv = ["stopped", "--inner", "geometric:p=0.7", "--stop", "shifted_poisson:lam=2",
+            "--horizon", "16", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    payload = json.loads((tmp_path / "stopped_summary.json").read_text())
+    want = stopped.poisson_stop(0.7, 2.0)
+    assert [payload[k] for k in ("mean_inf", "second_inf", "variance_inf")] == [
+        want.mean, want.second_moment, want.variance]
+
+
+def test_stop_without_closed_limits_writes_none(tmp_path):
+    argv = ["stopped", "--inner", "geometric:p=0.7", "--stop", "sibuya:mu=0.5",
+            "--horizon", "16", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    payload = json.loads((tmp_path / "stopped_summary.json").read_text())
+    assert payload.keys().isdisjoint(
+        {"mean_inf", "second_inf", "variance_inf", "state_mass_total"})
 
 
 def test_renewal_outputs(tmp_path):
@@ -349,6 +372,24 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert run(["stopped", "--config", str(cfg)]) == 2
 
 
+def test_config_file_skips_blank_and_comment_lines(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a stopped run\n\ninner = geometric:p=0.7\n   \n"
+                   f"stop = geometric:p=0.2\n  # horizon = 64\nhorizon = 8\nout = {tmp_path}\n")
+    assert run(["stopped", "--config", str(cfg)]) == 0
+    payload = json.loads((tmp_path / "stopped_summary.json").read_text())
+    assert payload["horizon"] == 8
+
+
+def test_config_line_without_equals_names_its_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# a stopped run\ninner = geometric:p=0.7\nhorizon 8\n")
+    assert run(["stopped", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("renewalk: config error:") and f"{cfg}:3:" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_file_missing(tmp_path):
     assert run(["stopped", "--config", str(tmp_path / "none.cfg")]) == 2
 
@@ -531,6 +572,19 @@ def test_computation_errors_name_the_bad_value(tmp_path, capsys, argv, bad):
     err = capsys.readouterr().err
     assert err.startswith("renewalk: error:") and bad in err
     assert not list(tmp_path.glob("*_summary.json"))
+
+
+def test_walk_box_needs_propagator_time(tmp_path, capsys):
+    # --box sizes only the propagator grid; alone it used to be ignored
+    argv = ["walk", *_GEO, "--steps", "line:p=0.5", "--horizon", "8"]
+    assert run([*argv, "--box", "8", "--out", str(tmp_path / "box")]) == 1
+    err = capsys.readouterr().err
+    assert err == "renewalk: error: --box (8) needs --propagator-time\n"
+    assert not list((tmp_path / "box").iterdir())
+    # with --propagator-time alone the box keeps its half-width of 64
+    assert run([*argv, "--propagator-time", "4", "--out", str(tmp_path / "grid")]) == 0
+    rows = (tmp_path / "grid" / "walk_propagator_t4.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 * 64 + 1
 
 
 def test_mc_t_obs_names_its_flag(tmp_path, capsys):

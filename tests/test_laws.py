@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import gamma, poch
 from scipy.stats import binom
 
-from renewalk import laws
+from renewalk import laws, montecarlo, ness, renewal, stopped, walks
 from renewalk.errors import ParameterError, QuadratureError
 from renewalk.laws import (
     INFINITY,
@@ -517,8 +517,6 @@ def test_thinned_law_validates_defect_then_base():
 def test_full_mass_boundary_is_shared():
     # one test, WaitingLaw.has_full_mass, decides "no mass at infinity" for
     # the renewal class, the stopped inner law and the lattice inner law
-    from renewalk import ness, renewal, stopped, walks
-
     full, short = DefectiveGeometric(1.0 - 1e-13, 0.5), DefectiveGeometric(1.0 - 1e-11, 0.5)
     assert full.has_full_mass and not short.has_full_mass
     assert Geometric(0.5).has_full_mass and not PowerLawBernstein(1.0, 2.0).has_full_mass
@@ -533,3 +531,29 @@ def test_full_mass_boundary_is_shared():
         stopped.geometric_stop_asymptotics(short, 0.8)
     with pytest.raises(ParameterError, match="inner law must be non-defective"):
         ness.lattice_ness(walks.line_walk(0.5), short, 0.8, 8)
+
+
+@pytest.mark.parametrize("make, got", [
+    (lambda: renewal.exceedance_prob(Geometric(0.5), -2, 5), "n0 must be >= 0, got -2"),
+    (lambda: renewal.exceedance_prob(Geometric(0.5), 1, -3), "time must be >= 0, got -3"),
+    (lambda: walks.StepLaw([[1], [-1]], [1.0]),
+     "one probability per step is required, got 1 for 2 steps"),
+    (lambda: walks.StepLaw([[1, 0], [0, 1]], [0.5, 0.5], np.eye(3)),
+     r"basis must be a d x d matrix, got shape \(3, 3\) for d=2"),
+    (lambda: walks.line_walk(1.5), r"p_right must be in \[0, 1\], got 1.5"),
+    (lambda: walks.propagator(walks.line_walk(0.5), [0.5, 0.25], 4),
+     "count pmf must sum to 1, got 0.75"),
+    (lambda: Tabulated([0.5, -0.25]), "tabulated pmf has negative entries, got -0.25"),
+    (lambda: Tabulated([]), "tabulated pmf must be nonempty"),
+    (lambda: dcm_verify([1.0, 0.5, 0.25], 3),
+     "n_max exceeds the series horizon, got n_max=3 for horizon 2"),
+    (lambda: montecarlo.compare_discrete([1, 2], [0, 1, 2], [0.5, 0.5]),
+     r"support and probs must align, got \(3,\) and \(2,\)"),
+    (lambda: ness.stable_density(1.0, 2.5), r"symmetric stable index must be in \(0, 2\], got 2.5"),
+    (lambda: ness.stable_density(1.0, 1.0, 1.0),
+     r"one-sided stable index must be in \(0, 1\), got 1.0"),
+], ids=["n0", "time", "step-count", "basis", "p-right", "count-pmf", "negative-table",
+        "empty-table", "dcm-n-max", "compare-shapes", "symmetric-alpha", "one-sided-alpha"])
+def test_parameter_errors_name_the_value_they_got(make, got):
+    with pytest.raises(ParameterError, match=f"^{got}$"):
+        make()

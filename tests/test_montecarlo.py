@@ -66,8 +66,8 @@ def test_config_takes_python_and_numpy_integers():
 ])
 def test_paths_hold_one_result_at_their_peak(inner, replicas, horizon, workers):
     # each chunk fills its own rows: no second, stacked copy of the result,
-    # and the int32 running sums (selection sampling for a geometric inner
-    # law, the event loop's row adds otherwise) make no int64 temporary
+    # and the int32 marks and running sums (one Bernoulli mark per step for
+    # a geometric inner law, the event loop otherwise) make no int64 temporary
     spec = StoppedSpec(inner, Geometric(0.2), horizon)
     cfg = SimConfig(seed=5, replicas=replicas, horizon=horizon, workers=workers)
     mc.sample_stopped_path(spec, SimConfig(seed=5, replicas=10, horizon=horizon))
@@ -77,15 +77,16 @@ def test_paths_hold_one_result_at_their_peak(inner, replicas, horizon, workers):
 
 
 @pytest.mark.parametrize("inner, digest", [
-    pytest.param(Geometric(0.7), "0792b53268b5994fdb40b1f7c816db76b6109e61a088db276b2757abd233d7c5",
+    pytest.param(Geometric(0.7), "ebe9352a628e91dedcb5b26f001db0743b260b8575e09105af8c298b7c78d13b",
                  id="geometric"),
     pytest.param(Sibuya(0.3), "92734971fb8cc2be8c86ce15bea840e79a191be6ce6e9b0722ab213e3f461878",
                  id="sibuya"),
 ])
 @pytest.mark.parametrize("workers", [1, 3])
 def test_paths_keep_their_pinned_random_stream(inner, digest, workers):
-    # SHA-256 of the seeded paths, from selection sampling for a geometric
-    # inner law and the event loop otherwise: a reordered draw changes it
+    # SHA-256 of the seeded paths, from one Bernoulli mark per step for a
+    # geometric inner law and the event loop otherwise: a reordered draw
+    # changes it
     spec = StoppedSpec(inner, DefectiveGeometric(0.5, 0.1), 40)
     cfg = SimConfig(seed=2203, replicas=3 * mc._CHUNK + 1000, horizon=40, workers=workers)
     paths = mc.sample_stopped_path(spec, cfg)
@@ -165,11 +166,20 @@ def test_stopped_value_agrees_with_paths():
 ])
 @pytest.mark.parametrize("workers", [1, 3])
 def test_path_end_is_the_stopped_value_draw_for_draw(inner, stop, horizon, workers):
-    # both draw S first, then the same events under the same caps min(S, T)
+    # both draw S first, then the event loop draws the same events under the
+    # same caps min(S, T); a geometric path marks each step where the value
+    # is one binomial draw, so there the two are independent samplers of
+    # the exact column
     spec = StoppedSpec(inner, stop, horizon)
     cfg = SimConfig(seed=97, replicas=3 * mc._CHUNK + 5, horizon=horizon, workers=workers)
     ends = mc.sample_stopped_path(spec, cfg)[:, horizon]
-    assert np.array_equal(ends, mc.sample_stopped_value(spec, cfg, horizon))
+    values = mc.sample_stopped_value(spec, cfg, horizon)
+    if type(inner) is not Geometric:
+        assert np.array_equal(ends, values)
+        return
+    exact = stopped.stopped_state_table(spec).column(horizon)
+    for sample in (ends, values):
+        assert mc.compare_discrete(sample, np.arange(horizon + 1), exact).chisq_pvalue > 1e-3
 
 
 def test_frozen_value_mean_and_variance():

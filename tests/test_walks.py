@@ -115,6 +115,7 @@ def test_propagator_rejects_negative_box(tmp_path, capsys):
                  "--steps", "line:p=0.5", "--horizon", "8", "--propagator-time", "4",
                  "--box", "-1", "--out", str(tmp_path)]) == 1
     assert "half_width=-1" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
