@@ -7,7 +7,8 @@ whether that deficit is below float resolution.  A law is a series window
 on t = 0..T: each family gives its pmf and survival there (``pmf_vector``,
 ``survival_vector``), its renewal and pair densities (``renewal_density``,
 ``pair_density``: series by default, closed forms for Geometric and
-Sibuya), its generating function and an exact sampler of
+Sibuya), the Markov steps of the count of those two (``count_steps``), its
+generating function and an exact sampler of
 arrays of draws: CDF inversion (for geometric laws, of an exponential
 variate), except for Sibuya draws, which are geometric with a
 Beta-distributed success probability.  Laws without a defect skip the
@@ -114,6 +115,11 @@ class WaitingLaw:
         """h*h for this law's renewal density h: E #{event pairs s < s' = t}."""
         return series.convolve(density, density)
 
+    def count_steps(self, horizon: int):
+        """None, or where the count N is a Markov chain, the chances (stay, move) that N(t) = n
+        stays or rises by one at t + 1, t < horizon: floats, or arrays over n <= t for one step."""
+        return None
+
     def gf(self, u: float) -> float:
         """Generating function sum_t pmf(t) u^t on [0, 1]; returns the mass at u=1."""
         raise NotImplementedError
@@ -167,6 +173,10 @@ class Geometric(WaitingLaw):
         # (h*h)(t) = p^2 #{0 < s < t}
         return _series(len(density) - 1, 0.0, lambda t: self.p**2 * (t - 1.0))
 
+    def count_steps(self, horizon: int):
+        # the Bernoulli process: an event at each step with chance p
+        return ((self.q, self.p) for _ in range(horizon))
+
     def gf(self, u: float) -> float:
         u = self._check_u(u)
         return self.p * u / (1.0 - self.q * u)
@@ -206,6 +216,18 @@ class Sibuya(WaitingLaw):
         c = _rising_series(a, len(density) - 1)
         terms = a * density[:-1] / (c[:-1] * (np.arange(len(c) - 1) + a))
         return c * np.concatenate(([0.0], np.cumsum(terms)))
+
+    def count_steps(self, horizon: int):
+        # sum_t P[N(t) = n] u^t = G_n = gf^n (1 - u)^(mu - 1) solves (1 - u) G_n' = n mu
+        # G_(n-1) + (1 - mu - n mu) G_n: from n at t, an event has chance mu (n + 1) / (t + 1).
+        # Staying is (t - n) + (1 - mu)(n + 1); t + 1 - mu (n + 1) cancels for mu near 1.
+        n = np.arange(_window(horizon) + 1.0)
+        stays, moves = (1.0 - self.mu) * (n + 1.0), self.mu * (n + 1.0)
+        stay = np.empty_like(n)
+        for t in range(horizon):
+            stay_t = np.add(n[t::-1], stays[: t + 1], out=stay[: t + 1])
+            stay_t /= t + 1.0
+            yield stay_t, moves[: t + 1] / (t + 1.0)
 
     def gf(self, u: float) -> float:
         u = self._check_u(u)

@@ -72,22 +72,44 @@ def state_table(law: WaitingLaw, horizon: int) -> StateTable:
     """Full table P[N(t) = n] for 0 <= n, t <= horizon.
 
     Row n is survival * pmf^(*n); keeping n_max equal to the horizon makes
-    the column sums exactly one.  From horizon 20 on the rows are built by
-    doubling: with c = pmf^(*k), rows [k, 2k) are rows [0, k) times the
-    upper-triangular Toeplitz matrix U[i, t] = c[t - i], one matrix product
-    per doubling.  Every term is nonnegative, so each entry keeps its
-    relative accuracy.  Smaller tables are convolved row by row.  A table
-    of more than ``_TABLE_CAP`` entries raises ParameterError.
+    the column sums exactly one.  From horizon 20 on, a law whose count is a
+    Markov chain (``count_steps``: Geometric, Sibuya) steps one column at a
+    time, and the rows of any other law are built by doubling: with c =
+    pmf^(*k), rows [k, 2k) are rows [0, k) times the upper-triangular
+    Toeplitz matrix U[i, t] = c[t - i], one matrix product per doubling.
+    Every term of either is nonnegative, so each entry keeps its relative
+    accuracy.  Smaller tables are convolved row by row.  A table of more
+    than ``_TABLE_CAP`` entries raises ParameterError.
     """
     entries = (_window(horizon) + 1) ** 2
     if entries > _TABLE_CAP:
         raise ParameterError(f"a state table at horizon {horizon} needs {8 * entries} bytes, "
                              f"over the cap of {_TABLE_CAP} entries ({8 * _TABLE_CAP} bytes)")
     surv = law.survival_vector(horizon)
-    pmf = law.pmf_vector(horizon)
     if horizon < _DOUBLING_MIN_HORIZON:
-        return StateTable(_rows_by_convolution(surv, pmf))
-    return StateTable(_rows_by_doubling(surv, pmf))
+        return StateTable(_rows_by_convolution(surv, law.pmf_vector(horizon)))
+    steps = law.count_steps(horizon)
+    if steps is None:
+        return StateTable(_rows_by_doubling(surv, law.pmf_vector(horizon)))
+    return StateTable(_columns_by_step(steps, surv))
+
+
+def _columns_by_step(steps, surv: np.ndarray) -> np.ndarray:
+    """Columns P_(t+1)(n) = stay(n) P_t(n) + move(n - 1) P_t(n - 1) for the chances ``steps``
+    (``law.count_steps``), row 0 ``surv``.  The running column is held times 2^900, so no step
+    runs in subnormals and a cell below the normal range is one rounding, as it is scaled back."""
+    size = len(surv)
+    probs = np.zeros((size, size))
+    run, moved = np.zeros(size), np.empty(size)
+    run[0] = scale = 2.0**900
+    for t, (stay, move) in enumerate(steps):
+        now, moves = run[: t + 1], moved[: t + 1]
+        np.multiply(now, move, out=moves)
+        now *= stay
+        np.add(run[1 : t + 2], moves, out=run[1 : t + 2])
+        np.multiply(run[: t + 2], 1.0 / scale, out=probs[: t + 2, t + 1])
+    probs[0] = surv
+    return probs
 
 
 def _rows_by_convolution(surv: np.ndarray, pmf: np.ndarray) -> np.ndarray:
@@ -156,9 +178,9 @@ def exceedance_prob(law: WaitingLaw, n0: int, t) -> float:
         raise ParameterError(f"n0 must be >= 0, got {n0}")
     if t == INFINITY:
         return law.defect_mass ** (n0 + 1)
-    t = int(t)
     if t < 0:
         raise ParameterError(f"time must be >= 0, got {t}")
+    t = int(t)
     if n0 >= t:
         return 0.0
     square = law.pmf_vector(t)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import mpmath
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
+from oracles import traced_peak
 from scipy.special import betainc
 from scipy.stats import binom, poisson
 
@@ -22,6 +24,7 @@ from renewalk.laws import (
     PowerLawBernstein,
     ShiftedPoisson,
     Sibuya,
+    Tabulated,
     WaitingLaw,
 )
 
@@ -62,6 +65,75 @@ def test_state_table_doubling_matches_direct(law, horizon):
         np.testing.assert_allclose(table[normal], direct[normal], rtol=1e-13, atol=0)
 
 
+_STEP_LAWS = st.one_of(
+    st.floats(-9.0, 0.0).map(lambda e: Geometric(10.0**e)),
+    st.tuples(st.floats(-9.0, math.log10(0.5)), st.booleans()).map(
+        lambda c: Sibuya(1.0 - 10.0 ** c[0] if c[1] else 10.0 ** c[0])),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(law=_STEP_LAWS, horizon=st.sampled_from([20, 21, 64, 257]))
+def test_column_step_matches_the_row_convolution(law, horizon):
+    # Geometric and Sibuya tables come from their column step; the row-by-row
+    # convolution is the oracle, with mu near 0 and 1 and p up to 1
+    table = renewal.state_table(law, horizon).probs
+    direct = renewal._rows_by_convolution(law.survival_vector(horizon), law.pmf_vector(horizon))
+    assert not np.signbit(table).any()
+    n, t = np.indices(table.shape)
+    assert (table[n > t] == 0.0).all()
+    normal = direct > 1e-290
+    np.testing.assert_allclose(table[normal], direct[normal], rtol=1e-13, atol=0)
+
+
+def test_sibuya_column_step_keeps_its_digits_near_mu_one():
+    # staying is (t - n) + (1 - mu)(n + 1); as t + 1 - mu (n + 1) it cancels
+    # at mu = 1 - 1e-9 and loses about seven digits.  The reference runs the
+    # same step in 40 digits.
+    mu, horizon = 1.0 - 1e-9, 200
+    table = renewal.state_table(Sibuya(mu), horizon).probs
+    want = np.zeros_like(table)
+    with mpmath.workdps(40):
+        m = mpmath.mpf(mu)
+        column = [mpmath.mpf(1)]
+        want[0, 0] = 1.0
+        for t in range(horizon):
+            column = [((t - n + (1 - m) * (n + 1)) * column[n] if n <= t else 0)
+                      + (m * n * column[n - 1] if n else 0) for n in range(t + 2)]
+            column = [x / (t + 1) for x in column]
+            want[: t + 2, t + 1] = [float(x) for x in column]
+    cells = want > 1e-290
+    np.testing.assert_allclose(table[cells], want[cells], rtol=1e-13, atol=0)
+
+
+def test_certain_events_give_the_identity_table():
+    assert np.array_equal(renewal.state_table(Geometric(1.0), 64).probs, np.eye(65))
+
+
+@pytest.mark.parametrize("law", [Geometric(0.7), Geometric(1e-9), Sibuya(0.5), Sibuya(1e-9)])
+def test_column_step_row_zero_is_the_survival(law):
+    row = renewal.state_table(law, 768).probs[0]
+    assert row.tobytes() == law.survival_vector(768).tobytes()
+
+
+@pytest.mark.parametrize("law", [Geometric(0.7), Sibuya(0.5)])
+def test_column_step_holds_one_table(law):
+    table, peak = traced_peak(lambda: renewal.state_table(law, 2048))
+    assert peak <= 1.05 * table.probs.nbytes
+
+
+@pytest.mark.parametrize("law", [
+    ShiftedPoisson(1.5), DefectiveSibuya(0.5, 0.5), DefectiveGeometric(0.5, 0.7),
+    PowerLawBernstein(0.5, 1.5), Tabulated(np.array([0.25, 0.0, 0.5])),
+])
+def test_laws_without_a_column_step_keep_the_doubling(law):
+    # byte for byte: the table is the doubling's, whatever else changes
+    surv, pmf = law.survival_vector(768), law.pmf_vector(768)
+    assert law.count_steps(768) is None
+    table = renewal.state_table(law, 768).probs
+    assert table.tobytes() == renewal._rows_by_doubling(surv, pmf).tobytes()
+
+
 def test_negative_horizon_is_a_parameter_error():
     for build in (renewal.count_moments, renewal.state_table):
         with pytest.raises(ParameterError, match="horizon must be >= 0, got -1"):
@@ -89,11 +161,30 @@ def _assert_cells_match(table, want):
     assert (table[want == 0.0] == 0.0).all()
 
 
+def _binomial_rounds_to_zero(p, horizon):
+    """P[Bin(t, p) = n] < 2^-1075, half the least subnormal, on 0 <= n, t <= horizon:
+    the cells a correctly rounded table holds as 0.  Decided by the log pmf, and in
+    40 digits within 1e-9 of the midpoint, where that log could land on either side."""
+    t = np.arange(horizon + 1)
+    gap = binom.logpmf(t[:, None], t, p) + 1075 * math.log(2)
+    zero = gap < 0.0
+    with mpmath.workdps(40):
+        for n, s in zip(*np.nonzero(np.abs(gap) < 1e-9)):
+            exact = mpmath.binomial(s, n) * mpmath.mpf(p) ** n * (1 - mpmath.mpf(p)) ** (s - n)
+            zero[n, s] = exact < mpmath.mpf(2) ** -1075
+    return zero
+
+
 @pytest.mark.parametrize("p", [0.3, 0.7, 0.02])
 def test_state_table_cells_are_binomial_at_a_large_horizon(p):
     t = np.arange(2049)
     table = renewal.state_table(Geometric(p), 2048).probs
-    _assert_cells_match(table, binom.pmf(t[:, None], t, p))
+    want = binom.pmf(t[:, None], t, p)
+    cells = want > 1e-280
+    np.testing.assert_allclose(table[cells], want[cells], rtol=_CELL_RTOL, atol=0)
+    # zero exactly where the exact law rounds to zero: binom.pmf is no oracle
+    # there, as it rounds P[Bin(261, 0.02) = 219] = 2.4717e-324 down to 0
+    np.testing.assert_array_equal(table == 0.0, _binomial_rounds_to_zero(p, 2048))
 
 
 @pytest.mark.parametrize("lam", [0.5, 1.0, 3.0])
@@ -337,6 +428,13 @@ def test_exceedance_prob():
     table = renewal.state_table(law, 24)
     direct = float(table.probs[3:, 16].sum())
     assert renewal.exceedance_prob(law, 2, 16) == pytest.approx(direct, abs=1e-12)
+
+
+@pytest.mark.parametrize("t", [-0.5, -1.5])
+def test_exceedance_prob_refuses_a_negative_time_as_given(t):
+    # the time is checked before it is truncated to an integer
+    with pytest.raises(ParameterError, match=re.escape(f"time must be >= 0, got {t}")):
+        renewal.exceedance_prob(Geometric(0.5), 0, t)
 
 
 def test_exceedance_prob_small_binomial_tails():
