@@ -20,15 +20,7 @@ import numpy as np
 from . import montecarlo, ness, renewal, stopped, walks
 from .series import DEFAULT_HORIZON
 from .errors import ParameterError, SingularSeriesError
-from .laws import (
-    INFINITY,
-    DefectiveGeometric,
-    Geometric,
-    ShiftedPoisson,
-    law_config,
-    parse_config,
-    parse_law,
-)
+from .laws import INFINITY, law_config, parse_config, parse_law
 
 SCHEMA_VERSION = 1
 
@@ -302,25 +294,6 @@ def _exact_column(spec, t: int) -> np.ndarray:
     return stopped.stopped_state_table(spec_t).column(t)
 
 
-def _stop_asymptotics(spec) -> dict:
-    """Closed-form infinite-time block where one exists, else empty."""
-    stop = spec.stop
-    if isinstance(stop, (Geometric, DefectiveGeometric)):
-        summary = stopped.geometric_stop_asymptotics(
-            spec.inner, stop.q, stop.defect_mass
-        )
-    elif isinstance(stop, ShiftedPoisson) and isinstance(spec.inner, Geometric):
-        summary = stopped.poisson_stop(spec.inner.p, stop.lam)
-    else:
-        return {}
-    return {
-        "mean_inf": summary.mean,
-        "second_inf": summary.second_moment,
-        "variance_inf": summary.variance,
-        "state_mass_total": summary.state_mass_total,
-    }
-
-
 def _cmd_stopped(args) -> int:
     spec, fields = _stopped_spec(args)
     _write_state_table(args, stopped.stopped_state_table(spec), "stopped_state")
@@ -336,8 +309,11 @@ def _cmd_stopped(args) -> int:
         "classification": stopped.classify(spec),
         "mean_at_horizon": float(mean[-1]),
         "variance_at_horizon": float(second[-1] - mean[-1] ** 2),
-        **_stop_asymptotics(spec),
     }
+    limits = stopped.closed_form_limits(spec)
+    if limits is not None:
+        payload.update(mean_inf=limits.mean, second_inf=limits.second_moment,
+                       variance_inf=limits.variance, state_mass_total=limits.state_mass_total)
     _emit_summary(args, payload)
     return 0
 

@@ -99,7 +99,7 @@ class WaitingLaw:
 
     def survival_vector(self, horizon: int) -> np.ndarray:
         """P[waiting time > t] for t = 0..horizon; tends to 1 - defect_mass."""
-        return 1.0 - np.cumsum(self.pmf_vector(horizon))
+        raise NotImplementedError
 
     def tail_mass(self, horizon: int) -> float:
         """Finite mass above the horizon: defect_mass - sum(pmf[1..horizon])."""
@@ -368,6 +368,19 @@ class Tabulated(WaitingLaw):
         head = self.table[:horizon]
         return np.concatenate([[0.0], head, np.zeros(_window(horizon) - head.size)])
 
+    def survival_vector(self, horizon: int) -> np.ndarray:
+        # 1 - Q plus the entries above t, sums of nonnegative terms: 1 - cumsum(pmf)
+        # rounds below 0 past the table
+        above = np.zeros(_window(horizon) + 1)
+        tails = np.cumsum(self.table[::-1])[::-1][: horizon + 1]
+        above[: tails.size] = tails
+        surv = np.minimum(1.0 - self.defect_mass + above, 1.0)
+        surv[0] = 1.0
+        return surv
+
+    def tail_mass(self, horizon: int) -> float:
+        return float(self.table[_window(horizon):].sum())
+
     def gf(self, u: float) -> float:
         u = self._check_u(u)
         t = np.arange(1, len(self.table) + 1, dtype=float)
@@ -403,6 +416,10 @@ class _Thinned(WaitingLaw):
     def survival_vector(self, horizon: int) -> np.ndarray:
         return (1.0 - self.defect) + self.defect * self._base.survival_vector(horizon)
 
+    def tail_mass(self, horizon: int) -> float:
+        # the base law's own tail, where survival - (1 - defect) cancels
+        return self.defect * self._base.tail_mass(horizon)
+
     def gf(self, u: float) -> float:
         return self.defect * self._base.gf(u)
 
@@ -419,10 +436,6 @@ class DefectiveGeometric(_Thinned):
 
     def _build_base(self) -> Geometric:
         return Geometric(self.p)
-
-    @property
-    def q(self) -> float:
-        return 1.0 - self.p
 
 
 @dataclass(frozen=True)
@@ -442,21 +455,17 @@ def dcm_verify(values, n_max: int, tol: float = 1e-12):
     ``D`` is the backward difference f(t) - f(t-1).  Returns ``(True, None)``
     or ``(False, (n, t))`` with the earliest violating order and time.
     """
-    g = np.asarray(values, dtype=float).copy()
+    g = np.asarray(values, dtype=float)
     horizon = len(g) - 1
     if n_max > horizon:
         raise ParameterError(f"n_max exceeds the series horizon, got n_max={n_max} "
                              f"for horizon {horizon}")
     for n in range(n_max + 1):
-        sign = 1.0 if n % 2 == 0 else -1.0
-        bad = np.nonzero(sign * g[n:] < -tol)[0]
+        # g[k] = D^n f(n + k), the window t >= n
+        bad = np.flatnonzero((-1.0) ** n * g < -tol)
         if bad.size:
             return False, (n, n + int(bad[0]))
-        if n < n_max:
-            g[1:] = g[1:] - g[:-1]
-            # g[0] is D^n f at t=0 with the causal convention f(t<0)=0; it sits
-            # outside the checked window t >= n+1 next round only when n+1 > 0,
-            # so leave it in place.
+        g = np.diff(g)
     return True, None
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import renewal
+from . import laws, renewal
 from .errors import ParameterError
 from .laws import INFINITY, _MASS_TOL, WaitingLaw, _window
 from .renewal import INTERMEDIATE, TYPE_I, TYPE_II, StateTable
@@ -220,6 +220,17 @@ def poisson_stop(p: float, lam: float) -> AsymptoticSummary:
     second = p * (p * (lam + 1.0) ** 2 + lam + q)
     variance = p * (lam + q)
     return AsymptoticSummary(mean, second, variance, never_stop_prob=0.0)
+
+
+def closed_form_limits(spec: StoppedSpec) -> AsymptoticSummary | None:
+    """Closed-form infinite-time limits: any inner law under a (defective) geometric
+    stop, a Bernoulli count under a shifted-Poisson stop; None for every other pair."""
+    stop = spec.stop
+    if isinstance(stop, (laws.Geometric, laws.DefectiveGeometric)):
+        return geometric_stop_asymptotics(spec.inner, 1.0 - stop.p, stop.defect_mass)
+    if isinstance(stop, laws.ShiftedPoisson) and isinstance(spec.inner, laws.Geometric):
+        return poisson_stop(spec.inner.p, stop.lam)
+    return None
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import json
 import math
 import os
@@ -103,6 +104,22 @@ def test_stop_without_closed_limits_writes_none(tmp_path):
     payload = json.loads((tmp_path / "stopped_summary.json").read_text())
     assert payload.keys().isdisjoint(
         {"mean_inf", "second_inf", "variance_inf", "state_mass_total"})
+
+
+@pytest.mark.parametrize("inner, stop, digest", [
+    ("geometric:p=0.7", "defective_geometric:defect=0.5,p=0.035",
+     "6ac2a73d69451011f6623097e67229951f72195efaabffe42cccea77962bc023"),
+    ("geometric:p=0.6", "shifted_poisson:lam=2",
+     "09fa929959991352ec30648ae0b726bdf8e8a9e79ae064153ebd3ebe382c5ecf"),
+    ("sibuya:mu=0.5", "sibuya:mu=0.3",
+     "585301b67e072e236d20547da5121b0dbc8a9e165006b5e5ac661785be1c8bbe"),
+], ids=["geometric-stop", "poisson-stop", "no-closed-form"])
+def test_stopped_summary_keeps_its_bytes(tmp_path, inner, stop, digest):
+    # one run for each branch of stopped.closed_form_limits
+    argv = ["stopped", "--inner", inner, "--stop", stop, "--horizon", "96", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    data = (tmp_path / "stopped_summary.json").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_renewal_outputs(tmp_path):

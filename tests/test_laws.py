@@ -77,6 +77,34 @@ def test_partial_sums_approach_defect_mass():
         )
 
 
+@pytest.mark.parametrize("horizon", [20, 100])
+def test_tail_masses_of_thinned_and_tabulated_laws(horizon):
+    # the finite mass above T, relative: survival - (1 - defect) would cancel
+    defect, p, mu = 0.5, 0.7, 0.4
+    with mpmath.workdps(30):
+        geometric = float(defect * mpmath.mpf(1.0 - p) ** horizon)
+        sibuya = float(0.9 * mpmath.gamma(horizon + 1 - mpmath.mpf(mu))
+                       / (mpmath.gamma(1 - mpmath.mpf(mu)) * mpmath.gamma(horizon + 1)))
+    table = 0.8 * 0.5 ** np.arange(1.0, 150.0)
+    for law, want in ((DefectiveGeometric(defect, p), geometric),
+                      (DefectiveSibuya(0.9, mu), sibuya),
+                      (Tabulated(table), math.fsum(table[horizon:]))):
+        assert law.tail_mass(horizon) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights=st.lists(st.integers(0, 100), min_size=1, max_size=8).filter(any),
+       mass=st.sampled_from([1.0, 0.9, 0.3]), horizon=st.sampled_from([8, 24]))
+@example(weights=[1, 34, 55, 10], mass=1.0, horizon=8)
+def test_tabulated_survival_and_table_have_no_negative_cell(weights, mass, horizon):
+    # 1 - cumsum(pmf) rounds below 0 past the table (at t = 4 for the example)
+    law = Tabulated(np.array(weights) / sum(weights) * mass)
+    surv = law.survival_vector(horizon)
+    assert surv[0] == 1.0 and (surv <= 1.0).all() and (surv >= 0.0).all()
+    assert (np.diff(surv) <= 0.0).all()
+    assert (renewal.state_table(law, horizon).probs >= 0.0).all()
+
+
 def test_gf_worked_values():
     assert DefectiveGeometric(1.0, 0.7).gf(0.8) == pytest.approx(0.56 / 0.76, abs=1e-15)
     assert Sibuya(0.2).gf(1.0) == pytest.approx(1.0, abs=1e-15)

@@ -791,6 +791,17 @@ def test_mixture_matches_mpmath(alpha, theta):
     np.testing.assert_allclose(stable_mixture_density(y, alpha, theta), want, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("theta", [0.0, 1.0])
+def test_mixture_holds_its_tolerance_at_the_least_index(theta):
+    # alpha = 1e-4 is the least index taken: 1.1e-12 off 30 digits, where
+    # 1e-5 is 1e-11 off and 3e-6 2.6e-11
+    y = np.array([1e-3, 0.1, 1.0, 30.0])
+    want = [mixture_mp(v, 1e-4, theta) for v in y]
+    np.testing.assert_allclose(stable_mixture_density(y, 1e-4, theta), want, rtol=1e-11, atol=0)
+    with pytest.raises(ParameterError, match=r"alpha=9e-05 must be in \[0.0001, "):
+        stable_mixture_density(y, 9e-5, theta)
+
+
 def test_mixture_rejects_bad_parameters():
     for alpha, theta in ((2.5, 0.0), (0.0, 0.0), (1.5, 1.0), (0.5, 0.5)):
         with pytest.raises(ParameterError):

@@ -29,6 +29,7 @@ from renewalk.stopped import (
     bernoulli_stops_bernoulli,
     bernoulli_stops_sibuya,
     brute_force_stopped_table,
+    closed_form_limits,
     dbp_stops_bernoulli,
     geometric_stop_asymptotics,
     poisson_stop,
@@ -264,6 +265,41 @@ def test_poisson_stop_against_finite_time_series():
     summary = poisson_stop(0.7, 2.0)
     assert mean[-1] == pytest.approx(summary.mean, abs=1e-10)
     assert second[-1] == pytest.approx(summary.second_moment, abs=1e-10)
+
+
+def _fields(summary):
+    return {k: v for k, v in vars(summary).items() if k != "state_masses"}
+
+
+@pytest.mark.parametrize("stop, p, mass", [
+    (Geometric(0.2), 0.2, 1.0),
+    (DefectiveGeometric(0.5, 0.035), 0.035, 0.5),
+    (DefectiveGeometric(1.0, 0.6), 0.6, 1.0),
+])
+@pytest.mark.parametrize("inner", [Geometric(0.7), Sibuya(0.5), ShiftedPoisson(1.5)])
+def test_closed_form_limits_of_a_geometric_stop(inner, stop, p, mass):
+    # any inner law under a (defective) geometric stop: field for field
+    got = closed_form_limits(StoppedSpec(inner, stop, 8))
+    want = geometric_stop_asymptotics(inner, 1.0 - p, mass)
+    assert _fields(got) == _fields(want)
+    assert np.array_equal(got.state_masses, want.state_masses)
+
+
+def test_closed_form_limits_of_a_poisson_stop():
+    # only a Bernoulli count has closed-form limits under a shifted-Poisson stop
+    got = closed_form_limits(StoppedSpec(Geometric(0.6), ShiftedPoisson(2.0), 8))
+    want = poisson_stop(0.6, 2.0)
+    assert _fields(got) == _fields(want) and got.state_masses is None
+    assert closed_form_limits(StoppedSpec(Sibuya(0.5), ShiftedPoisson(2.0), 8)) is None
+
+
+@pytest.mark.parametrize("stop", [
+    Sibuya(0.3), DefectiveSibuya(0.5, 0.4), PowerLawBernstein(0.5, 1.5),
+    Tabulated(np.array([0.2, 0.3, 0.4])),
+])
+@pytest.mark.parametrize("inner", [Geometric(0.7), Sibuya(0.5)])
+def test_closed_form_limits_are_none_for_other_stops(inner, stop):
+    assert closed_form_limits(StoppedSpec(inner, stop, 8)) is None
 
 
 def test_mean_at_infinity_is_inner_rate_times_stop_mean():
