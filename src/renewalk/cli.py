@@ -32,8 +32,9 @@ _CSV_BLOCK_CELLS = 6144
 #: a CSV of this many cells or more is formatted in parts, one per CPU, of half as many at least
 _CSV_SPLIT_CELLS = 1 << 17
 # A cell's text is 11 little-endian uint32 words, NUL-padded: separator and
-# sign, 3 of integer part, "." and 4 of fraction, 2 of exponent.  Digit group
-# g is word g of the word table, or word _TRAIL + g with trailing zeros NUL.
+# sign, 3 of integer part, "." and 4 of fraction, 2 of exponent; a zero cell
+# is word 0 alone, an integer cell under 10^8 words 0-2.  Digit group g is
+# word g of the word table, or word _TRAIL + g with trailing zeros NUL.
 _TRAIL, _E0 = 10_000, 330  # decade e of |x| is column e + _E0 of the decade table
 
 
@@ -55,6 +56,14 @@ def _csv_tables():
     expo = np.frombuffer(expo, "<u4").reshape(-1, 2) * ~fixed[:, None]
     words = np.concatenate([text, trail]).view("<u4").ravel()
     return words, np.vstack([scales, masks.view("<u4").T, expo.T])
+
+
+@functools.cache
+def _int_words():
+    """``'%d' % v`` for v < 10^4, one NUL-padded word each: the 4-digit word
+    of v with its leading zeros shifted out."""
+    lead = np.repeat(np.uint32([24, 16, 8, 0]), [10, 90, 900, 9000])  # bits of 3, 2, 1, 0 zeros
+    return _csv_tables()[0][:10_000] >> lead
 
 
 def _cell_words(x, out) -> np.ndarray:
@@ -89,29 +98,63 @@ def _cell_words(x, out) -> np.ndarray:
     return ~exact
 
 
+def _int_cells(groups):
+    """For the cells of integer ``groups`` (2-D stacks of columns), row by row:
+    their word counts, words 1-2 of ``'%d'`` under 10^8 (str(a // 10^4) and
+    a mod 10^4 in 4 digits, or str(a), for a = |v|; NUL for 0), and the masks
+    of the cells left to ``_cell_words`` (10^8 to 10^12) and to Python."""
+    a = np.abs(np.concatenate(groups, dtype=float).T).ravel()
+    small, huge = a < 1e8, a >= 1e12
+    m = a * small
+    high = np.floor(m / 1e4)  # exact: m is an integer under 2^53
+    low = (m - 1e4 * high).astype(np.intp)
+    high = high.astype(np.intp)
+    digits = np.stack([_int_words()[np.where(high, high, low)] * (m > 0),
+                       _csv_tables()[0][low] * (high > 0)], axis=1)
+    return np.where(small, np.uint8(3), np.uint8(11)), digits, ~(small | huge), huge
+
+
 def _format_rows(groups, lo: int, hi: int):
     """Yield rows [lo, hi) of the columns in ``groups`` (2-D stacks of
     columns) as CSV text, each row after its "\\n", one bytes object per block:
-    numpy formats what ``_cell_words`` proves exact, Python the rest."""
+    integer cells under 10^8 take their digits from the word tables, numpy
+    formats what ``_cell_words`` proves exact, Python the rest."""
     cols = [c for g in groups for c in g]
     fmts = ["%d" if g.dtype.kind in "iu" else "%.12g" for g in groups for _ in g]
     ncols, is_int = len(cols), np.array(fmts) == "%d"
     block = max(1, _CSV_BLOCK_CELLS // ncols)
     buf = np.empty((min(block, hi - lo), ncols))
     sep = np.tile(np.where(np.arange(ncols), ord(","), ord("\n")), len(buf)).astype("<u4")
-    for start in range(lo, hi, block):
+    # the integer cells' places in a block, row by row; their words are made
+    # for ``per`` blocks at a time, about a block of cells
+    igroups = [g for g in groups if g.dtype.kind in "iu"]
+    nint = np.count_nonzero(is_int)
+    icells = (np.arange(len(buf))[:, None] * ncols + np.flatnonzero(is_int)).ravel()
+    per = max(1, _CSV_BLOCK_CELLS // (block * nint)) if nint else 0
+    for b, start in enumerate(range(lo, hi, block)):
         n = min(block, hi - start)
         np.concatenate([g[:, start : start + n] for g in groups], out=buf[:n].T)
         x = buf[:n].ravel()
         zero = x == 0
+        slow = ~np.isfinite(x)
         size = 11 - 10 * zero
+        if nint:
+            if b % per == 0:
+                stop = min(start + per * block, hi)
+                isize, idigits, icalc, islow = _int_cells([g[:, start:stop] for g in igroups])
+            k = slice(b % per * block * nint, (b % per * block + n) * nint)
+            at = icells[: n * nint]
+            size[at] = isize[k]
+            slow[at] = islow[k]
         first = np.cumsum(size) - size  # each cell's first word
         words = np.zeros(first[-1] + size[-1], "<u4")
         # word 0: separator ("\n" before a row), "-" if the sign bit is set, "0" if zero
         words[first] = (sep[: x.size] | np.signbit(x) * np.uint32(ord("-") << 8)
                         | zero * np.uint32(ord("0") << 16))
-        slow = ~np.isfinite(x) | ((np.abs(buf[:n]) >= 1e12) & is_int).ravel()
         calc = ~(zero | slow)
+        if nint:  # words 1-2 of the other integer cells are written again below
+            calc[at] = icalc[k]
+            words[first[at, None] + [1, 2]] = idigits[k]
         out = np.empty((10, np.count_nonzero(calc)), "<u4")
         slow[calc] = _cell_words(x[calc], out)
         words[first[calc] + np.arange(1, 11)[:, None]] = out

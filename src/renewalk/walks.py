@@ -132,8 +132,11 @@ class PropagatorGrid:
 
     def prob(self, x) -> float:
         """Mass at the lattice point x (vector of integer coordinates)."""
-        idx = tuple(int(c) + self.half_width for c in np.atleast_1d(x))
-        return float(self.values[idx])
+        x = np.atleast_1d(x)
+        if x.shape != (self.dim,) or np.any(np.abs(x) > self.half_width):
+            raise ParameterError(f"x={x.tolist()} is not a site of the box of half-width "
+                                 f"{self.half_width} in dimension {self.dim}")
+        return float(self.values[tuple(int(c) + self.half_width for c in x)])
 
     def lattice_coordinates(self) -> np.ndarray:
         """Array of shape (d, *grid) with the integer coordinates."""
@@ -148,47 +151,50 @@ class PropagatorGrid:
         return mean, second
 
 
-def _shift_add(dst: np.ndarray, src: np.ndarray, vec, weight: float) -> None:
-    """dst[x] += weight * src[x - vec], truncating at the box edges."""
-    dst_slices = []
-    src_slices = []
-    for size, v in zip(dst.shape, vec):
-        v = int(v)
-        dst_slices.append(slice(max(v, 0), size + min(v, 0)))
-        src_slices.append(slice(max(-v, 0), size + min(-v, 0)))
-    dst[tuple(dst_slices)] += weight * src[tuple(src_slices)]
-
-
 def propagator(step: StepLaw, count_pmf, half_width: int) -> PropagatorGrid:
     """Spatial law P(x, t) = sum_n P[count = n] W^(*n)(x) on a dense box.
 
     ``count_pmf`` is the distribution of the generator count at the observed
     time.  Convolution powers are accumulated incrementally, one sparse
-    shift-add per step direction and power.  If mass escapes the box the
-    result would be corrupted, so that raises instead of renormalizing.
+    shift-add per step direction and power over that power's support, the
+    box [L + n min(0, min v), L + n max(0, max v)] per axis: the cost grows
+    with the support, not the grid, and the cells skipped would only add
+    +0.0.  If mass escapes the box the result would be corrupted, so that
+    raises instead of renormalizing.
     """
     count_pmf = np.asarray(count_pmf, dtype=float)
-    if abs(count_pmf.sum() - 1.0) > 1e-9:
+    if not abs(count_pmf.sum() - 1.0) <= 1e-9:
         raise ParameterError(f"count pmf must sum to 1, got {count_pmf.sum()}")
     if half_width < 0:
         raise ParameterError(f"half_width={half_width} must be >= 0")
-    shape = (2 * half_width + 1,) * step.dim
+    size = 2 * half_width + 1
+    shape = (size,) * step.dim
     if math.prod(shape) > _MEMORY_CAP:
         raise ParameterError(
             f"box with {math.prod(shape)} entries exceeds the dense-grid cap"
         )
     n_max = int(np.nonzero(count_pmf)[0][-1])
-    origin = tuple([half_width] * step.dim)
-    power = np.zeros(shape)
-    power[origin] = 1.0
-    values = count_pmf[0] * power
-    for n in range(1, n_max + 1):
-        nxt = np.zeros(shape)
-        for vec, p in zip(step.displacements, step.probs):
-            _shift_add(nxt, power, vec, p)
-        power = nxt
+    disp = step.displacements
+    powers = np.arange(n_max + 1)[:, None]
+    # power n is zero outside [lo[n], hi[n]) per axis; step v moves the cells
+    # [first, last) - v of power n - 1's support to the cells [first, last)
+    lo = np.maximum(half_width + powers * np.minimum(disp.min(axis=0), 0), 0)
+    hi = np.minimum(half_width + 1 + powers * np.maximum(disp.max(axis=0), 0), size)
+    first = np.maximum(lo[:-1, None] + disp, 0)
+    last = np.maximum(np.minimum(hi[:-1, None] + disp, size), first)
+    moves = zip(first.tolist(), last.tolist(), (first - disp).tolist(), (last - disp).tolist())
+    power, nxt, values = np.zeros(shape), np.zeros(shape), np.zeros(shape)
+    power[(half_width,) * step.dim] = 1.0
+    values[(half_width,) * step.dim] = count_pmf[0]
+    probs = step.probs.tolist()
+    for n, a, b, shifts in zip(range(1, n_max + 1), lo[1:].tolist(), hi[1:].tolist(), moves):
+        box = tuple(map(slice, a, b))
+        nxt[box] = 0.0  # nxt held power n - 2, whose support lies inside
+        for f, e, sf, se, p in zip(*shifts, probs):
+            nxt[tuple(map(slice, f, e))] += p * power[tuple(map(slice, sf, se))]
+        power, nxt = nxt, power
         if count_pmf[n]:
-            values += count_pmf[n] * power
+            values[box] += count_pmf[n] * power[box]
     grid = PropagatorGrid(values, half_width, step.basis)
     if grid.mass_in_box < 1.0 - 1e-6:
         raise BoxLeakageError(

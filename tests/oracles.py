@@ -1,6 +1,7 @@
 """Direct methods and closed forms kept as test oracles: the double-sum
 product and division recursion behind the blocked series kernels, the
 characteristic functions and state polynomial of the walk and stop tests,
+the propagator's shift-adds over the whole box,
 the step-by-step prefix length of the limiting stopped-count masses, the
 discounted inner law and renewal-equation residual that show the stopped
 count is not a renewal process, and the traced peak memory of a call."""
@@ -60,6 +61,36 @@ def char_lattice(grid, theta) -> complex:
     theta = np.asarray(theta, dtype=float).ravel()
     phase = np.exp(-1j * np.tensordot(theta, grid.lattice_coordinates(), axes=1))
     return complex((grid.values * phase).sum())
+
+
+def _shift_add(dst, src, vec, weight):
+    """dst[x] += weight * src[x - vec], truncating at the box edges."""
+    dst_slices = []
+    src_slices = []
+    for size, v in zip(dst.shape, vec):
+        v = int(v)
+        dst_slices.append(slice(max(v, 0), size + min(v, 0)))
+        src_slices.append(slice(max(-v, 0), size + min(-v, 0)))
+    dst[tuple(dst_slices)] += weight * src[tuple(src_slices)]
+
+
+def full_box_propagator(step, count_pmf, half_width):
+    """Values of ``walks.propagator`` with every convolution power added over
+    the whole box [-L, L]^d, one shift-add per step direction and power."""
+    count_pmf = np.asarray(count_pmf, dtype=float)
+    shape = (2 * half_width + 1,) * step.dim
+    n_max = int(np.nonzero(count_pmf)[0][-1])
+    power = np.zeros(shape)
+    power[(half_width,) * step.dim] = 1.0
+    values = count_pmf[0] * power
+    for n in range(1, n_max + 1):
+        nxt = np.zeros(shape)
+        for vec, p in zip(step.displacements, step.probs):
+            _shift_add(nxt, power, vec, p)
+        power = nxt
+        if count_pmf[n]:
+            values += count_pmf[n] * power
+    return values
 
 
 def state_polynomial(summary, v, t):

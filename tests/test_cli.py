@@ -699,6 +699,42 @@ def test_split_csv_is_byte_identical(tmp_path, monkeypatch, parts, bounds, rows)
     assert os.listdir(tmp_path) == ["table.csv"]  # the children's files are unlinked
 
 
+def _integer_table():
+    """Header and columns of 60 rows: integer cells at the edges of the word
+    tables (0, 1, 9999, 10^4, 10^8 - 1, 10^8, 10^12 and beyond, both signs),
+    an unsigned column up to 2^64 - 1, and float columns between them."""
+    rng = np.random.default_rng(31)
+    edges = [0, 1, -1, 9999, -9999, 10_000, -10_000, 10**8 - 1, -(10**8 - 1), 10**8,
+             -(10**8), 10**12, -(10**12), 10**12 + 1, 2**62, 2**63 - 1, -(2**63), 7, 12345]
+    signed = np.resize(np.array(edges, dtype=np.int64), 60)
+    unsigned = np.resize(np.array([0, 1, 9999, 10**4, 10**8 - 1, 10**8, 10**12, 2**63,
+                                   2**64 - 1], dtype=np.uint64), 60)
+    magnitudes = (10.0 ** rng.uniform(0, 12, 60)).astype(np.int64)
+    mixed = magnitudes * rng.choice([-1, 0, 1], 60)
+    floats = rng.standard_normal(60) * 10.0 ** rng.integers(-5, 14, 60)
+    floats[::4] = 0.0
+    return (["edge", "p", "u", "mixed", "q"],
+            [signed, floats, unsigned, mixed, np.round(floats * 1e3)])
+
+
+@pytest.mark.parametrize("block_cells", [cli._CSV_BLOCK_CELLS, 1 << 13, 7])
+@pytest.mark.parametrize("parts", [1, 2, 3])
+def test_integer_cells_match_per_cell_formatting(tmp_path, monkeypatch, block_cells, parts):
+    header, columns = _integer_table()
+    _split_csv(monkeypatch, parts)
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_cells)
+    path = tmp_path / "table.csv"
+    cli._write_csv(str(path), header, columns)
+    _assert_no_child()
+    assert path.read_text() == _reference_csv(header, columns)
+
+
+def test_integer_word_table_holds_str_of_each_entry():
+    table = cli._int_words()
+    assert table.shape == (10_000,)
+    assert [w.tobytes().rstrip(b"\0").decode() for w in table] == list(map(str, range(10_000)))
+
+
 def test_row_parts_cost_the_same_give_or_take_a_row():
     # rows t = 0..63 of a triangular table: t + 1 nonzero cells of 64, and t
     probs = np.triu(np.ones((64, 64)))
@@ -827,6 +863,14 @@ def test_integer_cells_match_percent_d():
     v = [10**12 - 1, -(10**12 - 1), 10**12, -(10**12), 2**62, -(2**62), 2**63 - 1,
          -(2**63), 10**11, 0, 1, -1, 7]
     _assert_cells_formatted(np.array(v, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.floats(0.0, 62.0), st.sampled_from([-1, 1])),
+                min_size=1, max_size=64))
+def test_integer_cells_match_percent_d_at_any_magnitude(cases):
+    # magnitudes log-uniform from 1 to 2^62, across both word tables and the float path
+    _assert_cells_formatted(np.array([sign * int(2.0**e) for e, sign in cases], dtype=np.int64))
 
 
 _STATE_TABLES = [

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from oracles import char_fn, char_fn_lattice, char_lattice
+from oracles import char_fn, char_fn_lattice, char_lattice, full_box_propagator
 
 from renewalk import stopped
-from renewalk.cli import main
+from renewalk.cli import main, parse_steps
 from renewalk.errors import BoxLeakageError, ParameterError
 from renewalk.laws import DefectiveGeometric, Geometric
 from renewalk.stopped import StoppedSpec, dbp_stops_bernoulli, stopped_moments
@@ -96,6 +96,64 @@ def test_propagator_two_step_enumeration():
     assert grid.prob([0]) == pytest.approx(0.5, abs=1e-15)
     assert grid.prob([2]) == pytest.approx(0.25, abs=1e-15)
     assert grid.prob([1]) == 0.0
+
+
+def test_prob_outside_the_box_names_the_site():
+    grid = propagator(line_walk(1.0), [0.0, 1.0], 3)
+    assert grid.prob([1]) == 1.0 and grid.prob([-3]) == 0.0
+    # -6 once read the mass at +1 through a negative index
+    for x in ([-6], [5], [4], [0, 0], []):
+        with pytest.raises(ParameterError, match=r"x=.* half-width 3 in dimension 1"):
+            grid.prob(x)
+    square = propagator(hypercubic_walk(2), [1.0], 2)
+    assert square.prob([0, 0]) == 1.0
+    with pytest.raises(ParameterError, match=r"x=\[0, -3\] .* dimension 2"):
+        square.prob([0, -3])
+
+
+# every step law the CLI builds
+_CLI_STEPS = ["line", "line:p=0.3", "line-biased", "hypercubic:d=1", "hypercubic:d=2",
+              "hypercubic:d=3", "triangular-biased", "triangular-unbiased"]
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _agrees_with_full_box(step, pmf, half_width):
+    """The propagator holds the full-box oracle's values to the bit, or
+    raises BoxLeakageError exactly where those values leak."""
+    want = full_box_propagator(step, pmf, half_width)
+    if want.sum() < 1.0 - 1e-6:
+        with pytest.raises(BoxLeakageError):
+            propagator(step, pmf, half_width)
+        return False
+    assert _same_bits(propagator(step, pmf, half_width).values, want)
+    return True
+
+
+@pytest.mark.parametrize("steps", _CLI_STEPS)
+def test_propagator_matches_the_full_box_loop(steps):
+    step = parse_steps(steps)
+    table = stopped.stopped_state_table(StoppedSpec(Geometric(0.7), Geometric(0.04), 64))
+    cap = 12 if step.dim == 3 else 64
+    held = [_agrees_with_full_box(step, table.column(t), min(t, cap)) for t in (0, 1, 17, 64)]
+    assert held == [True, True, True, step.dim < 3]  # 3-d at t = 64 leaks from a box of 12
+    # interior zeros, and a far tail of 1e-7 that the box truncates: power 40
+    # runs over the edges of a box of half-width 6, yet no leak is flagged
+    pmf = np.zeros(41)
+    pmf[[0, 3, 5, 40]] = [0.25, 0.5, 0.25 - 1e-7, 1e-7]
+    assert _agrees_with_full_box(step, pmf, 6)
+    assert not _agrees_with_full_box(step, np.eye(41)[40], 6)
+
+
+def test_propagator_keeps_the_signs_of_zeros():
+    # a pmf with negative zero and negative entries adds the same signed zeros
+    for pmf in ([-0.0, 0.5, 0.5], [-1e-18, 0.0, 1.0 + 1e-18], [0.5, -1e-18, 0.5 + 1e-18]):
+        for steps in ("line", "triangular-unbiased"):
+            assert _agrees_with_full_box(parse_steps(steps), np.array(pmf), 3)
+    with pytest.raises(ParameterError, match="sum to 1, got nan"):
+        propagator(line_walk(0.5), [0.5, np.nan, 0.5], 3)
 
 
 def test_propagator_leakage_detection():
