@@ -37,7 +37,7 @@ from functools import partial
 import numpy as np
 
 from .errors import ParameterError, QuadratureError
-from .laws import WaitingLaw
+from .laws import WaitingLaw, _is_int
 from .walks import _MEMORY_CAP, PropagatorGrid, StepLaw
 
 
@@ -235,8 +235,8 @@ def lattice_ness(
     """
     if not 0.0 < q < 1.0:
         raise ParameterError(f"q must be in (0, 1), got {q}")
-    if half_width < 0:
-        raise ParameterError(f"half_width={half_width} must be >= 0")
+    if not _is_int(half_width) or half_width < 0:
+        raise ParameterError(f"half_width={half_width} must be an integer >= 0")
     if not inner.has_full_mass:
         raise ParameterError("inner law must be non-defective")
     psibar = inner.gf(q)

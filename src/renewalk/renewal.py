@@ -2,9 +2,11 @@
 
 The central object is the state table Phi[n, t] = P[N(t) = n] for a
 counting process driven by IID waiting times, built coefficient-wise as
-survival * pmf^(*n) on a shared horizon.  Waiting laws may be defective,
-in which case the process is transient and the limiting state law is
-geometric.
+survival * pmf^(*n) on a shared horizon, or column by column where the count
+is a Markov chain; that column step also serves a single stopped column
+(``stopped.stopped_column``) without the table.  Waiting laws may be
+defective, in which case the process is transient and the limiting state
+law is geometric.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import series
 from .errors import ParameterError
-from .laws import INFINITY, WaitingLaw, _window
+from .laws import INFINITY, WaitingLaw, _is_int, _window
 
 TYPE_I = "type_I"
 TYPE_II = "type_II"
@@ -91,25 +93,28 @@ def state_table(law: WaitingLaw, horizon: int) -> StateTable:
     steps = law.count_steps(horizon)
     if steps is None:
         return StateTable(_rows_by_doubling(surv, law.pmf_vector(horizon)))
-    return StateTable(_columns_by_step(steps, surv))
+    probs = np.zeros((horizon + 1, horizon + 1))
+    for t, column in enumerate(_stepped_columns(steps, horizon + 1)):
+        probs[: t + 1, t] = column
+    probs[0] = surv
+    return StateTable(probs)
 
 
-def _columns_by_step(steps, surv: np.ndarray) -> np.ndarray:
-    """Columns P_(t+1)(n) = stay(n) P_t(n) + move(n - 1) P_t(n - 1) for the chances ``steps``
-    (``law.count_steps``), row 0 ``surv``.  The running column is held times 2^900, so no step
-    runs in subnormals and a cell below the normal range is one rounding, as it is scaled back."""
-    size = len(surv)
-    probs = np.zeros((size, size))
-    run, moved = np.zeros(size), np.empty(size)
+def _stepped_columns(steps, size: int):
+    """Yield the columns P_t(n), n <= t, t < size, of the count of chances ``steps``
+    (``law.count_steps``): P_(t+1)(n) = stay(n) P_t(n) + move(n - 1) P_t(n - 1), each a view
+    the next step overwrites.  The running column is held times 2^900, so no step runs in
+    subnormals and a cell below the normal range is one rounding, as it is scaled back.  Row 0
+    can be off the survival vector in its last bits, so its consumers write that there."""
+    run, moved, column = np.zeros(size), np.empty(size), np.ones(size)
     run[0] = scale = 2.0**900
+    yield column[:1]
     for t, (stay, move) in enumerate(steps):
         now, moves = run[: t + 1], moved[: t + 1]
         np.multiply(now, move, out=moves)
         now *= stay
         np.add(run[1 : t + 2], moves, out=run[1 : t + 2])
-        np.multiply(run[: t + 2], 1.0 / scale, out=probs[: t + 2, t + 1])
-    probs[0] = surv
-    return probs
+        yield np.multiply(run[: t + 2], 1.0 / scale, out=column[: t + 2])
 
 
 def _rows_by_convolution(surv: np.ndarray, pmf: np.ndarray) -> np.ndarray:
@@ -174,6 +179,8 @@ def exceedance_prob(law: WaitingLaw, n0: int, t) -> float:
     squaring.  That is a sum of nonnegative terms, so a small tail keeps its
     relative accuracy.
     """
+    if not _is_int(n0):
+        raise ParameterError(f"n0 must be an integer, got {n0}")
     if n0 < 0:
         raise ParameterError(f"n0 must be >= 0, got {n0}")
     if t == INFINITY:
@@ -206,6 +213,8 @@ def limit_state_law(law: WaitingLaw, n_max: int = 64):
     For a defective law the count freezes at a geometric level; for a
     non-defective law every fixed level has limiting probability zero.
     """
+    if not _is_int(n_max) or n_max < 0:
+        raise ParameterError(f"n_max must be an integer >= 0, got {n_max}")
     q = law.defect_mass
     n = np.arange(n_max + 1, dtype=float)
     masses = (1.0 - q) * q**n

@@ -4,7 +4,9 @@ The stopped count M(t) runs like the inner (recurrent) process until the
 first event of an independent stopping process and keeps that value
 forever.  A defective stopping law leaves mass 1 - Q_S on paths that are
 never stopped, making M an intermediate process: it stops with
-probability Q_S and runs forever with probability 1 - Q_S.
+probability Q_S and runs forever with probability 1 - Q_S.  The state table
+of M is the inner table frozen at S; one column of it comes from the inner
+count's column step, where it has one, without the table.
 """
 
 from __future__ import annotations
@@ -64,6 +66,20 @@ def stopped_state_table(spec: StoppedSpec) -> StateTable:
     whatever the stopping-law defect.
     """
     return StateTable(_frozen(spec.stop, renewal.state_table(spec.inner, spec.horizon).probs))
+
+
+def stopped_column(spec: StoppedSpec, t: int) -> np.ndarray:
+    """Column t of the stopped table, byte for byte.  Where the table steps the inner count
+    (from horizon 20) it is the sum of pmf_S(r) P[N(r) = .] over r <= t plus surv_S(t)
+    P[N(t) = .], in O(t) memory; for any other law it is read off the table up to t."""
+    steps = spec.inner.count_steps(t) if _window(t) >= renewal._DOUBLING_MIN_HORIZON else None
+    if steps is None:
+        return stopped_state_table(StoppedSpec(spec.inner, spec.stop, t)).column(t)
+    pmf, row_0, total = spec.stop.pmf_vector(t), spec.inner.survival_vector(t), np.zeros(t + 1)
+    for r, column in enumerate(renewal._stepped_columns(steps, t + 1)):
+        column[0] = row_0[r]
+        total[: r + 1] += pmf[r] * column
+    return spec.stop.survival_vector(t)[t] * column + total
 
 
 def stopped_moments(spec: StoppedSpec, order: int) -> np.ndarray:
@@ -224,9 +240,12 @@ def poisson_stop(p: float, lam: float) -> AsymptoticSummary:
 
 def closed_form_limits(spec: StoppedSpec) -> AsymptoticSummary | None:
     """Closed-form infinite-time limits: any inner law under a (defective) geometric
-    stop, a Bernoulli count under a shifted-Poisson stop; None for every other pair."""
+    stop, a Bernoulli count under a shifted-Poisson stop; None for every other pair,
+    and for a geometric stop of mass 0 or at t = 1, where those formulas are 0/0."""
     stop = spec.stop
     if isinstance(stop, (laws.Geometric, laws.DefectiveGeometric)):
+        if stop.defect_mass == 0.0 or stop.p == 1.0:
+            return None
         return geometric_stop_asymptotics(spec.inner, 1.0 - stop.p, stop.defect_mass)
     if isinstance(stop, laws.ShiftedPoisson) and isinstance(spec.inner, laws.Geometric):
         return poisson_stop(spec.inner.p, stop.lam)

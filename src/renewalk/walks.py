@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxLeakageError, ParameterError
+from .laws import _is_int
 
 _MEMORY_CAP = 2**24  # grid entries; dense boxes and tori beyond this are refused
 
@@ -38,9 +39,10 @@ class StepLaw:
         if disp.shape[0] != probs.shape[0]:
             raise ParameterError(f"one probability per step is required, got "
                                  f"{probs.shape[0]} for {disp.shape[0]} steps")
-        if np.any(probs <= 0.0):
-            raise ParameterError("step probabilities must be positive")
-        if abs(probs.sum() - 1.0) > 1e-12:
+        # written so that NaN fails them
+        if not np.all(probs > 0.0):
+            raise ParameterError(f"step probabilities must be positive, got {probs.tolist()}")
+        if not abs(probs.sum() - 1.0) <= 1e-12:
             raise ParameterError(f"step probabilities sum to {probs.sum()}, not 1")
         basis = self.basis
         if basis is None:
@@ -165,8 +167,8 @@ def propagator(step: StepLaw, count_pmf, half_width: int) -> PropagatorGrid:
     count_pmf = np.asarray(count_pmf, dtype=float)
     if not abs(count_pmf.sum() - 1.0) <= 1e-9:
         raise ParameterError(f"count pmf must sum to 1, got {count_pmf.sum()}")
-    if half_width < 0:
-        raise ParameterError(f"half_width={half_width} must be >= 0")
+    if not _is_int(half_width) or half_width < 0:
+        raise ParameterError(f"half_width={half_width} must be an integer >= 0")
     size = 2 * half_width + 1
     shape = (size,) * step.dim
     if math.prod(shape) > _MEMORY_CAP:

@@ -106,6 +106,17 @@ def test_stop_without_closed_limits_writes_none(tmp_path):
         {"mean_inf", "second_inf", "variance_inf", "state_mass_total"})
 
 
+@pytest.mark.parametrize("stop", ["geometric:p=1", "defective_geometric:defect=0,p=0.5"])
+def test_geometric_stop_at_t1_or_of_mass_0_writes_no_limits(tmp_path, stop):
+    # the closed-form limits are 0/0 there: the run used to end in an error
+    argv = ["stopped", "--inner", "geometric:p=0.7", "--stop", stop, "--horizon", "16",
+            "--out", str(tmp_path)]
+    assert run(argv) == 0
+    payload = json.loads((tmp_path / "stopped_summary.json").read_text())
+    assert payload.keys().isdisjoint(
+        {"mean_inf", "second_inf", "variance_inf", "state_mass_total"})
+
+
 @pytest.mark.parametrize("inner, stop, digest", [
     ("geometric:p=0.7", "defective_geometric:defect=0.5,p=0.035",
      "6ac2a73d69451011f6623097e67229951f72195efaabffe42cccea77962bc023"),
@@ -483,6 +494,21 @@ def test_mc_pvalue_without_two_bins_is_null(tmp_path):
     payload = json.loads((tmp_path / "mc_summary.json").read_text(), parse_constant=reject)
     assert payload["chisq_pvalue"] is None
     assert payload["tv_distance"] == 0.0
+
+
+@pytest.mark.parametrize("inner, checked", [
+    ("geometric:p=0.7", True), ("sibuya:mu=0.5", True), ("shifted_poisson:lam=1.5", False)])
+def test_mc_checks_past_2048_where_the_inner_count_steps(tmp_path, inner, checked):
+    # a column step gives the exact column in O(t) memory; any other inner law
+    # would build an O(t^3) table for it, so its check still stops at 2048
+    argv = ["mc", "--inner", inner, "--stop", "geometric:p=0.01", "--t-obs", "3000",
+            "--horizon", "3000", "--replicas", "2000", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    payload = json.loads((tmp_path / "mc_summary.json").read_text())
+    if checked:
+        assert payload["tv_distance"] < 0.2 and payload["chisq_pvalue"] > 1e-6
+    else:
+        assert payload.keys().isdisjoint({"tv_distance", "chisq_pvalue"})
 
 
 def _reject_constant(token):  # NaN and Infinity are not JSON

@@ -580,8 +580,23 @@ def test_full_mass_boundary_is_shared():
     (lambda: ness.stable_density(1.0, 2.5), r"symmetric stable index must be in \(0, 2\], got 2.5"),
     (lambda: ness.stable_density(1.0, 1.0, 1.0),
      r"one-sided stable index must be in \(0, 1\), got 1.0"),
+    (lambda: renewal.exceedance_prob(Geometric(0.5), 1.5, 10), "n0 must be an integer, got 1.5"),
+    (lambda: renewal.limit_state_law(Geometric(0.5), n_max=2.5),
+     "n_max must be an integer >= 0, got 2.5"),
+    (lambda: renewal.limit_state_law(Geometric(0.5), n_max=-1),
+     "n_max must be an integer >= 0, got -1"),
+    (lambda: walks.StepLaw([[1], [-1]], [np.nan, 1.0]),
+     r"step probabilities must be positive, got \[nan, 1.0\]"),
+    (lambda: walks.propagator(walks.line_walk(0.5), [0.5, 0.5], True),
+     "half_width=True must be an integer >= 0"),
+    (lambda: walks.propagator(walks.line_walk(0.5), [0.5, 0.5], 2.5),
+     "half_width=2.5 must be an integer >= 0"),
+    (lambda: ness.lattice_ness(walks.line_walk(0.5), Geometric(0.7), 0.8, 2.5),
+     "half_width=2.5 must be an integer >= 0"),
 ], ids=["n0", "time", "step-count", "basis", "p-right", "count-pmf", "negative-table",
-        "empty-table", "dcm-n-max", "compare-shapes", "symmetric-alpha", "one-sided-alpha"])
+        "empty-table", "dcm-n-max", "compare-shapes", "symmetric-alpha", "one-sided-alpha",
+        "n0-not-integer", "n-max-not-integer", "n-max-negative", "nan-step-prob",
+        "bool-half-width", "float-half-width", "float-lattice-half-width"])
 def test_parameter_errors_name_the_value_they_got(make, got):
     with pytest.raises(ParameterError, match=f"^{got}$"):
         make()

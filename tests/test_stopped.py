@@ -33,6 +33,7 @@ from renewalk.stopped import (
     dbp_stops_bernoulli,
     geometric_stop_asymptotics,
     poisson_stop,
+    stopped_column,
     stopped_moments,
     stopped_state_table,
 )
@@ -296,6 +297,8 @@ def test_closed_form_limits_of_a_poisson_stop():
 @pytest.mark.parametrize("stop", [
     Sibuya(0.3), DefectiveSibuya(0.5, 0.4), PowerLawBernstein(0.5, 1.5),
     Tabulated(np.array([0.2, 0.3, 0.4])),
+    # a stop at t = 1 and a stop of mass 0: the geometric formulas are 0/0 there
+    Geometric(1.0), DefectiveGeometric(0.0, 0.5),
 ])
 @pytest.mark.parametrize("inner", [Geometric(0.7), Sibuya(0.5)])
 def test_closed_form_limits_are_none_for_other_stops(inner, stop):
@@ -462,6 +465,37 @@ def test_state_table_columns_sum_to_one(inner, stop, horizon):
     )
     for table in tables:
         np.testing.assert_allclose(table.row_sums(), 1.0, rtol=0, atol=1e-12)
+
+
+def _toward_0_and_1(low):
+    """Floats in (0, 1) whose distance to 0 or to 1 is log-uniform down to 10^low."""
+    return st.builds(lambda e, near_one: 1.0 - 10.0**e if near_one else 10.0**e,
+                     st.floats(low, -0.01), st.booleans())
+
+
+def _assert_column_is_the_tables(spec, t):
+    want = stopped_state_table(StoppedSpec(spec.inner, spec.stop, t)).column(t)
+    got = stopped_column(spec, t)
+    normal = want >= 1e-300
+    assert got.shape == want.shape and got[normal].tobytes() == want[normal].tobytes()
+    assert np.all(got[~normal] < 1e-299)
+
+
+@settings(max_examples=120, deadline=None)
+@given(inner=st.one_of(st.builds(Geometric, _toward_0_and_1(-12)),
+                       st.builds(Sibuya, _toward_0_and_1(-9))),
+       stop=_laws(full_mass=False), t=st.sampled_from([0, 1, 2, 7, 19, 20, 64, 257]))
+def test_stopped_column_is_the_tables_column(inner, stop, t):
+    # below horizon 20 the table convolves rows, and so the column reads the table
+    _assert_column_is_the_tables(StoppedSpec(inner, stop, 8), t)
+
+
+@pytest.mark.parametrize("inner", [Geometric(0.3), Sibuya(0.5)])
+def test_stopped_column_at_2048_is_the_tables_column_in_one_percent_of_its_memory(inner):
+    spec = StoppedSpec(inner, DefectiveGeometric(0.5, 0.01), 2048)
+    _assert_column_is_the_tables(spec, 2048)
+    _, peak = traced_peak(lambda: stopped_column(spec, 2048))
+    assert peak < 0.01 * 8 * 2049**2
 
 
 @pytest.mark.parametrize("horizon, tables", [(768, 2.5), (2048, 1.5)])
