@@ -1,13 +1,13 @@
 """Infinite-time propagators of geometrically stopped walks and their
 continuous-space limits.
 
-On the lattice, in any dimension, the stationary law is a Fourier integral
-over the torus, computed by the trapezoid rule: one FFT of the step law
-gives the integrand at the nodes, one inverse FFT the sum at every site of
-the box.  Its only error, the aliased mass of images one period away, is
-bounded by the smaller of a step count and the exact two-sided geometric
-tails of the axis marginals, or the step count alone for steps longer than
-one site, and the torus is sized to hold it within 1e-12 (``lattice_ness``).
+On the lattice the stationary law of a 1-d walk of steps -1, 0, +1 is
+two-sided geometric in closed form, unless ``panels`` asks for the torus; any
+other is the trapezoid rule over the torus: a real FFT of the step law gives
+the integrand on the half spectrum, an inverse real FFT the sum at every site
+of the box.  Its only error, the aliased mass of images one period away, is
+bounded by a step count or the exact two-sided geometric tails of the axis
+marginals, and held within 1e-12.
 
 In the scaling limit of a rarely stopped walk the rescaled endpoint density
 is an exponential mixture of alpha-stable laws.  The symmetric mixture is
@@ -137,6 +137,8 @@ def ness_scale(inner: WaitingLaw, q: float) -> float:
     Computed from the exact generating function, not its small-p asymptote,
     to reduce pre-asymptotic bias in rescaled-endpoint experiments.
     """
+    if not 0.0 < q < 1.0:
+        raise ParameterError(f"q must be in (0, 1), got {q}")
     g = inner.gf(q)
     return g / (q * (1.0 - g))
 
@@ -144,22 +146,23 @@ def ness_scale(inner: WaitingLaw, q: float) -> float:
 def _torus_grid(step: StepLaw, psibar: float, panels: int, half_width: int):
     """Trapezoid-rule inverse Fourier transform of (1-g)/(1 - W(theta) g) on the box.
 
-    The step law placed at its displacements mod n has FFT W(theta_j) at the
-    nodes theta_j = 2 pi j/n, and the inverse FFT of the integrand there is
-    the sum n^-d sum_j f(theta_j) e^(i x.theta_j) at x mod n.
+    The step law mod n is real, so its FFT at theta_j = 2 pi j/n is Hermitian:
+    a real FFT on the last axis and in-place ones on the others give it at
+    j_d <= n/2, and their inverses n^-d sum_j f(theta_j) e^(i x.theta_j).
     """
-    n = panels
-    w = np.zeros((n,) * step.dim, dtype=complex)
+    n, axes = panels, tuple(range(step.dim - 1))
+    w = np.zeros((n,) * step.dim)
     np.add.at(w, tuple((step.displacements % n).T), step.probs)
-    np.fft.fftn(w, out=w)
+    w = np.fft.rfft(w)
+    np.fft.fftn(w, axes=axes, out=w)
     w *= -psibar
     w += 1.0
-    vals = np.fft.ifftn(np.divide(1.0 - psibar, w, out=w), out=w)
-    x = np.arange(-half_width, half_width + 1) % n
-    vals = vals[np.ix_(*[x] * step.dim)]
-    if np.max(np.abs(vals.imag)) > 1e-9:
-        raise QuadratureError("inverse Fourier transform is not numerically real")
-    return vals.real
+    w = np.fft.irfft(np.fft.ifftn(np.divide(1.0 - psibar, w, out=w), axes=axes, out=w), n)
+    for axis in range(step.dim):
+        w = w.take(np.arange(-half_width, half_width + 1) % n, axis)
+    if not np.isfinite(w).all():
+        raise QuadratureError("inverse Fourier transform is not finite")
+    return w
 
 
 def _fast_len(n: int) -> int:
@@ -177,26 +180,32 @@ def _fast_len(n: int) -> int:
     return best
 
 
+def _axis_ratios(step: StepLaw, g: float):
+    """Per axis e_i, (sqrt(D), rho, sigma): for steps of at most one site
+    along e_i, with chances a, b, c of +1, 0, -1, the marginal of X_i is
+    P_q(X_i = x) = (1-g)/sqrt(D) rho^x for x >= 0 and sigma^(-x) for x <= 0,
+    where D = (1-g)(1+g-2gb) + g^2 (a-c)^2, rho = 2ga/S, sigma = 2gc/S and
+    S = 1 - gb + sqrt(D) (Feller, An Introduction to Probability Theory and
+    Its Applications I, ch. XIV)."""
+    for axis in step.displacements.T.tolist():
+        a, b, c = (math.fsum(p for v, p in zip(axis, step.probs) if v == m) for m in (1, 0, -1))
+        root = math.sqrt((1.0 - g) * (1.0 + g - 2.0 * g * b) + (g * (a - c)) ** 2)
+        yield root, *(2.0 * g * x / (1.0 - g * b + root) for x in (a, c))
+
+
 def _alias_bound(step: StepLaw, g: float, q: float, half_width: int, panels: int) -> float:
     """Bound on the mass an n-panel torus aliases onto the box, as a share of P.
 
     Every image of a box site lies r = n - L or more sites out along some
     half-axis +-e_i, so the aliased mass of P_q is at most P_q(max_i |X_i| >= r).
-    Two bounds on it, the smaller taken, divided by q as P is:
+    Two bounds on it, the smaller taken (the steps for ballistic walks, the
+    tails for walks that return), divided by q as P is:
 
     * steps: a step moves at most s sites, so X leaves only after ceil(r/s)
       or more steps, which P_q weighs g^ceil(r/s);
-    * tails, when no step moves more than one site per axis: with a, b, c the
-      chances of a step +1, 0, -1 along e_i, the marginal of X_i is two-sided
-      geometric, P_q(X_i = x) = (1-g)/sqrt(D) rho^x for x >= 0 and sigma^(-x)
-      for x <= 0, where D = (1-g)(1+g-2gb) + g^2 (a-c)^2, rho = 2ga/S,
-      sigma = 2gc/S and S = 1 - gb + sqrt(D) (Feller, An Introduction to
-      Probability Theory and Its Applications I, ch. XIV).  The half-axis
-      tails (1-g)/sqrt(D) rho^r/(1-rho) and the same with sigma are summed
-      over the axes.  A walk that moves further is held to the step bound.
-
-    The steps bound is the tight one for ballistic walks, the tails for walks
-    that return.
+    * tails, when no step moves more than one site per axis: the half-axis
+      tails (1-g)/sqrt(D) rho^r/(1-rho), and with sigma, of the two-sided
+      geometric marginals (``_axis_ratios``), summed over the axes.
     """
     r = panels - half_width
     reach = int(np.abs(step.displacements).max()) or 1
@@ -204,44 +213,22 @@ def _alias_bound(step: StepLaw, g: float, q: float, half_width: int, panels: int
     if r <= 0 or reach > 1:
         return steps / q
     tails = 0.0
-    for a, b, c in (step.probs @ (step.displacements.T[..., None] == (1, 0, -1))).tolist():
-        root = math.sqrt((1.0 - g) * (1.0 + g - 2.0 * g * b) + (g * (a - c)) ** 2)
-        for x in (a, c):
-            ratio = 2.0 * g * x / (1.0 - g * b + root)
+    for root, *ratios in _axis_ratios(step, g):
+        for ratio in ratios:
             tails += (1.0 - g) / root * ratio**r / (1.0 - ratio)
     return min(steps, tails) / q
 
 
-def lattice_ness(
-    step: StepLaw,
-    inner: WaitingLaw,
-    q: float,
-    half_width: int,
-    panels: int | None = None,
-) -> PropagatorGrid:
-    """Stationary propagator of a walk stopped at a geometric(p = 1-q) time.
-
-    P(x, inf) = P_q(x, inf)/q - (p/q) delta_x0 where P_q is the inverse
-    Fourier transform of (1-g)/(1 - W(theta) g) = sum_m (1-g) g^m W^m,
-    g = inner_gf(q).  On a torus of n panels every image of a box site lies
-    n - L or more sites out along some axis, and ``_alias_bound`` bounds the
-    mass P puts there by the smaller of a step count and the exact tails of
-    the axis marginals, or by the step count alone for steps longer than one
-    site.  By default n is the least 5-smooth count (a fast FFT length) above
-    2L whose bound is within 1e-12; where n^d passes the dense-grid cap first,
-    the largest one under the cap if its bound is within 1e-9.  A box that
-    needs more, or a given ``panels`` over the cap, raises ParameterError; a
-    given ``panels`` whose bound is over 1e-9 raises QuadratureError.
-    """
-    if not 0.0 < q < 1.0:
-        raise ParameterError(f"q must be in (0, 1), got {q}")
-    if not _is_int(half_width) or half_width < 0:
-        raise ParameterError(f"half_width={half_width} must be an integer >= 0")
-    if not inner.has_full_mass:
-        raise ParameterError("inner law must be non-defective")
-    psibar = inner.gf(q)
-    aliased = partial(_alias_bound, step, psibar, q, half_width)
+def _torus_panels(step: StepLaw, g: float, q: float, half_width: int, panels=None) -> int:
+    """Panels per axis of the torus for the box: ``panels`` if given, else the
+    least 5-smooth count (a fast FFT length) above 2L with alias bound within
+    1e-12, or, where n^d passes the dense-grid cap first, the largest under it
+    with bound within 1e-9.  A box that needs more, or ``panels`` not an integer
+    >= 1 or over the cap, is a ParameterError; a bound over 1e-9 QuadratureError."""
+    aliased = partial(_alias_bound, step, g, q, half_width)
     given = panels is not None
+    if given and not (_is_int(panels) and panels >= 1):
+        raise ParameterError(f"panels={panels} must be an integer >= 1")
     if not given:
         panels, fits = _fast_len(2 * half_width + 1), None
         while panels**step.dim <= _MEMORY_CAP and aliased(panels) > _ALIAS_TARGET:
@@ -255,9 +242,36 @@ def lattice_ness(
     if aliased(panels) > _ALIAS_TOL:
         raise QuadratureError(f"{panels} panels may alias {aliased(panels):.3g} of "
                               "mass onto the box; increase the panel count")
-    values = _torus_grid(step, psibar, panels, half_width) / q
-    origin = (half_width,) * step.dim
-    values[origin] -= (1.0 - q) / q
+    return panels
+
+
+def lattice_ness(step: StepLaw, inner: WaitingLaw, q: float, half_width: int,
+                 panels: int | None = None) -> PropagatorGrid:
+    """Stationary propagator of a walk stopped at a geometric(p = 1-q) time.
+
+    P(x, inf) = P_q(x, inf)/q - (p/q) delta_x0 where P_q is the inverse
+    Fourier transform of (1-g)/(1 - W(theta) g) = sum_m (1-g) g^m W^m,
+    g = inner_gf(q): for a 1-d walk of steps -1, 0, +1 and no ``panels`` the
+    exact two-sided law of ``_axis_ratios``, else the trapezoid rule on the
+    torus of ``_torus_panels``.
+    """
+    if not 0.0 < q < 1.0:
+        raise ParameterError(f"q must be in (0, 1), got {q}")
+    if not _is_int(half_width) or half_width < 0:
+        raise ParameterError(f"half_width={half_width} must be an integer >= 0")
+    if (2 * half_width + 1) ** step.dim > _MEMORY_CAP:
+        raise ParameterError(f"half_width={half_width}: box over the {_MEMORY_CAP}-entry grid cap")
+    if not inner.has_full_mass:
+        raise ParameterError("inner law must be non-defective")
+    psibar = inner.gf(q)
+    if panels is None and step.dim == 1 and np.abs(step.displacements).max() <= 1:
+        [(root, rho, sigma)] = _axis_ratios(step, psibar)
+        x = np.arange(-half_width, half_width + 1)
+        values = (1.0 - psibar) / root / q * np.where(x >= 0, rho, sigma) ** np.abs(x)
+    else:
+        panels = _torus_panels(step, psibar, q, half_width, panels)
+        values = _torus_grid(step, psibar, panels, half_width) / q
+    values[(half_width,) * step.dim] -= (1.0 - q) / q
     return PropagatorGrid(values, half_width, step.basis)
 
 

@@ -593,10 +593,20 @@ def test_full_mass_boundary_is_shared():
      "half_width=2.5 must be an integer >= 0"),
     (lambda: ness.lattice_ness(walks.line_walk(0.5), Geometric(0.7), 0.8, 2.5),
      "half_width=2.5 must be an integer >= 0"),
+    *((lambda panels=panels: ness.lattice_ness(walks.line_walk(0.5), Geometric(0.7), 0.8, 16,
+                                               panels=panels),
+       f"panels={panels} must be an integer >= 1") for panels in (1000.0, 2.5, True, 0, -5)),
+    (lambda: ness.lattice_ness(walks.line_walk(0.5), Geometric(0.7), 0.8, 2**23),
+     "half_width=8388608: box over the 16777216-entry grid cap"),
+    *((lambda q=q: ness.ness_scale(Geometric(0.7), q), rf"q must be in \(0, 1\), got {q}")
+      for q in (0.0, 1.0)),
 ], ids=["n0", "time", "step-count", "basis", "p-right", "count-pmf", "negative-table",
         "empty-table", "dcm-n-max", "compare-shapes", "symmetric-alpha", "one-sided-alpha",
         "n0-not-integer", "n-max-not-integer", "n-max-negative", "nan-step-prob",
-        "bool-half-width", "float-half-width", "float-lattice-half-width"])
+        "bool-half-width", "float-half-width", "float-lattice-half-width",
+        "lattice-box-over-the-cap", "float-panels", "fractional-panels", "bool-panels",
+        "zero-panels", "negative-panels",
+        "ness-scale-q-0", "ness-scale-q-1"])
 def test_parameter_errors_name_the_value_they_got(make, got):
     with pytest.raises(ParameterError, match=f"^{got}$"):
         make()

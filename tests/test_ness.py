@@ -380,12 +380,14 @@ def test_lattice_ness_refinement_guard():
     ids=["line", "square", "triangular_biased", "line_tail", "cubic", "line_biased"],
 )
 def test_lattice_ness_torus_size(monkeypatch, step, inner, q, half_width, panels):
-    # the least 5-smooth count above 2L whose alias bound is within 1e-12, once
+    # the least 5-smooth count above 2L whose alias bound is within 1e-12,
+    # built once; a 1-d walk of steps -1, 0, +1 takes its closed form, no torus
+    assert ness._torus_panels(step, inner.gf(q), q, half_width) == panels
     sizes = []
     grid = ness._torus_grid
     monkeypatch.setattr(ness, "_torus_grid", lambda *a: sizes.append(a[2]) or grid(*a))
     lattice_ness(step, inner, q, half_width)
-    assert sizes == [panels]
+    assert sizes == ([] if step.dim == 1 else [panels])
 
 
 def _is_5_smooth(n):
@@ -409,16 +411,13 @@ def test_default_torus_is_the_least_5_smooth_size_within_1e_12(step, q, half_wid
     # sizes under it are enumerated one by one, and where none meets 1e-12
     # the largest serves if it meets 1e-9, else the box is refused
     psibar = Geometric(0.7).gf(q)
-    grid, made = ness._torus_grid, []
     with pytest.MonkeyPatch.context() as mp:
         if cap is not None:
             mp.setattr(ness, "_MEMORY_CAP", cap**step.dim)
-        mp.setattr(ness, "_torus_grid", lambda *a: made.append((a[2], grid(*a))) or made[-1][1])
         try:
-            lattice_ness(step, Geometric(0.7), q, half_width)
+            n = ness._torus_panels(step, psibar, q, half_width)
         except ParameterError:
-            made.append((None, None))
-    [(n, coarse)] = made
+            n = None
     bound = partial(ness._alias_bound, step, psibar, q, half_width)
     sizes = [m for m in range(2 * half_width + 1, (cap or n) + 1) if _is_5_smooth(m)]
     within = [m for m in sizes if bound(m) <= 1e-12]
@@ -427,7 +426,7 @@ def test_default_torus_is_the_least_5_smooth_size_within_1e_12(step, q, half_wid
     if n is not None:
         # images add nonnegative mass, so the torus exceeds the 4n one by less
         # than q times the alias bound
-        fine = grid(step, psibar, 4 * n, half_width)
+        coarse, fine = (ness._torus_grid(step, psibar, m, half_width) for m in (n, 4 * n))
         assert np.abs(coarse - fine).sum() <= q * bound(n) + 1e-13
 
 
@@ -467,6 +466,59 @@ def test_lattice_ness_matches_two_sided_geometric(p, q):
     want[half_width] -= (1.0 - q) / q
     grid = lattice_ness(walks.line_walk(p), inner, q, half_width)
     np.testing.assert_allclose(grid.values, want, rtol=0, atol=1e-12)
+
+
+def exact_line_ness(step, inner, q, half_width):
+    """P on the 1-d box at 30 digits: P_q(x) = k r^|x|, the ratio r on each
+    side the small root of g v r^2 - (1 - g b) r + g u = 0 (u the chance of a
+    step towards that side, v away from it, b of no move) and k unit mass."""
+    with mp.workdps(30):
+        g, q = mp.mpf(inner.gf(q)), mp.mpf(q)
+        a, b, c = (mp.fsum(mp.mpf(float(p)) for p in step.probs[step.displacements[:, 0] == m])
+                   for m in (1, 0, -1))
+        root = lambda u, v: 2 * g * u / (1 - g * b + mp.sqrt((1 - g * b) ** 2 - 4 * g * g * u * v))
+        right, left = root(a, c), root(c, a)
+        k = 1 / (1 / (1 - right) + left / (1 - left))
+        cells = [k * (right**x if x >= 0 else left**-x) / q
+                 for x in range(-half_width, half_width + 1)]
+        cells[half_width] -= (1 - q) / q
+        return np.array([float(z) for z in cells])
+
+
+@pytest.mark.parametrize(
+    "step",
+    [walks.line_walk(0.5), walks.line_walk(0.7), walks.line_walk(1.0), walks.hypercubic_walk(1),
+     walks.StepLaw([[1], [0], [-1]], [0.3, 0.45, 0.25])],
+    ids=["0.5", "0.7", "1.0", "hypercubic", "lazy"],
+)
+@pytest.mark.parametrize("q", [0.8, 0.99])
+def test_lattice_ness_one_dimension_is_the_closed_form(step, q):
+    # every cell down to 1e-100, out to +-256, within 1e-13 of 30 digits; a
+    # torus holds only about 1e-16 of the peak, so its tails are far off
+    inner, half_width = Geometric(0.7), 256
+    want = exact_line_ness(step, inner, q, half_width)
+    got = lattice_ness(step, inner, q, half_width).values
+    assert (got >= 0.0).all()
+    big = want >= 1e-100
+    np.testing.assert_allclose(got[big], want[big], rtol=1e-13, atol=0)
+    assert (got[~big] <= 1e-100).all()
+    # a given panel count still builds the torus, which agrees in absolute terms
+    panels = ness._torus_panels(step, inner.gf(q), q, half_width)
+    torus = lattice_ness(step, inner, q, half_width, panels=panels).values
+    np.testing.assert_allclose(torus, got, rtol=0, atol=1e-13)
+
+
+def test_cli_lattice_ness_default_line_tails(tmp_path):
+    # the tail cells lie far below a torus's rounding floor of about 1e-17
+    argv = ["ness", "--kind", "lattice", "--inner", "geometric:p=0.7", "--steps", "line:p=0.5",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    lines = (tmp_path / "ness_lattice.csv").read_text().splitlines()
+    assert lines[0] == "x0,prob"
+    cells = {int(x): float(prob) for x, prob in (line.split(",") for line in lines[1:])}
+    assert min(cells.values()) >= 0.0
+    for x in (-256, 256):
+        assert cells[x] == pytest.approx(1.16718575297e-20, rel=1e-11, abs=0)
 
 
 def test_lattice_ness_biased_triangular_near_one():
