@@ -27,10 +27,9 @@ SCHEMA_VERSION = 1
 _COMPUTE_ERRORS = (ValueError, RuntimeError, SingularSeriesError, OSError)
 
 
-#: cells per block of rows; the block's temporaries take under 400 bytes a cell
+#: cells per block of rows that ``_format_rows`` formats at a time, in the
+#: writing process; the block's temporaries take under 400 bytes a cell
 _CSV_BLOCK_CELLS = 6144
-#: a CSV of this many cells or more is formatted in parts, one per CPU, of half as many at least
-_CSV_SPLIT_CELLS = 1 << 17
 # A cell's text is 11 little-endian uint32 words, NUL-padded: separator and
 # sign, 3 of integer part, "." and 4 of fraction, 2 of exponent; a zero cell
 # is word 0 alone, an integer cell under 10^8 words 0-2.  Digit group g is
@@ -114,16 +113,17 @@ def _int_cells(groups):
     return np.where(small, np.uint8(3), np.uint8(11)), digits, ~(small | huge), huge
 
 
-def _format_rows(groups, lo: int, hi: int):
-    """Yield rows [lo, hi) of the columns in ``groups`` (2-D stacks of
-    columns) as CSV text, each row after its "\\n", one bytes object per block:
+def _format_rows(groups):
+    """Yield the rows of the columns in ``groups`` (2-D stacks of columns)
+    as CSV text, each row after its "\\n", one bytes object per block:
     integer cells under 10^8 take their digits from the word tables, numpy
     formats what ``_cell_words`` proves exact, Python the rest."""
     cols = [c for g in groups for c in g]
     fmts = ["%d" if g.dtype.kind in "iu" else "%.12g" for g in groups for _ in g]
     ncols, is_int = len(cols), np.array(fmts) == "%d"
     block = max(1, _CSV_BLOCK_CELLS // ncols)
-    buf = np.empty((min(block, hi - lo), ncols))
+    rows = groups[0].shape[1]
+    buf = np.empty((min(block, rows), ncols))
     sep = np.tile(np.where(np.arange(ncols), ord(","), ord("\n")), len(buf)).astype("<u4")
     # the integer cells' places in a block, row by row; their words are made
     # for ``per`` blocks at a time, about a block of cells
@@ -131,8 +131,8 @@ def _format_rows(groups, lo: int, hi: int):
     nint = np.count_nonzero(is_int)
     icells = (np.arange(len(buf))[:, None] * ncols + np.flatnonzero(is_int)).ravel()
     per = max(1, _CSV_BLOCK_CELLS // (block * nint)) if nint else 0
-    for b, start in enumerate(range(lo, hi, block)):
-        n = min(block, hi - start)
+    for b, start in enumerate(range(0, rows, block)):
+        n = min(block, rows - start)
         np.concatenate([g[:, start : start + n] for g in groups], out=buf[:n].T)
         x = buf[:n].ravel()
         zero = x == 0
@@ -140,7 +140,7 @@ def _format_rows(groups, lo: int, hi: int):
         size = 11 - 10 * zero
         if nint:
             if b % per == 0:
-                stop = min(start + per * block, hi)
+                stop = start + per * block
                 isize, idigits, icalc, islow = _int_cells([g[:, start:stop] for g in igroups])
             k = slice(b % per * block * nint, (b % per * block + n) * nint)
             at = icells[: n * nint]
@@ -166,93 +166,16 @@ def _format_rows(groups, lo: int, hi: int):
         yield words.tobytes().translate(None, b"\0")
 
 
-def _row_parts(groups, rows: int, parts: int) -> list:
-    """Bounds of ``parts`` contiguous row ranges of equal formatting cost,
-    give or take a row, where a zero cell costs a quarter of a nonzero one;
-    no mask of the count is over 2^16 cells."""
-    ncols = sum(len(g) for g in groups)
-    cost = np.full(rows, ncols)
-    step = max(1, (1 << 16) // rows)
-    for g in groups:
-        for i in range(0, len(g), step):
-            cost += 3 * np.count_nonzero(g[i : i + step], axis=0)
-    cum = np.cumsum(cost)
-    return [0, *np.searchsorted(cum, cum[-1] * np.arange(1, parts) / parts).tolist(), rows]
-
-
-def _write_parts(fh, path: str, groups, bounds: list) -> None:
-    """Format the first row range of ``bounds`` into ``fh`` and each later
-    one in a forked child, into an unlinked temporary file beside ``path``,
-    then append the children's files in order.  A range whose fork fails is
-    formatted here.  No child outlives the call: on an error the parent kills
-    and reaps them."""
-    import shutil
-    import tempfile
-
-    later, running = [], {}  # running: first row -> pid of a child not reaped
-    try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            if lo == hi:
-                continue
-            tmp = tempfile.TemporaryFile(dir=os.path.dirname(path) or ".")
-            later.append((lo, hi, tmp))
-            try:
-                pid = os.fork()
-            except OSError:
-                continue
-            if pid == 0:  # the child ends here, whatever happens
-                code = 1
-                try:
-                    tmp.writelines(_format_rows(groups, lo, hi))
-                    tmp.flush()
-                    code = 0
-                finally:
-                    os._exit(code)
-            running[lo] = pid
-        fh.writelines(_format_rows(groups, bounds[0], bounds[1]))
-        for lo, hi, tmp in later:
-            if lo not in running:
-                fh.writelines(_format_rows(groups, lo, hi))
-                continue
-            code = os.waitstatus_to_exitcode(os.waitpid(running[lo], 0)[1])
-            del running[lo]
-            if code:
-                raise RuntimeError(f"the process writing rows {lo}-{hi - 1} of {path} "
-                                   f"ended with exit code {code}")
-            tmp.seek(0)
-            shutil.copyfileobj(tmp, fh)
-    finally:
-        if running:
-            import signal
-
-            for pid in running.values():
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        for *_, tmp in later:
-            tmp.close()
-
-
 def _write_csv(path: str, header, columns) -> None:
     """Write equal-length columns under ``header`` (a 2-D entry is a stack of
-    columns) as ``%d`` for integers, else ``%.12g``, byte for byte.  A file
-    of ``_CSV_SPLIT_CELLS`` or more cells is formatted in row ranges on the
-    available CPUs when this process may fork and runs no other thread; the
-    bytes are the same."""
-    import threading
-
+    columns) as ``%d`` for integers, else ``%.12g``, byte for byte, formatted
+    block by block in this process."""
     groups = [np.atleast_2d(c) for c in columns]
-    rows = groups[0].shape[1]
-    if any(g.shape[1] != rows for g in groups):
+    if any(g.shape[1] != groups[0].shape[1] for g in groups):
         raise ValueError(f"CSV columns for {path} differ in length")
-    # one part per CPU, and none of under half the threshold, so each fork pays
-    parts = min(2 * rows * sum(len(g) for g in groups) // _CSV_SPLIT_CELLS,
-                montecarlo._available_cpus())
-    bounds = [0, rows]
-    if parts > 1 and hasattr(os, "fork") and threading.active_count() == 1:
-        bounds = _row_parts(groups, rows, parts)
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode())
-        _write_parts(fh, path, groups, bounds)
+        fh.writelines(_format_rows(groups))
         fh.write(b"\n")
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InconclusiveRunError, ParameterError
-from .laws import INFINITY, Geometric, WaitingLaw, _is_int, _window
+from .laws import INFINITY, _MASS_TOL, Geometric, WaitingLaw, _is_int, _window
 from .stopped import StoppedSpec
 from .walks import StepLaw
 
@@ -130,9 +130,9 @@ def _capped_runs(spec: StoppedSpec, cfg: SimConfig, t_obs, count):
     the cap the run is inconclusive and raises.
     """
     infinite = t_obs == INFINITY
-    if not infinite and (t_obs < 0 or t_obs > cfg.horizon):
+    if not infinite and not (_is_int(t_obs) and 0 <= t_obs <= cfg.horizon):
         raise ParameterError(
-            f"t_obs must be in [0, horizon={cfg.horizon}] or INFINITY, got {t_obs}"
+            f"t_obs must be an integer in [0, horizon={cfg.horizon}] or INFINITY, got {t_obs}"
         )
     cap = float(cfg.horizon if infinite else t_obs)
 
@@ -247,9 +247,10 @@ class EmpiricalComparison:
 def compare_discrete(samples, support, probs) -> EmpiricalComparison:
     """Total variation and chi-square p-value against an integer law.
 
-    ``probs`` live on ``support``; any remaining exact mass is treated as a
-    single out-of-support bin.  Chi-square bins with expected count below 5
-    are pooled from the tail before the test.
+    ``probs`` live on ``support``, finite and nonnegative, of total at most
+    1; any remaining exact mass is treated as a single out-of-support bin.
+    Chi-square bins with expected count below 5 are pooled from the tail
+    before the test.
     """
     samples = np.asarray(samples).ravel()
     if samples.size == 0:
@@ -258,6 +259,11 @@ def compare_discrete(samples, support, probs) -> EmpiricalComparison:
     probs = np.asarray(probs, dtype=float)
     if support.shape != probs.shape:
         raise ParameterError(f"support and probs must align, got {support.shape} and {probs.shape}")
+    bad = probs[~(probs >= -_MASS_TOL)]  # NaN fails it, and +inf the total below
+    if bad.size:
+        raise ParameterError(f"probs must be finite and >= 0, got {bad[0]}")
+    if probs.sum() > 1.0 + 1e-9:
+        raise ParameterError(f"probs must sum to at most 1, got {probs.sum()}")
     n = samples.size
     # one sort of the samples, then a binary search per support value
     values, freq = np.unique(samples, return_counts=True)

@@ -187,7 +187,8 @@ def exceedance_prob(law: WaitingLaw, n0: int, t) -> float:
         return law.defect_mass ** (n0 + 1)
     if t < 0:
         raise ParameterError(f"time must be >= 0, got {t}")
-    t = int(t)
+    if not _is_int(t):
+        raise ParameterError(f"time must be an integer or INFINITY, got {t}")
     if n0 >= t:
         return 0.0
     square = law.pmf_vector(t)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoxLeakageError, ParameterError
-from .laws import _is_int
+from .laws import _MASS_TOL, _is_int
 
 _MEMORY_CAP = 2**24  # grid entries; dense boxes and tori beyond this are refused
 
@@ -165,8 +165,10 @@ def propagator(step: StepLaw, count_pmf, half_width: int) -> PropagatorGrid:
     raises instead of renormalizing.
     """
     count_pmf = np.asarray(count_pmf, dtype=float)
-    if not abs(count_pmf.sum() - 1.0) <= 1e-9:
+    if not abs(count_pmf.sum() - 1.0) <= 1e-9:  # so is a NaN or infinite entry
         raise ParameterError(f"count pmf must sum to 1, got {count_pmf.sum()}")
+    if count_pmf.min() < -_MASS_TOL:
+        raise ParameterError(f"count pmf entries must be >= 0, got {count_pmf.min()}")
     if not _is_int(half_width) or half_width < 0:
         raise ParameterError(f"half_width={half_width} must be an integer >= 0")
     size = 2 * half_width + 1

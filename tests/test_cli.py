@@ -1,4 +1,3 @@
-import errno
 import hashlib
 import json
 import math
@@ -11,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import traced_peak
 
-from renewalk import cli, montecarlo, renewal, stopped
+from renewalk import cli, renewal, stopped
 from renewalk.laws import DefectiveGeometric, Geometric, Sibuya
 
 
@@ -689,40 +688,43 @@ def test_write_csv_matches_per_cell_formatting(tmp_path, monkeypatch, block_cell
         cli._write_csv(str(path), header, [x, values[:-1]])
 
 
-def _split_csv(monkeypatch, parts, bounds=None):
-    """Split every CSV into ``parts`` row ranges (at ``bounds`` if given), 4
-    rows of the mixed table to a block."""
-    monkeypatch.setattr(cli, "_CSV_SPLIT_CELLS", 1)
-    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 20)
-    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: parts)
-    if bounds is not None:
-        monkeypatch.setattr(cli, "_row_parts", lambda groups, rows, n: bounds)
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-# the explicit bounds cut between -0.0 and +0.0 (rows 2 and 3), between inf
-# and nan (rows 7 and 8), inside the +0 runs with -0.0 (rows 22 and 23) and
-# at the all-zero origin row (40); the last leaves a part empty.  Rows 5 and
-# 6 (1e16 and 123456789012.5) alone make more parts than rows.
-@pytest.mark.parametrize("parts, bounds, rows", [
-    (1, None, slice(None)), (2, None, slice(None)), (3, None, slice(None)),
-    (2, [0, 3, 81], slice(None)), (3, [0, 8, 23, 81], slice(None)),
-    (3, [0, 22, 40, 81], slice(None)), (3, [0, 40, 40, 81], slice(None)),
-    (3, None, slice(5, 7)),
-])
-def test_split_csv_is_byte_identical(tmp_path, monkeypatch, parts, bounds, rows):
+# each case puts a block edge where a cell's text could run into its
+# neighbour's: between -0.0 and +0.0 (rows 2 and 3), between inf and nan
+# (rows 7 and 8), inside the +0 runs with -0.0 (rows 22 and 23) and at the
+# all-zero origin row (40); rows 5 and 6 (1e16 and 123456789012.5) alone
+# make a block of one row each and a block longer than the table
+@pytest.mark.parametrize("block_rows, rows", [
+    (cli._CSV_BLOCK_CELLS // 5, slice(None)), (3, slice(None)), (8, slice(None)),
+    (22, slice(None)), (23, slice(None)), (40, slice(None)),
+    (1, slice(5, 7)), (4, slice(5, 7)),
+], ids=["one-block", "edge-at-3", "edge-at-8", "edge-at-22", "edge-at-23", "edge-at-40",
+        "rows-5-6-one-a-block", "rows-5-6-in-one-block"])
+def test_csv_blocks_are_byte_identical(tmp_path, monkeypatch, block_rows, rows):
     header, columns = _mixed_table()
     columns = [c[rows] for c in columns]
-    _split_csv(monkeypatch, parts, bounds)
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 5 * block_rows)
+    n = len(columns[0])
+    blocks = [part.count(b"\n") for part in cli._format_rows([np.atleast_2d(c) for c in columns])]
+    assert blocks == [min(block_rows, n - i) for i in range(0, n, block_rows)]
     path = tmp_path / "table.csv"
     cli._write_csv(str(path), header, columns)
-    _assert_no_child()
     assert path.read_text() == _reference_csv(header, columns)
-    assert os.listdir(tmp_path) == ["table.csv"]  # the children's files are unlinked
+    assert os.listdir(tmp_path) == ["table.csv"]  # no temporary file left beside it
+
+
+def test_csv_of_two_to_the_17_cells_is_written_without_forking(tmp_path, monkeypatch):
+    def fork():
+        raise AssertionError("the CSV writer forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    rows = 1 << 16
+    rng = np.random.default_rng(17)
+    header = ["t", "p"]
+    columns = [np.arange(rows), rng.standard_normal(rows) * 10.0 ** rng.integers(-30, 30, rows)]
+    path = tmp_path / "table.csv"
+    cli._write_csv(str(path), header, columns)
+    assert path.read_text() == _reference_csv(header, columns)
+    assert os.listdir(tmp_path) == ["table.csv"]
 
 
 def _integer_table():
@@ -744,14 +746,11 @@ def _integer_table():
 
 
 @pytest.mark.parametrize("block_cells", [cli._CSV_BLOCK_CELLS, 1 << 13, 7])
-@pytest.mark.parametrize("parts", [1, 2, 3])
-def test_integer_cells_match_per_cell_formatting(tmp_path, monkeypatch, block_cells, parts):
+def test_integer_cells_match_per_cell_formatting(tmp_path, monkeypatch, block_cells):
     header, columns = _integer_table()
-    _split_csv(monkeypatch, parts)
     monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", block_cells)
     path = tmp_path / "table.csv"
     cli._write_csv(str(path), header, columns)
-    _assert_no_child()
     assert path.read_text() == _reference_csv(header, columns)
 
 
@@ -759,86 +758,6 @@ def test_integer_word_table_holds_str_of_each_entry():
     table = cli._int_words()
     assert table.shape == (10_000,)
     assert [w.tobytes().rstrip(b"\0").decode() for w in table] == list(map(str, range(10_000)))
-
-
-def test_row_parts_cost_the_same_give_or_take_a_row():
-    # rows t = 0..63 of a triangular table: t + 1 nonzero cells of 64, and t
-    probs = np.triu(np.ones((64, 64)))
-    groups = [np.atleast_2d(np.arange(64)), probs]
-    cost = 65 + 3 * (np.count_nonzero(probs, axis=0) + (np.arange(64) > 0))
-    for parts in (2, 3, 5):
-        bounds = cli._row_parts(groups, 64, parts)
-        shares = [cost[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]
-        assert bounds[0] == 0 and bounds[-1] == 64 and len(shares) == parts
-        assert max(shares) - min(shares) <= 2 * cost.max()
-
-
-@pytest.mark.parametrize("cells, parts", [((1 << 17) - 2, 1), (1 << 17, 2), (3 << 16, 3)])
-def test_split_parts_hold_half_the_threshold_of_cells(tmp_path, monkeypatch, cells, parts):
-    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 8)
-    row_parts, asked = cli._row_parts, []
-
-    def spy(groups, rows, n):
-        asked.append(n)
-        return row_parts(groups, rows, n)
-
-    monkeypatch.setattr(cli, "_row_parts", spy)
-    column = np.arange(cells // 2)
-    cli._write_csv(str(tmp_path / "t.csv"), ["a", "b"], [column, column])
-    _assert_no_child()
-    assert asked == ([parts] if parts > 1 else [])
-
-
-def test_failed_writer_process_is_a_computation_error(tmp_path, monkeypatch, capsys):
-    _split_csv(monkeypatch, 2)
-    format_rows = cli._format_rows
-
-    def fail_in_the_child(groups, lo, hi):
-        if lo:
-            raise MemoryError("no room for the block")
-        return format_rows(groups, lo, hi)
-
-    monkeypatch.setattr(cli, "_format_rows", fail_in_the_child)
-    argv = ["renewal", "--law", "sibuya:mu=0.5", "--horizon", "64", "--out", str(tmp_path)]
-    assert run(argv) == 1
-    _assert_no_child()
-    err = capsys.readouterr().err
-    assert "renewal_state.csv ended with exit code 1" in err
-
-
-def test_error_in_the_parent_leaves_no_child(tmp_path, monkeypatch):
-    header, columns = _mixed_table()
-    _split_csv(monkeypatch, 3)
-    format_rows = cli._format_rows
-
-    def fail_in_the_parent(groups, lo, hi):
-        if not lo:
-            raise KeyboardInterrupt
-        return format_rows(groups, lo, hi)
-
-    monkeypatch.setattr(cli, "_format_rows", fail_in_the_parent)
-    with pytest.raises(KeyboardInterrupt):
-        cli._write_csv(str(tmp_path / "table.csv"), header, columns)
-    _assert_no_child()
-
-
-def test_part_whose_fork_fails_is_written_by_the_parent(tmp_path, monkeypatch):
-    header, columns = _mixed_table()
-    _split_csv(monkeypatch, 3)
-    fork, calls = os.fork, []
-
-    def first_fork_fails():
-        calls.append(None)
-        if len(calls) == 1:
-            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", first_fork_fails)
-    path = tmp_path / "table.csv"
-    cli._write_csv(str(path), header, columns)
-    _assert_no_child()
-    assert len(calls) == 2
-    assert path.read_text() == _reference_csv(header, columns)
 
 
 def _assert_cells_formatted(column):
@@ -929,17 +848,11 @@ def test_state_table_csv_matches_per_cell_formatting(tmp_path, argv, stem, table
 
 
 @pytest.mark.parametrize("argv, stem, table_at", _STATE_TABLES)
-def test_write_csv_peak_memory_is_under_half_the_table(tmp_path, monkeypatch, argv, stem,
-                                                       table_at):
-    # rows go out in blocks through one reused buffer: no copy of the table,
-    # whether the parent formats its share of a split file or one process
-    # formats every row
+def test_write_csv_peak_memory_is_under_half_the_table(tmp_path, argv, stem, table_at):
+    # rows go out in blocks through one reused buffer: no copy of the table
     table = table_at(768)
     header, columns = _state_columns(table)
     path = str(tmp_path / f"{stem}.csv")
     cli._write_csv(path, header, columns)  # builds the formatter's cached tables
-    _, peak = traced_peak(lambda: cli._write_csv(path, header, columns))
-    assert peak <= table.probs.nbytes / 2
-    monkeypatch.setattr(montecarlo, "_available_cpus", lambda: 1)
     _, peak = traced_peak(lambda: cli._write_csv(path, header, columns))
     assert peak <= table.probs.nbytes / 2

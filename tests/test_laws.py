@@ -561,6 +561,10 @@ def test_full_mass_boundary_is_shared():
         ness.lattice_ness(walks.line_walk(0.5), short, 0.8, 8)
 
 
+_SPEC = stopped.StoppedSpec(Geometric(0.7), Geometric(0.2), 8)
+_CFG = montecarlo.SimConfig(seed=1, replicas=10, horizon=8)
+
+
 @pytest.mark.parametrize("make, got", [
     (lambda: renewal.exceedance_prob(Geometric(0.5), -2, 5), "n0 must be >= 0, got -2"),
     (lambda: renewal.exceedance_prob(Geometric(0.5), 1, -3), "time must be >= 0, got -3"),
@@ -600,13 +604,27 @@ def test_full_mass_boundary_is_shared():
      "half_width=8388608: box over the 16777216-entry grid cap"),
     *((lambda q=q: ness.ness_scale(Geometric(0.7), q), rf"q must be in \(0, 1\), got {q}")
       for q in (0.0, 1.0)),
+    *((lambda t=t: renewal.exceedance_prob(Geometric(0.7), 1, t),
+       f"time must be an integer or INFINITY, got {t}") for t in (2.5, True)),
+    (lambda: montecarlo.sample_stopped_value(_SPEC, _CFG, 2.5),
+     r"t_obs must be an integer in \[0, horizon=8\] or INFINITY, got 2.5"),
+    (lambda: montecarlo.sample_walk_endpoint(walks.line_walk(0.5), _SPEC, _CFG, True),
+     r"t_obs must be an integer in \[0, horizon=8\] or INFINITY, got True"),
+    (lambda: walks.propagator(walks.line_walk(0.5), [1.5, -0.5], 4),
+     "count pmf entries must be >= 0, got -0.5"),
+    *((lambda probs=probs: montecarlo.compare_discrete([0, 1, 1], [0, 1], probs),
+       f"probs must be finite and >= 0, got {got}")
+      for probs, got in (([np.nan, 0.5], np.nan), ([-0.5, 1.5], -0.5))),
+    (lambda: montecarlo.compare_discrete([0, 1, 1], [0, 1], [0.9, 0.9]),
+     "probs must sum to at most 1, got 1.8"),
 ], ids=["n0", "time", "step-count", "basis", "p-right", "count-pmf", "negative-table",
         "empty-table", "dcm-n-max", "compare-shapes", "symmetric-alpha", "one-sided-alpha",
         "n0-not-integer", "n-max-not-integer", "n-max-negative", "nan-step-prob",
         "bool-half-width", "float-half-width", "float-lattice-half-width",
         "lattice-box-over-the-cap", "float-panels", "fractional-panels", "bool-panels",
         "zero-panels", "negative-panels",
-        "ness-scale-q-0", "ness-scale-q-1"])
+        "ness-scale-q-0", "ness-scale-q-1", "float-time", "bool-time", "float-t-obs",
+        "bool-t-obs", "negative-count-pmf", "nan-compare-probs", "negative-compare-probs", "compare-probs-over-1"])
 def test_parameter_errors_name_the_value_they_got(make, got):
     with pytest.raises(ParameterError, match=f"^{got}$"):
         make()
