@@ -712,6 +712,30 @@ def test_csv_blocks_are_byte_identical(tmp_path, monkeypatch, block_rows, rows):
     assert os.listdir(tmp_path) == ["table.csv"]  # no temporary file left beside it
 
 
+# each case cuts the table into ``parts`` row ranges (at ``bounds`` if given,
+# else into ranges of equal rows) and formats each range alone, 4 rows to a
+# block.  The explicit bounds cut between -0.0 and +0.0 (rows 2 and 3),
+# between inf and nan (rows 7 and 8), inside the +0 runs with -0.0 (rows 22
+# and 23) and at the all-zero origin row (40); the last leaves a range empty.
+# Rows 5 and 6 (1e16 and 123456789012.5) alone make more parts than rows.
+@pytest.mark.parametrize("parts, bounds, rows", [
+    (1, None, slice(None)), (2, None, slice(None)), (3, None, slice(None)),
+    (2, [0, 3, 81], slice(None)), (3, [0, 8, 23, 81], slice(None)),
+    (3, [0, 22, 40, 81], slice(None)), (3, [0, 40, 40, 81], slice(None)),
+    (3, None, slice(5, 7)),
+])
+def test_split_csv_is_byte_identical(monkeypatch, parts, bounds, rows):
+    header, columns = _mixed_table()
+    columns = [c[rows] for c in columns]
+    n = len(columns[0])
+    if bounds is None:
+        bounds = [n * i // parts for i in range(parts + 1)]
+    monkeypatch.setattr(cli, "_CSV_BLOCK_CELLS", 20)
+    text = b"".join(block for lo, hi in zip(bounds, bounds[1:])
+                    for block in cli._format_rows([np.atleast_2d(c[lo:hi]) for c in columns]))
+    assert (",".join(header) + text.decode() + "\n") == _reference_csv(header, columns)
+
+
 def test_csv_of_two_to_the_17_cells_is_written_without_forking(tmp_path, monkeypatch):
     def fork():
         raise AssertionError("the CSV writer forked")
