@@ -431,9 +431,11 @@ def _cmd_mc(args) -> int:
         "mean": float(values.mean()),
         "variance": float(values.var()),
     }
+    # at inf, S is capped at the horizon H, so the values are M(H) and the law is column H;
     # an inner law without a column step reads the column off an O(t^3) table
-    if t_obs != INFINITY and (t_obs <= 2048 or spec.inner.count_steps(0) is not None):
-        exact = stopped.stopped_column(spec, t_obs)
+    t = args.horizon if t_obs == INFINITY else t_obs
+    if t <= 2048 or spec.inner.count_steps(0) is not None:
+        exact = stopped.stopped_column(spec, t)
         comp = montecarlo.compare_discrete(values, np.arange(len(exact)), exact)
         # the p-value is NaN, written null, with fewer than two pooled bins
         payload.update(tv_distance=comp.tv, chisq_pvalue=comp.chisq_pvalue)

@@ -262,7 +262,7 @@ def lattice_ness(step: StepLaw, inner: WaitingLaw, q: float, half_width: int,
     if (2 * half_width + 1) ** step.dim > _MEMORY_CAP:
         raise ParameterError(f"half_width={half_width}: box over the {_MEMORY_CAP}-entry grid cap")
     if not inner.has_full_mass:
-        raise ParameterError("inner law must be non-defective")
+        raise ParameterError(f"inner law must be non-defective, got mass {inner.defect_mass}")
     psibar = inner.gf(q)
     if panels is None and step.dim == 1 and np.abs(step.displacements).max() <= 1:
         [(root, rho, sigma)] = _axis_ratios(step, psibar)

@@ -3,10 +3,10 @@
 The central object is the state table Phi[n, t] = P[N(t) = n] for a
 counting process driven by IID waiting times, built coefficient-wise as
 survival * pmf^(*n) on a shared horizon, or column by column where the count
-is a Markov chain; that column step also serves a single stopped column
-(``stopped.stopped_column``) without the table.  Waiting laws may be
-defective, in which case the process is transient and the limiting state
-law is geometric.
+is a Markov chain.  ``state_columns`` yields the table's columns one at a
+time, stepped without the table where it steps; ``stopped.stopped_column``
+sums them.  Waiting laws may be defective, in which case the process is
+transient and the limiting state law is geometric.
 """
 
 from __future__ import annotations
@@ -75,38 +75,42 @@ def state_table(law: WaitingLaw, horizon: int) -> StateTable:
 
     Row n is survival * pmf^(*n); keeping n_max equal to the horizon makes
     the column sums exactly one.  From horizon 20 on, a law whose count is a
-    Markov chain (``count_steps``: Geometric, Sibuya) steps one column at a
-    time, and the rows of any other law are built by doubling: with c =
-    pmf^(*k), rows [k, 2k) are rows [0, k) times the upper-triangular
-    Toeplitz matrix U[i, t] = c[t - i], one matrix product per doubling.
-    Every term of either is nonnegative, so each entry keeps its relative
-    accuracy.  Smaller tables are convolved row by row.  A table of more
-    than ``_TABLE_CAP`` entries raises ParameterError.
+    Markov chain (``count_steps``: Geometric, Sibuya) stores the columns of
+    :func:`state_columns`, and the rows of any other law are built by
+    doubling: with c = pmf^(*k), rows [k, 2k) are rows [0, k) times the
+    upper-triangular Toeplitz matrix U[i, t] = c[t - i], one matrix product
+    per doubling.  Every term of either is nonnegative, so each entry keeps
+    its relative accuracy.  Smaller tables are convolved row by row.  A table
+    of more than ``_TABLE_CAP`` entries raises ParameterError.
     """
     entries = (_window(horizon) + 1) ** 2
     if entries > _TABLE_CAP:
         raise ParameterError(f"a state table at horizon {horizon} needs {8 * entries} bytes, "
                              f"over the cap of {_TABLE_CAP} entries ({8 * _TABLE_CAP} bytes)")
-    surv = law.survival_vector(horizon)
-    if horizon < _DOUBLING_MIN_HORIZON:
-        return StateTable(_rows_by_convolution(surv, law.pmf_vector(horizon)))
-    steps = law.count_steps(horizon)
+    if horizon >= _DOUBLING_MIN_HORIZON and law.count_steps(horizon) is not None:
+        probs = np.zeros((horizon + 1, horizon + 1))
+        for t, column in enumerate(state_columns(law, horizon)):
+            probs[: t + 1, t] = column
+        return StateTable(probs)
+    rows = _rows_by_convolution if horizon < _DOUBLING_MIN_HORIZON else _rows_by_doubling
+    return StateTable(rows(law.survival_vector(horizon), law.pmf_vector(horizon)))
+
+
+def state_columns(law: WaitingLaw, horizon: int):
+    """Yield column t of ``state_table(law, horizon)``, its rows n <= t, for t = 0..horizon,
+    byte for byte.  Where the table steps, each column comes from the last in O(T) memory, as a
+    view the next step overwrites: P_(t+1)(n) = stay(n) P_t(n) + move(n - 1) P_t(n - 1) for the
+    chances of ``law.count_steps``.  The running column is held times 2^900, so no step runs in
+    subnormals and a cell below the normal range is one rounding, as it is scaled back; row 0 is
+    the survival, which the step can miss in its last bits.  Otherwise the table is built and
+    its columns are read off it."""
+    steps = law.count_steps(horizon) if _window(horizon) >= _DOUBLING_MIN_HORIZON else None
     if steps is None:
-        return StateTable(_rows_by_doubling(surv, law.pmf_vector(horizon)))
-    probs = np.zeros((horizon + 1, horizon + 1))
-    for t, column in enumerate(_stepped_columns(steps, horizon + 1)):
-        probs[: t + 1, t] = column
-    probs[0] = surv
-    return StateTable(probs)
-
-
-def _stepped_columns(steps, size: int):
-    """Yield the columns P_t(n), n <= t, t < size, of the count of chances ``steps``
-    (``law.count_steps``): P_(t+1)(n) = stay(n) P_t(n) + move(n - 1) P_t(n - 1), each a view
-    the next step overwrites.  The running column is held times 2^900, so no step runs in
-    subnormals and a cell below the normal range is one rounding, as it is scaled back.  Row 0
-    can be off the survival vector in its last bits, so its consumers write that there."""
-    run, moved, column = np.zeros(size), np.empty(size), np.ones(size)
+        probs = state_table(law, horizon).probs
+        yield from (probs[: t + 1, t] for t in range(horizon + 1))
+        return
+    surv = law.survival_vector(horizon)
+    run, moved, column = np.zeros(horizon + 1), np.empty(horizon + 1), surv.copy()
     run[0] = scale = 2.0**900
     yield column[:1]
     for t, (stay, move) in enumerate(steps):
@@ -114,7 +118,9 @@ def _stepped_columns(steps, size: int):
         np.multiply(now, move, out=moves)
         now *= stay
         np.add(run[1 : t + 2], moves, out=run[1 : t + 2])
-        yield np.multiply(run[: t + 2], 1.0 / scale, out=column[: t + 2])
+        scaled = np.multiply(run[: t + 2], 1.0 / scale, out=column[: t + 2])
+        scaled[0] = surv[t + 1]
+        yield scaled
 
 
 def _rows_by_convolution(surv: np.ndarray, pmf: np.ndarray) -> np.ndarray:
@@ -222,7 +228,7 @@ def limit_state_law(law: WaitingLaw, n_max: int = 64):
     return masses, classify(law)
 
 
-def _event_paths(pmf: np.ndarray, surv: np.ndarray):
+def event_paths(pmf: np.ndarray, surv: np.ndarray):
     """Yield (N(t) for t = 0..T, probability) for every event path on {1..T}.
 
     A path is a strictly increasing tuple of event times; its probability is
@@ -253,10 +259,10 @@ def brute_force_state_table(law: WaitingLaw, horizon: int) -> StateTable:
     every t.  Practical only for small horizons (exponential count).
     """
     if horizon > 20:
-        raise ParameterError("exhaustive enumeration is for horizons <= 20")
+        raise ParameterError(f"exhaustive enumeration is for horizons <= 20, got {horizon}")
     probs = np.zeros((horizon + 1, horizon + 1))
     t_axis = np.arange(horizon + 1)
-    paths = _event_paths(law.pmf_vector(horizon), law.survival_vector(horizon))
+    paths = event_paths(law.pmf_vector(horizon), law.survival_vector(horizon))
     for n_of_t, weight in paths:
         probs[n_of_t, t_axis] += weight
     return StateTable(probs)

@@ -5,8 +5,8 @@ first event of an independent stopping process and keeps that value
 forever.  A defective stopping law leaves mass 1 - Q_S on paths that are
 never stopped, making M an intermediate process: it stops with
 probability Q_S and runs forever with probability 1 - Q_S.  The state table
-of M is the inner table frozen at S; one column of it comes from the inner
-count's column step, where it has one, without the table.
+of M is the inner table frozen at S; one column of it is a sum over the
+inner law's columns (``renewal.state_columns``), without the stopped table.
 """
 
 from __future__ import annotations
@@ -69,15 +69,11 @@ def stopped_state_table(spec: StoppedSpec) -> StateTable:
 
 
 def stopped_column(spec: StoppedSpec, t: int) -> np.ndarray:
-    """Column t of the stopped table, byte for byte.  Where the table steps the inner count
-    (from horizon 20) it is the sum of pmf_S(r) P[N(r) = .] over r <= t plus surv_S(t)
-    P[N(t) = .], in O(t) memory; for any other law it is read off the table up to t."""
-    steps = spec.inner.count_steps(t) if _window(t) >= renewal._DOUBLING_MIN_HORIZON else None
-    if steps is None:
-        return stopped_state_table(StoppedSpec(spec.inner, spec.stop, t)).column(t)
-    pmf, row_0, total = spec.stop.pmf_vector(t), spec.inner.survival_vector(t), np.zeros(t + 1)
-    for r, column in enumerate(renewal._stepped_columns(steps, t + 1)):
-        column[0] = row_0[r]
+    """Column t of the stopped table, byte for byte: the sum of pmf_S(r) P[N(r) = .] over
+    r <= t plus surv_S(t) P[N(t) = .], over the inner law's ``renewal.state_columns`` up to t,
+    in O(t) memory where those step and with the inner table up to t otherwise."""
+    pmf, total = spec.stop.pmf_vector(t), np.zeros(t + 1)
+    for r, column in enumerate(renewal.state_columns(spec.inner, t)):
         total[: r + 1] += pmf[r] * column
     return spec.stop.survival_vector(t)[t] * column + total
 
@@ -336,7 +332,7 @@ def brute_force_stopped_table(spec: StoppedSpec) -> StateTable:
     beyond = spec.stop.survival_vector(horizon)[-1]
     probs = np.zeros((horizon + 1, horizon + 1))
     t_axis = np.arange(horizon + 1)
-    paths = renewal._event_paths(
+    paths = renewal.event_paths(
         spec.inner.pmf_vector(horizon), spec.inner.survival_vector(horizon)
     )
     for n_of_t, w in paths:

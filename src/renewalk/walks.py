@@ -79,14 +79,12 @@ class StepLaw:
 
 
 def line_walk(p_right: float = 0.5) -> StepLaw:
-    """Steps +-1 on the one-dimensional lattice; p_right = 1 keeps only +1."""
+    """Steps +1 and -1 on the one-dimensional lattice with chances p_right and 1 - p_right,
+    keeping those above 0."""
     if not 0.0 <= p_right <= 1.0:
         raise ParameterError(f"p_right must be in [0, 1], got {p_right}")
-    if p_right == 1.0:
-        return StepLaw(np.array([[1]]), np.array([1.0]))
-    if p_right == 0.0:
-        return StepLaw(np.array([[-1]]), np.array([1.0]))
-    return StepLaw(np.array([[1], [-1]]), np.array([p_right, 1.0 - p_right]))
+    chances = np.array([p_right, 1.0 - p_right])
+    return StepLaw(np.array([[1], [-1]])[chances > 0.0], chances[chances > 0.0])
 
 
 def hypercubic_walk(d: int) -> StepLaw:

@@ -510,6 +510,23 @@ def test_mc_checks_past_2048_where_the_inner_count_steps(tmp_path, inner, checke
         assert payload.keys().isdisjoint({"tv_distance", "chisq_pvalue"})
 
 
+@pytest.mark.parametrize("inner, horizon, checked", [
+    ("geometric:p=0.7", 512, True), ("sibuya:mu=0.5", 512, True),
+    ("shifted_poisson:lam=1.5", 512, True), ("sibuya:mu=0.5", 3000, True),
+    ("shifted_poisson:lam=1.5", 3000, False)])
+def test_mc_at_inf_is_checked_against_column_h(tmp_path, inner, horizon, checked):
+    # S is capped at the horizon H, so every value is M(H), whose law is column H; past
+    # H = 2048 only an inner law with a column step gets it without an O(H^3) table
+    argv = ["mc", "--inner", inner, "--stop", "shifted_poisson:lam=20", "--t-obs", "inf",
+            "--horizon", str(horizon), "--replicas", "2000", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    payload = json.loads((tmp_path / "mc_summary.json").read_text())
+    if checked:
+        assert payload["tv_distance"] < 0.2 and payload["chisq_pvalue"] > 1e-6
+    else:
+        assert payload.keys().isdisjoint({"tv_distance", "chisq_pvalue"})
+
+
 def _reject_constant(token):  # NaN and Infinity are not JSON
     raise ValueError(f"{token} in a summary")
 

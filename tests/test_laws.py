@@ -432,6 +432,15 @@ def test_parse_law_round_trip():
         np.testing.assert_allclose(again.pmf_vector(19), law.pmf_vector(19), atol=0)
 
 
+def test_law_config_refuses_a_kind_outside_the_registry():
+    # the registry matches types exactly, so a subclass of a registered kind has no form
+    class Unregistered(Geometric):
+        pass
+
+    with pytest.raises(ParameterError, match="^no config form for Unregistered$"):
+        laws.law_config(Unregistered(0.5))
+
+
 @pytest.mark.parametrize("text", _CONFIGS)
 def test_vectors_on_the_one_term_window(text):
     # T = 0 holds only t = 0, where no law has mass; T < 0 is no window
@@ -617,6 +626,10 @@ _CFG = montecarlo.SimConfig(seed=1, replicas=10, horizon=8)
       for probs, got in (([np.nan, 0.5], np.nan), ([-0.5, 1.5], -0.5))),
     (lambda: montecarlo.compare_discrete([0, 1, 1], [0, 1], [0.9, 0.9]),
      "probs must sum to at most 1, got 1.8"),
+    (lambda: ness.lattice_ness(walks.line_walk(0.5), DefectiveGeometric(0.5, 0.7), 0.8, 8),
+     "inner law must be non-defective, got mass 0.5"),
+    (lambda: renewal.brute_force_state_table(Geometric(0.5), 21),
+     "exhaustive enumeration is for horizons <= 20, got 21"),
 ], ids=["n0", "time", "step-count", "basis", "p-right", "count-pmf", "negative-table",
         "empty-table", "dcm-n-max", "compare-shapes", "symmetric-alpha", "one-sided-alpha",
         "n0-not-integer", "n-max-not-integer", "n-max-negative", "nan-step-prob",
@@ -624,7 +637,8 @@ _CFG = montecarlo.SimConfig(seed=1, replicas=10, horizon=8)
         "lattice-box-over-the-cap", "float-panels", "fractional-panels", "bool-panels",
         "zero-panels", "negative-panels",
         "ness-scale-q-0", "ness-scale-q-1", "float-time", "bool-time", "float-t-obs",
-        "bool-t-obs", "negative-count-pmf", "nan-compare-probs", "negative-compare-probs", "compare-probs-over-1"])
+        "bool-t-obs", "negative-count-pmf", "nan-compare-probs", "negative-compare-probs", "compare-probs-over-1",
+        "defective-lattice-inner", "enumeration-horizon"])
 def test_parameter_errors_name_the_value_they_got(make, got):
     with pytest.raises(ParameterError, match=f"^{got}$"):
         make()

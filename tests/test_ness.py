@@ -766,6 +766,26 @@ def test_mixture_at_origin():
     assert stable_mixture_density(0.0, 0.5, 1.0) == 0.0
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9])
+def test_default_one_sided_grid_holds_the_mittag_leffler_mass(alpha):
+    # 126 points on [0, 25]; the density at y = 0 is written 0.  F(y) = 1 - E_alpha(-y^alpha)
+    # is the law's distribution function, E_alpha the Mittag-Leffler function.  Past the
+    # first panel the trapezoid rule holds F(25) - F(0.2) to 2%; that panel misses the
+    # y^(alpha - 1) spike at 0, and the tail past 25 is off the grid, so the whole grid
+    # holds less than F(25): 0.60 at alpha = 0.5.
+    def cdf(y):
+        with mp.workdps(40):
+            z = -mp.mpf(y) ** alpha
+            return float(1 - mp.nsum(lambda k: z**k / mp.gamma(alpha * k + 1), [0, mp.inf]))
+
+    curve = stable_mixture_curve(alpha, 1.0)
+    assert curve.y.tolist() == np.linspace(0.0, 25.0, 126).tolist() and curve.density[0] == 0.0
+    assert np.isfinite(curve.density).all() and (curve.density[1:] > 0.0).all()
+    inner = np.trapezoid(curve.density[1:], curve.y[1:])
+    assert inner == pytest.approx(cdf(25.0) - cdf(0.2), rel=0.02)
+    assert curve.trapezoid_mass() < cdf(25.0)
+
+
 def test_default_symmetric_grid_skips_the_singular_origin(tmp_path):
     for alpha in (0.7, 1.0):
         curve = stable_mixture_curve(alpha, y=None)

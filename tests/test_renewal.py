@@ -122,6 +122,27 @@ def test_column_step_holds_one_table(law):
     assert peak <= 1.05 * table.probs.nbytes
 
 
+@pytest.mark.parametrize("horizon", [0, 1, 19, 20, 64, 257])
+@pytest.mark.parametrize("law", [
+    Geometric(0.7), Sibuya(0.5), DefectiveGeometric(0.5, 0.7), DefectiveSibuya(0.5, 0.5),
+    ShiftedPoisson(1.5), PowerLawBernstein(0.5, 1.5), Tabulated(np.array([0.25, 0.0, 0.5])),
+], ids=lambda law: type(law).__name__)
+def test_state_columns_are_the_tables_columns(law, horizon):
+    # byte for byte, rows n <= t: stepped where the table steps, read off it otherwise
+    table = renewal.state_table(law, horizon).probs
+    columns = [column.copy() for column in renewal.state_columns(law, horizon)]
+    assert len(columns) == horizon + 1
+    for t, column in enumerate(columns):
+        assert column.tobytes() == table[: t + 1, t].tobytes()
+    assert not np.tril(table, -1).any()
+
+
+@pytest.mark.parametrize("law", [Geometric(0.7), Sibuya(0.5)])
+def test_state_columns_step_in_one_percent_of_the_table(law):
+    _, peak = traced_peak(lambda: sum(column[-1] for column in renewal.state_columns(law, 2048)))
+    assert peak < 0.01 * 8 * 2049**2
+
+
 @pytest.mark.parametrize("law", [
     ShiftedPoisson(1.5), DefectiveSibuya(0.5, 0.5), DefectiveGeometric(0.5, 0.7),
     PowerLawBernstein(0.5, 1.5), Tabulated(np.array([0.25, 0.0, 0.5])),

@@ -27,6 +27,14 @@ def test_step_law_validation():
         StepLaw(np.array([[1], [-1]]), np.array([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("p_right, steps, chances", [
+    (0.0, [[-1]], [1.0]), (1.0, [[1]], [1.0]), (0.25, [[1], [-1]], [0.25, 0.75])])
+def test_line_walk_keeps_the_steps_of_positive_chance(p_right, steps, chances):
+    step = line_walk(p_right)
+    assert step.displacements.tolist() == steps and step.probs.tolist() == chances
+    assert step.mean_step.tolist() == [2.0 * p_right - 1.0]
+
+
 def test_cached_moments_equal_direct_sums():
     for step in (
         line_walk(0.3),
