@@ -113,57 +113,63 @@ def _int_cells(groups):
     return np.where(small, np.uint8(3), np.uint8(11)), digits, ~(small | huge), huge
 
 
+def _format_block(x, width, ints, text):
+    """The CSV text of ``x``, a block of rows of ``width`` cells, each row after its "\\n":
+    integer cells under 10^8 (their places and ``_int_cells`` in ``ints``, if any) from the
+    word tables, numpy what ``_cell_words`` proves exact, Python's ``text(i)`` the rest."""
+    zero, slow = x == 0, ~np.isfinite(x)
+    size = 11 - 10 * zero
+    if ints is not None:
+        at, isize, idigits, icalc, islow = ints
+        size[at] = isize
+        slow[at] = islow
+    first = np.cumsum(size) - size  # each cell's first word
+    words = np.zeros(first[-1] + size[-1], "<u4")
+    # word 0: separator ("\n" before a row), "-" if the sign bit is set, "0" if zero
+    words[first] = (np.uint32(ord(",")) | np.signbit(x) * np.uint32(ord("-") << 8)
+                    | zero * np.uint32(ord("0") << 16))
+    words[first[::width]] ^= np.uint32(ord(",") ^ ord("\n"))
+    calc = ~(zero | slow)
+    if ints is not None:  # words 1-2 of the other integer cells are written again below
+        calc[at] = icalc
+        words[first[at, None] + [1, 2]] = idigits
+    out = np.empty((10, np.count_nonzero(calc)), "<u4")
+    slow[calc] = _cell_words(x[calc], out)
+    words[first[calc] + np.arange(1, 11)[:, None]] = out
+    if (slow := np.flatnonzero(slow)).size:  # Python's text in all 11 words
+        cells = "".join((",\n"[i % width == 0] + text(i)).ljust(44, "\0") for i in slow.tolist())
+        slots = np.frombuffer(cells.encode(), "<u4").reshape(-1, 11)
+        words[first[slow, None] + np.arange(11)] = slots
+    return words.tobytes().translate(None, b"\0")
+
+
 def _format_rows(groups):
     """Yield the rows of the columns in ``groups`` (2-D stacks of columns)
-    as CSV text, each row after its "\\n", one bytes object per block:
-    integer cells under 10^8 take their digits from the word tables, numpy
-    formats what ``_cell_words`` proves exact, Python the rest."""
+    as CSV text, each row after its "\\n", one ``_format_block`` per block of
+    rows; the integer cells' words are made about a block of cells at a time."""
     cols = [c for g in groups for c in g]
     fmts = ["%d" if g.dtype.kind in "iu" else "%.12g" for g in groups for _ in g]
     ncols, is_int = len(cols), np.array(fmts) == "%d"
     block = max(1, _CSV_BLOCK_CELLS // ncols)
     rows = groups[0].shape[1]
     buf = np.empty((min(block, rows), ncols))
-    sep = np.tile(np.where(np.arange(ncols), ord(","), ord("\n")), len(buf)).astype("<u4")
     # the integer cells' places in a block, row by row; their words are made
     # for ``per`` blocks at a time, about a block of cells
     igroups = [g for g in groups if g.dtype.kind in "iu"]
     nint = np.count_nonzero(is_int)
     icells = (np.arange(len(buf))[:, None] * ncols + np.flatnonzero(is_int)).ravel()
     per = max(1, _CSV_BLOCK_CELLS // (block * nint)) if nint else 0
+    ints = None
     for b, start in enumerate(range(0, rows, block)):
         n = min(block, rows - start)
         np.concatenate([g[:, start : start + n] for g in groups], out=buf[:n].T)
-        x = buf[:n].ravel()
-        zero = x == 0
-        slow = ~np.isfinite(x)
-        size = 11 - 10 * zero
         if nint:
             if b % per == 0:
-                stop = start + per * block
-                isize, idigits, icalc, islow = _int_cells([g[:, start:stop] for g in igroups])
+                words = _int_cells([g[:, start : start + per * block] for g in igroups])
             k = slice(b % per * block * nint, (b % per * block + n) * nint)
-            at = icells[: n * nint]
-            size[at] = isize[k]
-            slow[at] = islow[k]
-        first = np.cumsum(size) - size  # each cell's first word
-        words = np.zeros(first[-1] + size[-1], "<u4")
-        # word 0: separator ("\n" before a row), "-" if the sign bit is set, "0" if zero
-        words[first] = (sep[: x.size] | np.signbit(x) * np.uint32(ord("-") << 8)
-                        | zero * np.uint32(ord("0") << 16))
-        calc = ~(zero | slow)
-        if nint:  # words 1-2 of the other integer cells are written again below
-            calc[at] = icalc[k]
-            words[first[at, None] + [1, 2]] = idigits[k]
-        out = np.empty((10, np.count_nonzero(calc)), "<u4")
-        slow[calc] = _cell_words(x[calc], out)
-        words[first[calc] + np.arange(1, 11)[:, None]] = out
-        if (slow := np.flatnonzero(slow)).size:  # Python's text in all 11 words
-            text = "".join((",\n"[not j] + fmts[j] % cols[j][start + i]).ljust(44, "\0")
-                           for i, j in zip(*np.divmod(slow, ncols)))
-            slots = np.frombuffer(text.encode(), "<u4").reshape(-1, 11)
-            words[first[slow, None] + np.arange(11)] = slots
-        yield words.tobytes().translate(None, b"\0")
+            ints = (icells[: n * nint], *(w[k] for w in words))
+        yield _format_block(buf[:n].ravel(), ncols, ints,
+                            lambda i: fmts[i % ncols] % cols[i % ncols][start + i // ncols])
 
 
 def _write_csv(path: str, header, columns) -> None:
@@ -185,11 +191,31 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_state_table(args, table, stem: str) -> None:
-    """Rows t, columns n0..nN of ``table.probs[n, t]``; no transposed copy."""
-    header = ["t"] + [f"n{n}" for n in range(table.n_max + 1)]
-    path = os.path.join(args.out, f"{stem}.csv")
-    _write_csv(path, header, [np.arange(table.horizon + 1), table.probs])
+def _write_state_table(args, columns, stem: str) -> None:
+    """Rows t, columns n0..nT of a state table, streamed from ``columns`` (rows n <= t of
+    column t) at a horizon T under ``state_table``'s cap.  Rows t0..t1-1 make a block cropped
+    at n = t1 - 1; each row's cells n >= t1, zero as N(t) <= t, follow it as constant bytes."""
+    horizon = args.horizon
+    renewal.check_table_size(horizon)
+    zeros, buf, t0 = b",0" * (horizon + 1), np.empty(max(_CSV_BLOCK_CELLS, horizon + 2)), 0
+    with open(os.path.join(args.out, f"{stem}.csv"), "wb") as fh:
+        fh.write(",".join(["t"] + [f"n{n}" for n in range(horizon + 1)]).encode())
+        while t0 <= horizon:
+            # the most rows n with n (t0 + 1 + n) <= _CSV_BLOCK_CELLS, at least one
+            n = (math.isqrt((t0 + 1) ** 2 + 4 * _CSV_BLOCK_CELLS) - t0 - 1) // 2
+            t1 = min(t0 + max(n, 1), horizon + 1)
+            block = buf[: (t1 - t0) * (t1 + 1)].reshape(t1 - t0, t1 + 1)
+            block.fill(0.0)
+            block[:, 0] = t = np.arange(t0, t1)
+            for row, column in zip(block, columns):
+                row[1 : len(column) + 1] = column
+            x = block.ravel()  # column t, under 10^8, is never left to Python
+            text = _format_block(x, t1 + 1, ((t - t0) * (t1 + 1), *_int_cells([t[None]])),
+                                 lambda i: "%.12g" % x[i])
+            tail = zeros[: 2 * (horizon + 1 - t1)]
+            fh.write(text.replace(b"\n", tail + b"\n")[len(tail) :] + tail)
+            t0 = t1
+        fh.write(b"\n")
 
 
 def validate_summary(payload: dict) -> None:
@@ -222,7 +248,7 @@ def _emit_summary(args, payload: dict) -> None:
 
 def _cmd_renewal(args) -> int:
     law = parse_law(args.law)
-    _write_state_table(args, renewal.state_table(law, args.horizon), "renewal_state")
+    _write_state_table(args, renewal.state_columns(law, args.horizon), "renewal_state")
     pmf = law.pmf_vector(args.horizon)
     path = os.path.join(args.out, "law_pmf.csv")
     _write_csv(path, ["t", "psi"], [np.arange(len(pmf)), pmf])
@@ -255,7 +281,7 @@ def _stopped_spec(args):
 
 def _cmd_stopped(args) -> int:
     spec, fields = _stopped_spec(args)
-    _write_state_table(args, stopped.stopped_state_table(spec), "stopped_state")
+    _write_state_table(args, stopped.stopped_columns(spec), "stopped_state")
     mean, second = stopped._moment_pair(spec)
     _write_csv(
         os.path.join(args.out, "stopped_moments.csv"),

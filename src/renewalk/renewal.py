@@ -4,7 +4,7 @@ The central object is the state table Phi[n, t] = P[N(t) = n] for a
 counting process driven by IID waiting times, built coefficient-wise as
 survival * pmf^(*n) on a shared horizon, or column by column where the count
 is a Markov chain.  ``state_columns`` yields the table's columns one at a
-time, stepped without the table where it steps; ``stopped.stopped_column``
+time, stepped without the table where it steps; ``stopped.stopped_columns``
 sums them.  Waiting laws may be defective, in which case the process is
 transient and the limiting state law is geometric.
 """
@@ -83,10 +83,7 @@ def state_table(law: WaitingLaw, horizon: int) -> StateTable:
     its relative accuracy.  Smaller tables are convolved row by row.  A table
     of more than ``_TABLE_CAP`` entries raises ParameterError.
     """
-    entries = (_window(horizon) + 1) ** 2
-    if entries > _TABLE_CAP:
-        raise ParameterError(f"a state table at horizon {horizon} needs {8 * entries} bytes, "
-                             f"over the cap of {_TABLE_CAP} entries ({8 * _TABLE_CAP} bytes)")
+    check_table_size(horizon)
     if horizon >= _DOUBLING_MIN_HORIZON and law.count_steps(horizon) is not None:
         probs = np.zeros((horizon + 1, horizon + 1))
         for t, column in enumerate(state_columns(law, horizon)):
@@ -94,6 +91,14 @@ def state_table(law: WaitingLaw, horizon: int) -> StateTable:
         return StateTable(probs)
     rows = _rows_by_convolution if horizon < _DOUBLING_MIN_HORIZON else _rows_by_doubling
     return StateTable(rows(law.survival_vector(horizon), law.pmf_vector(horizon)))
+
+
+def check_table_size(horizon: int) -> None:
+    """Refuse a horizon whose state table would hold more than ``_TABLE_CAP`` entries."""
+    entries = (_window(horizon) + 1) ** 2
+    if entries > _TABLE_CAP:
+        raise ParameterError(f"a state table at horizon {horizon} needs {8 * entries} bytes, "
+                             f"over the cap of {_TABLE_CAP} entries ({8 * _TABLE_CAP} bytes)")
 
 
 def state_columns(law: WaitingLaw, horizon: int):

@@ -5,14 +5,15 @@ first event of an independent stopping process and keeps that value
 forever.  A defective stopping law leaves mass 1 - Q_S on paths that are
 never stopped, making M an intermediate process: it stops with
 probability Q_S and runs forever with probability 1 - Q_S.  The state table
-of M is the inner table frozen at S; one column of it is a sum over the
+of M is the inner table frozen at S; its columns are running sums over the
 inner law's columns (``renewal.state_columns``), without the stopped table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,14 +69,21 @@ def stopped_state_table(spec: StoppedSpec) -> StateTable:
     return StateTable(_frozen(spec.stop, renewal.state_table(spec.inner, spec.horizon).probs))
 
 
+def stopped_columns(spec: StoppedSpec):
+    """Yield column t of ``stopped_state_table(spec)``, rows m <= t, byte for byte, as a view
+    the next overwrites: sum_(r<=t) pmf_S(r) P[N(r) = .] + surv_S(t) P[N(t) = .] over the inner
+    ``renewal.state_columns``, in the table's order of sums; in O(T) memory where those step."""
+    pmf, surv = spec.stop.pmf_vector(spec.horizon), spec.stop.survival_vector(spec.horizon)
+    total, out = np.zeros(spec.horizon + 1), np.empty(spec.horizon + 1)
+    for t, column in enumerate(renewal.state_columns(spec.inner, spec.horizon)):
+        now, cell = total[: t + 1], out[: t + 1]
+        now += np.multiply(column, pmf[t], out=cell)
+        yield np.add(np.multiply(column, surv[t], out=cell), now, out=cell)
+
+
 def stopped_column(spec: StoppedSpec, t: int) -> np.ndarray:
-    """Column t of the stopped table, byte for byte: the sum of pmf_S(r) P[N(r) = .] over
-    r <= t plus surv_S(t) P[N(t) = .], over the inner law's ``renewal.state_columns`` up to t,
-    in O(t) memory where those step and with the inner table up to t otherwise."""
-    pmf, total = spec.stop.pmf_vector(t), np.zeros(t + 1)
-    for r, column in enumerate(renewal.state_columns(spec.inner, t)):
-        total[: r + 1] += pmf[r] * column
-    return spec.stop.survival_vector(t)[t] * column + total
+    """Column t of the stopped table, byte for byte: the last of ``stopped_columns`` to t."""
+    return deque(stopped_columns(replace(spec, horizon=t)), 1)[0]
 
 
 def stopped_moments(spec: StoppedSpec, order: int) -> np.ndarray:

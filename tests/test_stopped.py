@@ -34,6 +34,7 @@ from renewalk.stopped import (
     geometric_stop_asymptotics,
     poisson_stop,
     stopped_column,
+    stopped_columns,
     stopped_moments,
     stopped_state_table,
 )
@@ -494,6 +495,21 @@ def test_stopped_column_is_the_tables_column(inner, stop, t):
     # so it does at every horizon for the inner laws without a column step: shifted
     # Poisson, power law with zeta = 1, full-mass tabulated and thinned laws
     _assert_column_is_the_tables(StoppedSpec(inner, stop, 8), t)
+
+
+@pytest.mark.parametrize("horizon", [0, 1, 19, 20, 64])
+@pytest.mark.parametrize("inner, stop", [
+    (Geometric(0.7), DefectiveGeometric(0.5, 0.035)), (Sibuya(0.5), Sibuya(0.5)),
+    (ShiftedPoisson(1.5), Geometric(0.2)), (ShiftedPoisson(1.5), DefectiveGeometric(0.5, 0.035)),
+], ids=["geometric", "sibuya", "poisson", "poisson-defective"])
+def test_stopped_columns_stack_into_the_table(inner, stop, horizon):
+    # byte for byte, the cells n > t +0.0 included
+    spec = StoppedSpec(inner, stop, horizon)
+    stacked = np.zeros((horizon + 1, horizon + 1))
+    for t, column in enumerate(stopped_columns(spec)):
+        stacked[: t + 1, t] = column
+    assert t == horizon
+    assert stacked.tobytes() == stopped_state_table(spec).probs.tobytes()
 
 
 @pytest.mark.parametrize("inner", [Geometric(0.3), Sibuya(0.5)])
