@@ -165,9 +165,9 @@ def _format_rows(groups):
         np.concatenate([g[:, start : start + n] for g in groups], out=buf[:n].T)
         if nint:
             if b % per == 0:
-                words = _int_cells([g[:, start : start + per * block] for g in igroups])
+                icell = _int_cells([g[:, start : start + per * block] for g in igroups])
             k = slice(b % per * block * nint, (b % per * block + n) * nint)
-            ints = (icells[: n * nint], *(w[k] for w in words))
+            ints = (icells[: n * nint], *(c[k] for c in icell))
         yield _format_block(buf[:n].ravel(), ncols, ints,
                             lambda i: fmts[i % ncols] % cols[i % ncols][start + i // ncols])
 
@@ -197,7 +197,8 @@ def _write_state_table(args, columns, stem: str) -> None:
     at n = t1 - 1; each row's cells n >= t1, zero as N(t) <= t, follow it as constant bytes."""
     horizon = args.horizon
     renewal.check_table_size(horizon)
-    zeros, buf, t0 = b",0" * (horizon + 1), np.empty(max(_CSV_BLOCK_CELLS, horizon + 2)), 0
+    zeros, t0 = b",0" * (horizon + 1), 0
+    buf = np.empty(max(_CSV_BLOCK_CELLS, horizon + 2))
     with open(os.path.join(args.out, f"{stem}.csv"), "wb") as fh:
         fh.write(",".join(["t"] + [f"n{n}" for n in range(horizon + 1)]).encode())
         while t0 <= horizon:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import traced_peak
+from test_laws import _CONFIGS as LAW_CONFIGS
 
 from renewalk import cli, laws, renewal, stopped
 from renewalk.laws import DefectiveGeometric, Geometric, Sibuya
@@ -899,32 +900,17 @@ def test_write_csv_peak_memory_is_under_half_the_table(tmp_path, argv, stem, tab
     assert peak <= table.probs.nbytes / 2
 
 
-#: one config of each law kind; the zero cells n > t are written as constant text
-_LAW_CONFIGS = {
-    "geometric": "geometric:p=0.7",
-    "defective_geometric": "defective_geometric:defect=0.5,p=0.2",
-    "sibuya": "sibuya:mu=0.5",
-    "defective_sibuya": "defective_sibuya:defect=0.9,mu=0.4",
-    "shifted_poisson": "shifted_poisson:lam=2.0",
-    "power_law_bernstein": "power_law_bernstein:gamma=0.5,zeta=1.5",
-    "tabulated": "tabulated:pmf=0.2;0.3;0.5",
-}
-
-
 def _state_csv(table):
     header, (t, probs) = _state_columns(table)
     return _reference_csv(header, [t, *probs])
 
 
-def test_law_configs_name_every_law_kind():
-    assert _LAW_CONFIGS.keys() == laws._LAW_KINDS.keys()
-
-
 @pytest.mark.parametrize("horizon", [0, 1, 19, 20, 64])
-@pytest.mark.parametrize("kind", _LAW_CONFIGS)
-def test_streamed_renewal_csv_is_the_tables_text(tmp_path, kind, horizon):
-    law = laws.parse_law(_LAW_CONFIGS[kind])
-    assert run(["renewal", "--law", _LAW_CONFIGS[kind], "--horizon", str(horizon),
+@pytest.mark.parametrize("config", LAW_CONFIGS)  # one of each law kind
+def test_streamed_renewal_csv_is_the_tables_text(tmp_path, config, horizon):
+    # the zero cells n > t are written as constant text, never formatted
+    law = laws.parse_law(config)
+    assert run(["renewal", "--law", config, "--horizon", str(horizon),
                 "--out", str(tmp_path)]) == 0
     want = _state_csv(renewal.state_table(law, horizon))
     assert (tmp_path / "renewal_state.csv").read_text() == want
@@ -942,15 +928,8 @@ def test_streamed_stopped_csv_is_the_tables_text(tmp_path, inner, stop, horizon)
     assert (tmp_path / "stopped_state.csv").read_text() == want
 
 
-_STREAMED = {
-    "renewal": ["renewal", "--law", "sibuya:mu=0.5"],
-    "stopped": ["stopped", "--inner", "geometric:p=0.7",
-                "--stop", "defective_geometric:defect=0.5,p=0.035"],
-}
-
-
-@pytest.mark.parametrize("argv", list(_STREAMED.values()), ids=list(_STREAMED))
-def test_state_csv_at_2048_builds_no_table(tmp_path, argv):
+@pytest.mark.parametrize("argv, stem, table_at", _STATE_TABLES)
+def test_state_csv_at_2048_builds_no_table(tmp_path, argv, stem, table_at):
     # the CSV is streamed from the column source: the peak stays under an eighth of one
     # (T + 1)^2 table of float64, where a table built for it would take 32 MiB
     assert run([*argv, "--horizon", "24", "--out", str(tmp_path)]) == 0  # builds the caches
@@ -959,8 +938,8 @@ def test_state_csv_at_2048_builds_no_table(tmp_path, argv):
     assert peak < 8 * 2049**2 / 8
 
 
-@pytest.mark.parametrize("argv", list(_STREAMED.values()), ids=list(_STREAMED))
-def test_state_csv_over_the_table_cap_is_refused_before_writing(tmp_path, capsys, argv):
+@pytest.mark.parametrize("argv, stem, table_at", _STATE_TABLES)
+def test_state_csv_over_the_table_cap_writes_nothing(tmp_path, capsys, argv, stem, table_at):
     # the stream needs no table, but the horizons accepted stay those of state_table
     assert run([*argv, "--horizon", "11585", "--out", str(tmp_path)]) == 1
     assert "at horizon 11585 needs 1073883168 bytes" in capsys.readouterr().err
